@@ -55,9 +55,12 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
 }
 
 // NOTE: CimMacro::mvm_packed inlines this chain (constants from
-// read_chain_consts() below); any change here must be mirrored there.
-// The packed-vs-legacy bit-identity suite (`ctest -L macro`) fails loudly
-// on drift.
+// read_chain_consts() below) as the third of its count -> fill -> chain
+// passes: the draws below arrive pre-filled by Rng::fill_normal in this
+// function's call order, so any change here (including to how many
+// normals a read draws, and when) must be mirrored in both the draw
+// count of the count pass and the chain pass. The packed-vs-legacy
+// bit-identity suite (`ctest -L macro`) fails loudly on drift.
 double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
                                  ArrayReadStats& stats) const {
   YOLOC_CHECK(exact_count >= 0 && exact_count <= active_rows,

@@ -56,7 +56,8 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
         }
         if (mode_ == Mode::kAnalog) {
           macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
-                             *session.rng, stats);
+                             *session.rng, stats, scratch.read_counts,
+                             scratch.read_normals);
         } else {
           macro_->mvm_packed_exact_cost(packed, tile, w, x_chunk.data(),
                                         y_partial.data(), stats);

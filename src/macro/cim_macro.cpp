@@ -219,7 +219,9 @@ void CimMacro::check_packed_tile(const PackedRomWeights& packed,
 
 void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
                           const std::uint8_t* x, std::int32_t* y, Rng& rng,
-                          MacroRunStats& stats) const {
+                          MacroRunStats& stats,
+                          std::vector<std::uint8_t>& read_counts,
+                          std::vector<double>& read_normals) const {
   check_packed_tile(packed, tile_index);
   YOLOC_CHECK(packed.has_planes(),
               "cim macro: analog packed path needs weight bit-planes "
@@ -307,42 +309,84 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
       y[j] = static_cast<std::int32_t>(std::llround(acc));
     }
   } else {
+    // Three passes per output row, so the noise draws come from one
+    // bulk fill instead of one out-of-line Rng::normal call each:
+    //   1. count: every (b, t, grp) exact ON-cell count, fault overlays
+    //      included, and the number of draws the row needs (one per read
+    //      for ADC noise, one more per read with exact > 0 for cell
+    //      mismatch when sigma_cell > 0);
+    //   2. fill:  exactly that many standard normals, bit-identical to
+    //      the sequential normal() calls the legacy chain makes;
+    //   3. chain: the inlined CimArrayModel::read_count, consuming the
+    //      normals in the legacy (j, b, t, grp) draw order.
+    const int reads = weight_bits * input_bits * groups;
+    if (read_counts.size() < static_cast<std::size_t>(reads)) {
+      read_counts.resize(static_cast<std::size_t>(reads));
+    }
+    if (read_normals.size() < 2 * static_cast<std::size_t>(reads)) {
+      read_normals.resize(2 * static_cast<std::size_t>(reads));
+    }
+    std::uint8_t* counts = read_counts.data();
+    const double* z = read_normals.data();
+    const bool cell_noise = rc.sigma_cell > 0.0;
     for (int j = 0; j < m; ++j) {
       const RowMask* wrow =
           tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
+      int r = 0;
+      int nonzero = 0;
       for (int b = 0; b < weight_bits; ++b) {
         RowMask wb = wrow[b];
-        AdcDrift drift;
         if (faults != nullptr) {
           const FaultModel::PlaneFaults pf = faults->plane(j, b);
           wb.or_with(pf.force_one);
           wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
         }
         for (int t = 0; t < input_bits; ++t) {
           RowMask wbt = wb;
           if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
           const RowMask xt = xbits[t];
+          for (int grp = 0; grp < groups; ++grp) {
+            const int exact = wbt.count_and3(xt, gmasks[grp]);
+            counts[r++] = static_cast<std::uint8_t>(exact);
+            nonzero += exact != 0 ? 1 : 0;
+          }
+        }
+      }
+      rng.fill_normal(read_normals.data(),
+                      static_cast<std::size_t>(reads) +
+                          (cell_noise ? static_cast<std::size_t>(nonzero)
+                                      : 0u));
+
+      // Inlined CimArrayModel::read_count — identical operations in
+      // identical order. Each draw is written as the legacy
+      // Rng::normal(0.0, sd) computes it, 0.0 + sd * n.
+      std::size_t d = 0;
+      r = 0;
+      double acc = 0.0;
+      for (int b = 0; b < weight_bits; ++b) {
+        AdcDrift drift;
+        if (faults != nullptr) drift = faults->adc_drift(j, b);
+        for (int t = 0; t < input_bits; ++t) {
           const double cycle_weight =
               bcw[static_cast<std::size_t>(b) * input_bits + t];
           for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            // Inlined CimArrayModel::read_count — identical operations
-            // in identical order, same RNG draws.
+            const int exact = counts[r++];
             double effective = exact;
-            if (rc.sigma_cell > 0.0 && exact > 0) {
-              effective += rng.normal(
-                  0.0, rc.sigma_cell *
-                           sqrt_count_[static_cast<std::size_t>(exact)]);
+            if (cell_noise && exact > 0) {
+              const double sd =
+                  rc.sigma_cell * sqrt_count_[static_cast<std::size_t>(exact)];
+              effective += 0.0 + sd * z[d++];
               if (effective < 0.0) effective = 0.0;
             }
             const double v =
                 std::max(rc.v_precharge - effective * rc.delta_v, rc.v_floor);
-            const double noisy = v + rng.normal(0.0, rc.noise_sigma_v);
+            const double noisy = v + (0.0 + rc.noise_sigma_v * z[d++]);
             const double clamped = std::clamp(noisy, rc.v_lo, rc.v_hi);
-            int code =
-                static_cast<int>(std::lround((rc.v_hi - clamped) / rc.lsb));
+            // lround of a non-negative argument: truncate, then round
+            // half away from zero (q - whole is exact for q >= 0).
+            const double q = (rc.v_hi - clamped) / rc.lsb;
+            const int whole = static_cast<int>(q);
+            int code = whole + (q - whole >= 0.5 ? 1 : 0);
             code = std::clamp(code, 0, rc.levels - 1);
             double est = code * rc.counts_per_code;
             if (faults != nullptr) {

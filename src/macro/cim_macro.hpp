@@ -72,9 +72,14 @@ class CimMacro {
   /// the same tile (same y, same stats, same RNG draw order). `x` holds
   /// the tile's k_size activation entries; `y` receives m partial sums.
   /// `packed` must have been built against this macro's geometry.
+  /// `read_counts` / `read_normals` are caller-owned per-row buffers of
+  /// the noisy read chain (one output row's exact counts and noise
+  /// draws); they grow on first use to weight_bits * input_bits * groups
+  /// and 2x that entries, and are reused afterwards.
   void mvm_packed(const PackedRomWeights& packed, int tile_index,
                   const std::uint8_t* x, std::int32_t* y, Rng& rng,
-                  MacroRunStats& stats) const;
+                  MacroRunStats& stats, std::vector<std::uint8_t>& read_counts,
+                  std::vector<double>& read_normals) const;
 
   /// Exact-cost fast path over one packed tile: bit-identical to
   /// mvm_exact_cost() on the same tile. `w` is the FULL (m x k) weight

@@ -55,6 +55,10 @@ struct MvmScratch {
   std::vector<std::int8_t> w_chunk;  // macro row-tile of the weight matrix
   std::vector<std::uint8_t> x_chunk;
   std::vector<std::int32_t> y_partial;
+  // Noisy packed analog read chain (CimMacro::mvm_packed): one output
+  // row's exact ON-cell counts and its standard-normal noise draws.
+  std::vector<std::uint8_t> read_counts;
+  std::vector<double> read_normals;
   Tensor xT;  // transposed linear input
 };
 

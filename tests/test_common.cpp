@@ -161,6 +161,68 @@ TEST(Rng, NormalScalesMeanAndStddev) {
   EXPECT_NEAR(sum / n, 5.0, 0.08);
 }
 
+TEST(Rng, NormalMatchesReferencePolarMethod) {
+  // Textbook Marsaglia polar method over uniform(-1, 1): pins the stream
+  // normal() produces (and therefore every seeded analog result).
+  Rng rng(29);
+  Rng ref(29);
+  for (int i = 0; i < 500; ++i) {
+    double u = 0.0;
+    double v = 0.0;
+    double s = 0.0;
+    do {
+      u = ref.uniform(-1.0, 1.0);
+      v = ref.uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    EXPECT_EQ(rng.normal(), u * factor) << "pair " << i;
+    EXPECT_EQ(rng.normal(), v * factor) << "pair " << i;
+  }
+  EXPECT_EQ(rng(), ref());
+}
+
+/// fill_normal(n) on `bulk` must reproduce n normal() calls on `seq`
+/// exactly: the values, the raw stream position (the next operator()
+/// output catches any over-draw) and the cached pair half (the next
+/// normal()).
+void expect_fill_matches_sequential(Rng& bulk, Rng& seq, std::size_t n) {
+  std::vector<double> got(n + 1, -7.0);
+  bulk.fill_normal(got.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], seq.normal()) << "n=" << n << " i=" << i;
+  }
+  EXPECT_EQ(got[n], -7.0) << "fill_normal wrote past n=" << n;
+  EXPECT_EQ(bulk(), seq()) << "raw stream position after n=" << n;
+  EXPECT_EQ(bulk.normal(), seq.normal()) << "cached half after n=" << n;
+}
+
+TEST(Rng, FillNormalMatchesSequentialNormal) {
+  // Sizes: empty, single, one pair, odd, and several 64-pair blocks.
+  const std::size_t sizes[] = {0, 1, 2, 3, 7, 127, 128, 129, 255, 513};
+  for (const std::size_t n : sizes) {
+    for (const bool cached : {false, true}) {
+      Rng bulk(1000 + n);
+      Rng seq(1000 + n);
+      if (cached) {  // enter with the second half of a pair cached
+        (void)bulk.normal();
+        (void)seq.normal();
+      }
+      SCOPED_TRACE(cached ? "entered with a cached half" : "no cache");
+      expect_fill_matches_sequential(bulk, seq, n);
+    }
+  }
+}
+
+TEST(Rng, FillNormalInterleavesWithNormal) {
+  Rng bulk(77);
+  Rng seq(77);
+  const std::size_t steps[] = {3, 0, 1, 64, 5, 2, 129, 1, 1, 200};
+  for (const std::size_t n : steps) {
+    expect_fill_matches_sequential(bulk, seq, n);
+  }
+}
+
 TEST(Rng, BernoulliMatchesProbability) {
   Rng rng(19);
   int hits = 0;

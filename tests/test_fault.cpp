@@ -78,10 +78,12 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
 }
 
 /// One engine run (legacy or packed) over a fixed workload.
+/// `next_draw_out` receives the session RNG's next normal() after the run.
 std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
                                      MacroMvmEngine::Mode mode, bool packed,
                                      int m, int k, int p, std::uint64_t seed,
-                                     MacroRunStats* stats_out = nullptr) {
+                                     MacroRunStats* stats_out = nullptr,
+                                     double* next_draw_out = nullptr) {
   const CimMacro macro(cfg);
   PackedWeightsCache cache;
   const MacroMvmEngine engine(macro, mode, packed ? &cache : nullptr);
@@ -94,6 +96,7 @@ std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
   MvmSession session{&rng, &stats, &scratch};
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
   if (stats_out != nullptr) *stats_out = stats;
+  if (next_draw_out != nullptr) *next_draw_out = rng.normal();
   return y;
 }
 
@@ -119,19 +122,35 @@ TEST(FaultModel, SeedRedrawsThePattern) {
 TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
   // The determinism contract extends to faults: the packed fast path
   // must see the SAME stuck cells, drifted columns and transient flips
-  // as the per-call path (fault coordinates are tile-local).
-  const MacroConfig cfg = faulted_rom(heavy_faults());
-  for (const int k : {96, 200}) {  // single-tile and multi-tile
-    MacroRunStats stats_legacy, stats_packed;
-    const auto legacy = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false,
-                                   6, k, 3, 5, &stats_legacy);
-    const auto packed = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, true,
-                                   6, k, 3, 5, &stats_packed);
-    EXPECT_EQ(legacy, packed) << "k=" << k;
-    EXPECT_EQ(stats_legacy.array.adc_conversions,
-              stats_packed.array.adc_conversions);
-    EXPECT_EQ(stats_legacy.array.adc_energy_pj,
-              stats_packed.array.adc_energy_pj);
+  // as the per-call path (fault coordinates are tile-local). Covered on
+  // both packed kernels: the noise-free table path and the noisy read
+  // chain (default ROM noise on top of the faults).
+  MacroConfig noisy = default_rom_macro();
+  noisy.faults = heavy_faults();
+  for (const MacroConfig& cfg : {faulted_rom(heavy_faults()), noisy}) {
+    const bool noise_free = CimMacro(cfg).noise_free();
+    for (const int k : {96, 200}) {  // single-tile and multi-tile
+      SCOPED_TRACE(testing::Message()
+                   << (noise_free ? "noise-free" : "noisy") << " k=" << k);
+      MacroRunStats stats_legacy, stats_packed;
+      double next_legacy = 0.0;
+      double next_packed = 0.0;
+      const auto legacy =
+          run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, k, 3, 5,
+                     &stats_legacy, &next_legacy);
+      const auto packed =
+          run_engine(cfg, MacroMvmEngine::Mode::kAnalog, true, 6, k, 3, 5,
+                     &stats_packed, &next_packed);
+      EXPECT_EQ(legacy, packed);
+      EXPECT_EQ(stats_legacy.array.adc_conversions,
+                stats_packed.array.adc_conversions);
+      EXPECT_EQ(stats_legacy.array.adc_energy_pj,
+                stats_packed.array.adc_energy_pj);
+      EXPECT_EQ(stats_legacy.array.precharge_energy_pj,
+                stats_packed.array.precharge_energy_pj);
+      // Same next session draw; a noise-free packed run draws nothing.
+      EXPECT_EQ(next_packed, noise_free ? Rng(5).normal() : next_legacy);
+    }
   }
 }
 

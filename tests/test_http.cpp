@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/base64.hpp"
+#include "hang_once.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
@@ -44,6 +45,7 @@ namespace yoloc {
 namespace {
 
 using std::chrono::milliseconds;
+using testing_support::HangOnce;
 
 // Keep the concurrency paths exercised even on single-core CI boxes.
 const bool g_env_pinned = [] {
@@ -302,21 +304,24 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
 
 TEST(HttpAdmission, QueueFullMapsTo429WithRetryAfter) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce gate;  // holds the first blocker's batch on the worker
   SchedulerOptions sched;
   sched.workers = 1;
   sched.max_queue_depth = 1;
+  sched.worker_fault_hook = gate.hook();
   Scheduler scheduler(*plan, sched);
   HttpServer server(scheduler, *plan);
 
-  // Occupy the single worker directly, long enough to observe the full
-  // sequence below: two chained interactive blockers (strict weights
-  // outrank the batch lane) keep it busy for hundreds of ms; the first
-  // is picked up before the second is submitted so the second sits in
-  // the interactive QUEUE — the depth cap is per lane, so the batch
-  // lane still has its own 1-slot budget.
+  // Occupy the single worker directly for the full sequence below: the
+  // first interactive blocker is held inside the test hook (so the
+  // outcome does not depend on how long an inference takes) and is
+  // picked up before the second is submitted, so the second sits in the
+  // interactive QUEUE (strict weights outrank the batch lane) — the
+  // depth cap is per lane, so the batch lane still has its own 1-slot
+  // budget.
   auto blocker = scheduler.submit(make_input(7, {128, 3, 8, 8}),
                                   {Priority::kInteractive, milliseconds(0)});
-  std::this_thread::sleep_for(milliseconds(80));  // worker surely picked up
+  gate.wait_hung();  // worker picked the blocker up
   auto blocker2 = scheduler.submit(make_input(6, {128, 3, 8, 8}),
                                    {Priority::kInteractive, milliseconds(0)});
 
@@ -334,6 +339,7 @@ TEST(HttpAdmission, QueueFullMapsTo429WithRetryAfter) {
   EXPECT_NE(overflow.body.find("\"kind\":\"queue_full\""), std::string::npos);
   EXPECT_FALSE(overflow.headers["retry-after"].empty());
 
+  gate.release_and_wait_exit();
   (void)blocker.get();
   (void)blocker2.get();
   EXPECT_EQ(queued.get().status, 200);

@@ -52,7 +52,7 @@ void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
 }
 
 /// Drives both engine paths with identically seeded sessions and checks
-/// outputs + stats match exactly.
+/// outputs, stats and the session RNG position match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
                             MacroMvmEngine::Mode mode, int m, int k, int p,
                             std::uint64_t seed) {
@@ -81,6 +81,16 @@ void expect_paths_identical(const MacroConfig& cfg,
                      packed_session);
     EXPECT_EQ(y_legacy, y_packed) << "call " << call;
     expect_stats_identical(stats_legacy, stats_packed);
+  }
+
+  // No downstream draw changes: the next session draw agrees. The one
+  // documented exception is a noise-free analog config, whose packed
+  // path draws nothing and must leave its RNG untouched.
+  if (mode == MacroMvmEngine::Mode::kAnalog && macro.noise_free()) {
+    EXPECT_EQ(rng_packed.normal(), Rng(seed).normal());
+  } else {
+    EXPECT_EQ(rng_legacy.normal(), rng_packed.normal());
+    EXPECT_EQ(rng_legacy(), rng_packed());
   }
 }
 
@@ -183,9 +193,10 @@ TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   Rng rng(1);
   MacroRunStats stats;
-  EXPECT_THROW(
-      macro.mvm_packed(bounds, 0, x.data(), y.data(), rng, stats),
-      std::runtime_error);
+  MvmScratch scratch;
+  EXPECT_THROW(macro.mvm_packed(bounds, 0, x.data(), y.data(), rng, stats,
+                                scratch.read_counts, scratch.read_normals),
+               std::runtime_error);
 }
 
 TEST(PackedWeightsCache, ReturnsSameInstanceAndChecksGeometry) {
@@ -247,6 +258,38 @@ TEST(PackedMvm, AnalogBitIdenticalNarrowOperands) {
   cfg.geometry.input_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kAnalog,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/107);
+}
+
+TEST(PackedMvm, AnalogBitIdenticalCellNoiseOnly) {
+  // sigma_cell > 0 with a noiseless ADC: the ADC draws are still made
+  // (scaled by 0.0), so the row draws reads + nonzero-count normals.
+  MacroConfig cfg = default_rom_macro();
+  cfg.adc.noise_sigma_v = 0.0;
+  ASSERT_GT(cfg.bitline.sigma_cell, 0.0);
+  expect_paths_identical(cfg, MacroMvmEngine::Mode::kAnalog,
+                         /*m=*/12, /*k=*/100, /*p=*/3, /*seed=*/111);
+}
+
+TEST(PackedMvm, AnalogBitIdenticalAdcNoiseOnly) {
+  // sigma_cell == 0 with ADC noise: exactly one draw per read.
+  MacroConfig cfg = default_rom_macro();
+  cfg.bitline.sigma_cell = 0.0;
+  ASSERT_GT(cfg.adc.noise_sigma_v, 0.0);
+  expect_paths_identical(cfg, MacroMvmEngine::Mode::kAnalog,
+                         /*m=*/12, /*k=*/100, /*p=*/3, /*seed=*/112);
+}
+
+TEST(PackedMvm, AnalogBitIdenticalManyGroupsPerRow) {
+  // rows_per_activation 1 and 4: 128 and 32 groups per tile, so one
+  // output row fills thousands of normals (many fill_normal blocks).
+  for (const int rpa : {1, 4}) {
+    MacroConfig cfg = default_rom_macro();
+    cfg.geometry.rows_per_activation = rpa;
+    SCOPED_TRACE(rpa);
+    expect_paths_identical(cfg, MacroMvmEngine::Mode::kAnalog,
+                           /*m=*/4, /*k=*/130, /*p=*/2,
+                           /*seed=*/113 + static_cast<std::uint64_t>(rpa));
+  }
 }
 
 TEST(PackedMvm, ExactCostBitIdentical) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "hang_once.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
@@ -688,48 +689,7 @@ TEST(Scheduler, GracefulShutdownDrainsByPriority) {
 
 // --------------------------------------- shutdown races a hung worker
 
-/// Shared test fixture for wedging exactly one worker inside the
-/// TEST-ONLY fault hook: the first batch picked anywhere blocks until
-/// release(); every later pick runs normally. `exited` flips only
-/// after the blocked thread has left the hook body, so tests can wait
-/// for it before the Scheduler (which owns the hook closure) dies.
-struct HangOnce {
-  std::mutex m;
-  std::condition_variable cv;
-  bool armed = true;
-  bool hung = false;
-  std::atomic<bool> exited{false};
-
-  std::function<void(int)> hook() {
-    return [this](int) {
-      std::unique_lock lock(m);
-      if (!armed) return;
-      armed = false;
-      hung = true;
-      cv.notify_all();
-      cv.wait(lock, [this] { return !hung; });
-      exited.store(true);
-    };
-  }
-  void wait_hung() {
-    std::unique_lock lock(m);
-    cv.wait(lock, [this] { return hung; });
-  }
-  void release_and_wait_exit() {
-    {
-      std::lock_guard lock(m);
-      hung = false;
-    }
-    cv.notify_all();
-    for (int i = 0; i < 2500 && !exited.load(); ++i) {
-      std::this_thread::sleep_for(milliseconds(2));
-    }
-    ASSERT_TRUE(exited.load()) << "hung worker never left the fault hook";
-    // Give the released thread a beat to finish unwinding out of the
-    // hook call frame before the closure's owner is destroyed.
-    std::this_thread::sleep_for(milliseconds(5));
-  }
-};
+using testing_support::HangOnce;
 
 TEST(SchedulerShutdownRace, AbandonsHungWorkerAndFailsResidualQueue) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
@@ -1062,25 +1022,31 @@ TEST(Prometheus, LabelEscaping) {
 
 TEST(Prometheus, ExpositionParsesAndBucketsAreMonotone) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  // Holds the interactive blocker's batch on the only worker until the
+  // best-effort victim's deadline has passed in queue — independent of
+  // how fast the analog MVM runs.
+  HangOnce gate(/*start_armed=*/false);
   SchedulerOptions options;
   options.workers = 1;
   options.max_microbatch = 4;
-  // Strict weights so the interactive blocker is guaranteed to occupy
-  // the worker while the best-effort victim's deadline dies (under
-  // finite weights DWRR would rightly serve the cheap victim first).
+  options.worker_fault_hook = gate.hook();
   Scheduler scheduler(*plan, options);
 
   // Serve work on two lanes and expire a queued request so the served,
   // expired AND histogram families all carry non-zero samples.
   (void)scheduler.submit(make_input(1, {1, 3, 8, 8})).get();
+  gate.arm();
   auto blocker = scheduler.submit(make_blocker_input(),
                                   {Priority::kInteractive, milliseconds(0)});
+  gate.wait_hung();  // the blocker occupies the worker
   // The victim's deadline must clear the admission feasibility check
   // (rolling per-image estimate, a few ms — more under sanitizers) yet
-  // die long before the ~32-image blocker releases the worker, so it
-  // expires IN QUEUE rather than being rejected up front.
+  // die while the blocker holds the worker, so it expires IN QUEUE
+  // rather than being rejected up front.
   auto victim = scheduler.submit(make_input(2, {1, 3, 8, 8}),
                                  {Priority::kBestEffort, milliseconds(25)});
+  std::this_thread::sleep_for(milliseconds(50));
+  gate.release_and_wait_exit();
   EXPECT_THROW((void)victim.get(), DeadlineExpiredError);
   (void)blocker.get();
   scheduler.wait_idle();

@@ -3,22 +3,26 @@
 #
 #   tools/ci_check.sh <source-dir> [build-dir]
 #
-# Three gates, in order:
+# Four gates, in order:
 #   1. tier-1   — the plain test suite in <build-dir> (configured +
 #                 built here if the directory is missing);
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
 #                 concurrency-heavy labels: serve | trace | fault;
 #   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
-#                 the wire/format labels: http | serde.
+#                 the wire/format labels: http | serde;
+#   4. native   — a -march=native build (<build-dir>-native) running the
+#                 packed-vs-legacy bit-identity labels: macro | fault,
+#                 so the contract holds under the ISA deployments are
+#                 told to build with (FMA and wider vectors included).
 #
 # Every gate runs even after an earlier one fails, so a single pass
 # reports ALL the breakage; the exit code is non-zero when any gate
 # failed. Wired as the `check` CMake target:
 #   cmake --build build --target check
 #
-# Sanitizer builds are configured with the repo's own YOLOC_TSAN /
-# YOLOC_ASAN options (mutually exclusive, hence the separate build
-# trees) and are incremental — rerunning the gate only rebuilds what
+# Sanitizer and native builds are configured with the repo's own
+# YOLOC_TSAN / YOLOC_ASAN / YOLOC_NATIVE options (separate build trees;
+# the sanitizers are mutually exclusive) and are incremental — rerunning the gate only rebuilds what
 # changed.
 
 set -uo pipefail
@@ -68,6 +72,7 @@ run_gate() {
 run_gate tier-1 "$build" ""
 run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
 run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde"
+run_gate native "${build}-native" "-DYOLOC_NATIVE=ON" -L "macro|fault"
 
 echo
 echo "== ci_check summary =="
