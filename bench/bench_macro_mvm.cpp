@@ -12,8 +12,11 @@
 //    "speedup_vs_legacy":..}
 //
 // Before timing, each configuration asserts the packed outputs and run
-// stats are bit-identical to the legacy path under the same seed — the
-// bench refuses to report a speedup for a kernel that changed results.
+// stats are bit-identical to the legacy path under the same seed, and in
+// noisy analog mode that both sessions' next RNG draw agrees — the bench
+// refuses to report a speedup for a kernel that changed results. Packed
+// rows carry "popcount":"hw"|"portable", the popcount variant the packed
+// kernels selected on this host (macro/packed_kernels.hpp).
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "macro/packed_kernels.hpp"
 
 namespace {
 
@@ -130,6 +134,7 @@ int main(int argc, char** argv) {
       {"analog_noise_free", MacroMvmEngine::Mode::kAnalog, true},
       {"exact_cost", MacroMvmEngine::Mode::kExactCost, false},
   };
+  const char* popcount = detail::packed_kernels().popcount;
   const int m = 128;  // output rows (YOLO-scale conv channel tile)
   const int p = 16;   // im2col columns per engine call
 
@@ -160,7 +165,14 @@ int main(int argc, char** argv) {
         MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
         legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
         packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
-        if (!bit_identical(ya, yb, sa, sb)) {
+        // A noise-free packed session draws nothing by design; a noisy
+        // one must leave its RNG where the legacy session left it (the
+        // cached half of a polar pair included, hence normal() first).
+        const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
+                           !macro.noise_free();
+        const bool same_next_draw =
+            !noisy || (ra.normal() == rb.normal() && ra() == rb());
+        if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
           std::fprintf(stderr,
                        "FATAL: packed path diverged from legacy at "
                        "rows=%d ib=%d wb=%d variant=%s\n",
@@ -193,10 +205,10 @@ int main(int argc, char** argv) {
           "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
           "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
           "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-          "\"speedup_vs_legacy\":%.2f}\n",
+          "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\"}\n",
           variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
           p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
-          packed_cols_s / legacy_cols_s);
+          packed_cols_s / legacy_cols_s, popcount);
       std::fflush(stdout);
     }
   }

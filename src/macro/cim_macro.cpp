@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "macro/packed_kernels.hpp"
 
 namespace yoloc {
 
@@ -31,6 +32,9 @@ CimMacro::CimMacro(MacroConfig config)
   YOLOC_CHECK(config_.geometry.weight_bits >= 1 &&
                   config_.geometry.weight_bits <= 8,
               "cim macro: weight_bits out of [1, 8]");
+  YOLOC_CHECK(config_.geometry.rows_per_activation >= 1 &&
+                  config_.geometry.rows_per_activation <= config_.geometry.rows,
+              "cim macro: rows_per_activation out of [1, rows]");
   YOLOC_CHECK(config_.geometry.rows % config_.geometry.rows_per_activation ==
                   0,
               "cim macro: rows must divide evenly into activation groups");
@@ -252,7 +256,6 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   }
 
   const double* bcw = packed.bit_cycle_weight();
-  const RowMask* gmasks = tile.group_masks.data();
   const CimArrayModel::ReadChainConsts& rc = read_;
 
   // Fault overlay — same local-coordinate pattern as the legacy path
@@ -260,7 +263,17 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   // stats stay bit-identical between the two paths under faults.
   const FaultModel* faults =
       faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
-  const bool transients = faults != nullptr && faults->has_transients();
+
+  // The popcount-heavy loops run on hardware POPCNT when the CPU has it
+  // (macro/packed_kernels.hpp); both variants are bit-identical.
+  const detail::PackedKernels& kernels = detail::packed_kernels();
+  const detail::PackedCountArgs count_args{tile.wbits.data(),
+                                           xbits,
+                                           tile.group_masks.data(),
+                                           weight_bits,
+                                           input_bits,
+                                           groups,
+                                           faults};
 
   // Energy accumulators chained from the current stats values so the
   // add sequence (and therefore the floating-point rounding) is
@@ -270,44 +283,22 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   double precharge_energy = stats.array.precharge_energy_pj;
 
   if (noise_free_) {
-    // Draw-free fast path: every noise term is scaled by 0.0 in the
-    // legacy chain, so the ADC estimate is a pure table lookup on the
-    // exact count. (The session RNG is intentionally not advanced.)
-    for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        AdcDrift drift;
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            double est = ideal_estimate_[static_cast<std::size_t>(exact)];
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
-            }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            precharge_energy +=
-                ideal_precharge_pj_[static_cast<std::size_t>(exact)];
-          }
-        }
-      }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
-    }
+    // Draw-free fast path (the session RNG is intentionally not
+    // advanced).
+    detail::NoiseFreeRows rows{
+        .m = m,
+        .bit_cycle_weight = bcw,
+        .ideal_estimate = ideal_estimate_.data(),
+        .ideal_precharge_pj = ideal_precharge_pj_.data(),
+        .adc_energy_pj = rc.adc_energy_pj,
+        .y = y,
+        .conversions = conversions,
+        .adc_energy = adc_energy,
+        .precharge_energy = precharge_energy};
+    kernels.noise_free_rows(count_args, rows);
+    conversions = rows.conversions;
+    adc_energy = rows.adc_energy;
+    precharge_energy = rows.precharge_energy;
   } else {
     // Three passes per output row, so the noise draws come from one
     // bulk fill instead of one out-of-line Rng::normal call each:
@@ -330,28 +321,7 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
     const double* z = read_normals.data();
     const bool cell_noise = rc.sigma_cell > 0.0;
     for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      int r = 0;
-      int nonzero = 0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            counts[r++] = static_cast<std::uint8_t>(exact);
-            nonzero += exact != 0 ? 1 : 0;
-          }
-        }
-      }
+      const int nonzero = kernels.count_row(count_args, j, counts);
       rng.fill_normal(read_normals.data(),
                       static_cast<std::size_t>(reads) +
                           (cell_noise ? static_cast<std::size_t>(nonzero)
@@ -361,7 +331,7 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
       // identical order. Each draw is written as the legacy
       // Rng::normal(0.0, sd) computes it, 0.0 + sd * n.
       std::size_t d = 0;
-      r = 0;
+      int r = 0;
       double acc = 0.0;
       for (int b = 0; b < weight_bits; ++b) {
         AdcDrift drift;

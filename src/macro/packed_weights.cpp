@@ -24,6 +24,8 @@ PackedRomWeights::PackedRomWeights(const std::int8_t* w, int m, int k,
               "packed weights: weight_bits out of [1, 8]");
   YOLOC_CHECK(input_bits_ >= 1 && input_bits_ <= 8,
               "packed weights: input_bits out of [1, 8]");
+  YOLOC_CHECK(rows_per_activation_ >= 1 && rows_per_activation_ <= rows_,
+              "packed weights: rows_per_activation out of [1, rows]");
   const auto start = std::chrono::steady_clock::now();
 
   // Shift-add weight table: MSB carries the two's-complement negative

@@ -156,6 +156,18 @@ TEST(CimMacro, RejectsOversizedReduction) {
                std::runtime_error);
 }
 
+TEST(CimMacro, RejectsEmptyOrOversizedActivationGroups) {
+  // rows_per_activation = 0 used to die on a division by zero (SIGFPE)
+  // before the divisibility check could throw.
+  MacroConfig cfg = quiet_rom();
+  cfg.geometry.rows_per_activation = 0;
+  EXPECT_THROW(CimMacro{cfg}, std::runtime_error);
+
+  cfg = quiet_rom();
+  cfg.geometry.rows_per_activation = cfg.geometry.rows + 1;
+  EXPECT_THROW(CimMacro{cfg}, std::runtime_error);
+}
+
 TEST(CimMacro, RejectsOperandWidthsBeyondRowMaskPlanes) {
   // The bit-serial paths index fixed RowMask xbits[8] / wbits[8] arrays;
   // wider operands must be rejected at construction, not corrupt the

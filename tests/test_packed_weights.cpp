@@ -3,14 +3,22 @@
 // must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
 // energy/latency stats, same RNG draw order — across analog (noisy and
 // noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
+// The popcount kernels behind the packed path are also run variant by
+// variant (plain body vs hardware POPCNT), so the one a POPCNT host never
+// selects stays covered.
 // `ctest -L macro` selects this suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "macro/packed_kernels.hpp"
 
 namespace yoloc {
 namespace {
@@ -167,6 +175,14 @@ TEST(PackedRomWeights, RejectsUnsupportedGeometry) {
   g = default_rom_macro().geometry;
   g.rows = 129;
   EXPECT_THROW(PackedRomWeights(w.data(), 1, 8, g), std::runtime_error);
+  // Activation groups must hold between 1 and `rows` rows (0 used to
+  // divide by zero while sizing the groups).
+  g = default_rom_macro().geometry;
+  g.rows_per_activation = 0;
+  EXPECT_THROW(PackedRomWeights(w.data(), 1, 8, g), std::runtime_error);
+  g = default_rom_macro().geometry;
+  g.rows_per_activation = g.rows + 1;
+  EXPECT_THROW(PackedRomWeights(w.data(), 1, 8, g), std::runtime_error);
 }
 
 TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
@@ -309,6 +325,160 @@ TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/110);
+}
+
+// Random 128-row mask with set bits only in rows [0, bits).
+RowMask random_mask(Rng& rng, int bits) {
+  RowMask mask;
+  mask.lane[0] = rng();
+  mask.lane[1] = rng();
+  if (bits <= 64) {
+    mask.lane[1] = 0;
+    if (bits < 64) mask.lane[0] &= (1ull << bits) - 1;
+  } else if (bits < 128) {
+    mask.lane[1] &= (1ull << (bits - 64)) - 1;
+  }
+  return mask;
+}
+
+// The legacy CimMacro::mvm read loop for output row j: range-clamped
+// counts with the fault overlays applied in the legacy order, plus the
+// noise-free table lookup, shift-add and energy chain (continued in
+// `nf`'s accumulators). Both kernel variants must reproduce it exactly.
+struct ReferenceRow {
+  std::vector<std::uint8_t> counts;
+  int nonzero = 0;
+  std::int32_t y = 0;
+};
+
+ReferenceRow reference_row(const detail::PackedCountArgs& a, int j, int k,
+                           int rows_per_activation, detail::NoiseFreeRows& nf) {
+  ReferenceRow ref;
+  const FaultModel* faults = a.faults;
+  double acc = 0.0;
+  for (int b = 0; b < a.weight_bits; ++b) {
+    RowMask wb = a.wbits[static_cast<std::size_t>(j) * a.weight_bits + b];
+    AdcDrift drift;
+    if (faults != nullptr) {
+      const FaultModel::PlaneFaults pf = faults->plane(j, b);
+      wb.or_with(pf.force_one);
+      wb.and_not(pf.force_zero);
+      drift = faults->adc_drift(j, b);
+    }
+    for (int t = 0; t < a.input_bits; ++t) {
+      RowMask wbt = wb;
+      if (faults != nullptr && faults->has_transients()) {
+        wbt.xor_with(faults->transient_flips(j, b, t));
+      }
+      for (int grp = 0; grp < a.groups; ++grp) {
+        const int lo = grp * rows_per_activation;
+        const int hi = std::min(k, lo + rows_per_activation);
+        const int exact = wbt.count_and(a.xbits[t], lo, hi);
+        ref.counts.push_back(static_cast<std::uint8_t>(exact));
+        ref.nonzero += exact != 0 ? 1 : 0;
+        double est = nf.ideal_estimate[exact];
+        if (faults != nullptr) est = est * drift.gain + drift.offset_counts;
+        acc += est * nf.bit_cycle_weight[b * a.input_bits + t];
+        ++nf.conversions;
+        nf.adc_energy += nf.adc_energy_pj;
+        nf.precharge_energy += nf.ideal_precharge_pj[exact];
+      }
+    }
+  }
+  ref.y = static_cast<std::int32_t>(std::llround(acc));
+  return ref;
+}
+
+TEST(PackedKernels, PlainAndPopcntVariantsMatchLegacyCounts) {
+  const detail::PackedKernels& plain = detail::plain_packed_kernels();
+  const detail::PackedKernels* hw = detail::popcnt_packed_kernels();
+  std::printf("[ kernels  ] mvm_packed runs the %s popcount variant; "
+              "separate POPCNT variant: %s\n",
+              detail::packed_kernels().popcount,
+              hw != nullptr ? "available" : "not built or CPU lacks POPCNT");
+  std::vector<const detail::PackedKernels*> variants{&plain};
+  if (hw != nullptr) variants.push_back(hw);
+
+  const int m = 5;
+  const int k = 123;  // not a multiple of 64: the upper lane is partial
+  const int weight_bits = 8;
+  const int input_bits = 8;
+  for (const int rpa : {1, 7, 32, 128}) {
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows_per_activation=" << rpa << " faulted=" << faulted);
+      Rng rng(900 + static_cast<std::uint64_t>(rpa) * 2 + (faulted ? 1 : 0));
+      // Weight planes get random bits above k too (stuck-at-1 overlays
+      // can set them); the group masks must keep them out of every count.
+      std::vector<RowMask> wbits(static_cast<std::size_t>(m) * weight_bits);
+      for (auto& mask : wbits) mask = random_mask(rng, 128);
+      std::vector<RowMask> xbits(input_bits);
+      for (auto& mask : xbits) mask = random_mask(rng, k);
+      const int groups = (k + rpa - 1) / rpa;
+      std::vector<RowMask> group_masks(static_cast<std::size_t>(groups));
+      for (int i = 0; i < k; ++i) {
+        group_masks[static_cast<std::size_t>(i / rpa)].set(i);
+      }
+      std::unique_ptr<FaultModel> faults;
+      if (faulted) {
+        FaultModelConfig fc;
+        fc.seed = 17;
+        fc.stuck_at_zero_rate = 0.05;
+        fc.stuck_at_one_rate = 0.05;
+        fc.transient_flip_rate = 0.02;
+        fc.adc_offset_max = 1.5;
+        fc.adc_gain_max = 0.05;
+        faults = std::make_unique<FaultModel>(fc, /*salt=*/0, /*rows=*/128);
+      }
+      const detail::PackedCountArgs args{
+          wbits.data(), xbits.data(), group_masks.data(), weight_bits,
+          input_bits,   groups,       faults.get()};
+
+      std::vector<double> bcw(static_cast<std::size_t>(weight_bits) *
+                              input_bits);
+      for (auto& v : bcw) v = rng.uniform(-128.0, 128.0);
+      std::vector<double> estimate(129);
+      std::vector<double> precharge(129);
+      for (auto& v : estimate) v = rng.uniform(0.0, 40.0);
+      for (auto& v : precharge) v = rng.uniform(0.0, 0.1);
+      const detail::NoiseFreeRows tables{.m = m,
+                                         .bit_cycle_weight = bcw.data(),
+                                         .ideal_estimate = estimate.data(),
+                                         .ideal_precharge_pj =
+                                             precharge.data(),
+                                         .adc_energy_pj = 0.3,
+                                         .conversions = 7,
+                                         .adc_energy = 0.5,
+                                         .precharge_energy = 0.25};
+
+      const int reads = weight_bits * input_bits * groups;
+      detail::NoiseFreeRows expected = tables;
+      std::vector<std::int32_t> y_ref(static_cast<std::size_t>(m));
+      for (int j = 0; j < m; ++j) {
+        const ReferenceRow ref = reference_row(args, j, k, rpa, expected);
+        ASSERT_EQ(ref.counts.size(), static_cast<std::size_t>(reads));
+        y_ref[static_cast<std::size_t>(j)] = ref.y;
+        for (const detail::PackedKernels* v : variants) {
+          SCOPED_TRACE(v == hw ? "popcnt variant" : "plain variant");
+          std::vector<std::uint8_t> counts(static_cast<std::size_t>(reads),
+                                           0xFF);
+          EXPECT_EQ(v->count_row(args, j, counts.data()), ref.nonzero);
+          EXPECT_EQ(counts, ref.counts) << "row " << j;
+        }
+      }
+      for (const detail::PackedKernels* v : variants) {
+        SCOPED_TRACE(v == hw ? "popcnt variant" : "plain variant");
+        std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+        detail::NoiseFreeRows rows = tables;
+        rows.y = y.data();
+        v->noise_free_rows(args, rows);
+        EXPECT_EQ(y, y_ref);
+        EXPECT_EQ(rows.conversions, expected.conversions);
+        EXPECT_EQ(rows.adc_energy, expected.adc_energy);
+        EXPECT_EQ(rows.precharge_energy, expected.precharge_energy);
+      }
+    }
+  }
 }
 
 }  // namespace

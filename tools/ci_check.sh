@@ -9,7 +9,9 @@
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
 #                 concurrency-heavy labels: serve | trace | fault;
 #   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
-#                 the wire/format labels: http | serde;
+#                 the wire/format labels http | serde, and macro (the
+#                 packed kernels write through raw pointers into the
+#                 session's MvmScratch buffers);
 #   4. native   — a -march=native build (<build-dir>-native) running the
 #                 packed-vs-legacy bit-identity labels: macro | fault,
 #                 so the contract holds under the ISA deployments are
@@ -71,7 +73,7 @@ run_gate() {
 
 run_gate tier-1 "$build" ""
 run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
-run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde"
+run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
 run_gate native "${build}-native" "-DYOLOC_NATIVE=ON" -L "macro|fault"
 
 echo
