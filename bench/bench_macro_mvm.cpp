@@ -4,8 +4,9 @@
 // {rows, input_bits, weight_bits} geometries, in analog mode with the
 // default ROM noise, in noise-free analog mode (sigma_cell = 0,
 // adc noise = 0 — the configuration every fidelity test runs), and in
-// exact-cost mode. One JSON line per (geometry, variant, path), same
-// trajectory-file conventions as bench_serving_throughput:
+// exact-cost mode (at p = 16 and p = 1024 columns). One JSON line per
+// (geometry, variant, p, path), same trajectory-file conventions as
+// bench_serving_throughput:
 //
 //   {"bench":"macro_mvm","path":"packed","variant":"analog",...,
 //    "ns_per_mac":..,"columns_per_s":..,"pack_ms":..,
@@ -136,80 +137,91 @@ int main(int argc, char** argv) {
   };
   const char* popcount = detail::packed_kernels().popcount;
   const int m = 128;  // output rows (YOLO-scale conv channel tile)
-  const int p = 16;   // im2col columns per engine call
+  // im2col columns per engine call. Exact-cost also runs p = 1024 (an
+  // early conv layer of a batch): its packed path makes one call per
+  // k-tile over all columns, which p = 16 barely exercises.
+  const std::vector<int> analog_columns = {16};
+  const std::vector<int> exact_columns = {16, 1024};
 
   for (const Geometry& geom : geometries) {
     // k > rows exercises the multi-tile path on one of the sweeps.
     const int k = geom.rows == 128 ? geom.rows : geom.rows * 2 + 10;
-    Rng init(3);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
-    std::vector<std::uint8_t> x(static_cast<std::size_t>(k) * p);
-    for (auto& v : w) v = static_cast<std::int8_t>(init.uniform_int(-127, 127));
-    for (auto& v : x) v = static_cast<std::uint8_t>(init.uniform_int(0, 255));
-
     for (const Variant& variant : variants) {
-      const MacroConfig cfg = make_config(geom, variant.noise_free);
-      const CimMacro macro(cfg);
-      PackedWeightsCache cache;
-      const MacroMvmEngine legacy(macro, variant.mode);
-      const MacroMvmEngine packed(macro, variant.mode, &cache);
-
-      // Refuse to time a kernel whose results changed.
-      {
-        std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
-        std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-        Rng ra(7);
-        Rng rb(7);
-        MacroRunStats sa, sb;
-        MvmScratch sca, scb;
-        MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
-        legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
-        packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
-        // A noise-free packed session draws nothing by design; a noisy
-        // one must leave its RNG where the legacy session left it (the
-        // cached half of a polar pair included, hence normal() first).
-        const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
-                           !macro.noise_free();
-        const bool same_next_draw =
-            !noisy || (ra.normal() == rb.normal() && ra() == rb());
-        if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
-          std::fprintf(stderr,
-                       "FATAL: packed path diverged from legacy at "
-                       "rows=%d ib=%d wb=%d variant=%s\n",
-                       geom.rows, geom.input_bits, geom.weight_bits,
-                       variant.name);
-          return 1;
+      for (const int p : variant.mode == MacroMvmEngine::Mode::kExactCost
+                             ? exact_columns
+                             : analog_columns) {
+        Rng init(3);
+        std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+        std::vector<std::uint8_t> x(static_cast<std::size_t>(k) * p);
+        for (auto& v : w) {
+          v = static_cast<std::int8_t>(init.uniform_int(-127, 127));
         }
+        for (auto& v : x) {
+          v = static_cast<std::uint8_t>(init.uniform_int(0, 255));
+        }
+        const MacroConfig cfg = make_config(geom, variant.noise_free);
+        const CimMacro macro(cfg);
+        PackedWeightsCache cache;
+        const MacroMvmEngine legacy(macro, variant.mode);
+        const MacroMvmEngine packed(macro, variant.mode, &cache);
+
+        // Refuse to time a kernel whose results changed.
+        {
+          std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
+          std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
+          Rng ra(7);
+          Rng rb(7);
+          MacroRunStats sa, sb;
+          MvmScratch sca, scb;
+          MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
+          legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
+          packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
+          // A noise-free packed session draws nothing by design; a noisy
+          // one must leave its RNG where the legacy session left it (the
+          // cached half of a polar pair included, hence normal() first).
+          const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
+                             !macro.noise_free();
+          const bool same_next_draw =
+              !noisy || (ra.normal() == rb.normal() && ra() == rb());
+          if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
+            std::fprintf(stderr,
+                         "FATAL: packed path diverged from legacy at "
+                         "rows=%d ib=%d wb=%d variant=%s p=%d\n",
+                         geom.rows, geom.input_bits, geom.weight_bits,
+                         variant.name, p);
+            return 1;
+          }
+        }
+
+        const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
+        const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
+        const double macs = static_cast<double>(m) * k;
+        const double legacy_ns_per_mac =
+            lm.seconds * 1e9 / (macs * static_cast<double>(lm.columns));
+        const double packed_ns_per_mac =
+            pm.seconds * 1e9 / (macs * static_cast<double>(pm.columns));
+        const double legacy_cols_s =
+            static_cast<double>(lm.columns) / lm.seconds;
+        const double packed_cols_s =
+            static_cast<double>(pm.columns) / pm.seconds;
+
+        std::printf(
+            "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
+            "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
+            "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
+            variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
+            p, legacy_ns_per_mac, legacy_cols_s);
+        std::printf(
+            "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
+            "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
+            "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
+            "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
+            "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\"}\n",
+            variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
+            p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
+            packed_cols_s / legacy_cols_s, popcount);
+        std::fflush(stdout);
       }
-
-      const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
-      const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
-      const double macs = static_cast<double>(m) * k;
-      const double legacy_ns_per_mac =
-          lm.seconds * 1e9 / (macs * static_cast<double>(lm.columns));
-      const double packed_ns_per_mac =
-          pm.seconds * 1e9 / (macs * static_cast<double>(pm.columns));
-      const double legacy_cols_s =
-          static_cast<double>(lm.columns) / lm.seconds;
-      const double packed_cols_s =
-          static_cast<double>(pm.columns) / pm.seconds;
-
-      std::printf(
-          "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
-          "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-          "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
-          variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, legacy_ns_per_mac, legacy_cols_s);
-      std::printf(
-          "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
-          "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-          "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
-          "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-          "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\"}\n",
-          variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
-          packed_cols_s / legacy_cols_s, popcount);
-      std::fflush(stdout);
     }
   }
   return 0;

@@ -39,14 +39,22 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
 
   if (packed_cache_ != nullptr) {
     // Fast path: weight bit-planes were expanded once at deploy time (or
-    // on first touch); per column only the activation vector moves. The
-    // (k-tile, column) loop order matches the legacy path below so the
-    // analog RNG draw sequence is identical.
-    // Exact-cost mode never reads the bit-planes (it MACs the raw int8
-    // rows), so it requests the boundaries-only packing.
+    // on first touch). Exact-cost mode never reads the bit-planes (it
+    // MACs the raw int8 rows), so it requests the boundaries-only packing
+    // and makes one call per k-tile over every column, reading x and
+    // accumulating y in place.
     const PackedRomWeights& packed = packed_cache_->get_or_pack(
         w, m, k, macro_->config().geometry,
         /*pack_planes=*/mode_ != Mode::kExactCost);
+    if (mode_ == Mode::kExactCost) {
+      for (int tile = 0; tile < packed.tile_count(); ++tile) {
+        macro_->mvm_packed_exact_cost_tile(packed, tile, w, x, p, y, stats);
+      }
+      return;
+    }
+    // Analog: per column only the activation vector moves. The
+    // (k-tile, column) loop order matches the legacy path below so the
+    // RNG draw sequence is identical.
     for (int tile = 0; tile < packed.tile_count(); ++tile) {
       const PackedRomWeights::Tile& t = packed.tile(tile);
       for (int col = 0; col < p; ++col) {
@@ -54,14 +62,9 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
           x_chunk[static_cast<std::size_t>(i)] =
               x[static_cast<std::size_t>(t.k0 + i) * p + col];
         }
-        if (mode_ == Mode::kAnalog) {
-          macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
-                             *session.rng, stats, scratch.read_counts,
-                             scratch.read_normals);
-        } else {
-          macro_->mvm_packed_exact_cost(packed, tile, w, x_chunk.data(),
-                                        y_partial.data(), stats);
-        }
+        macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
+                           *session.rng, stats, scratch.read_counts,
+                           scratch.read_normals);
         for (int j = 0; j < m; ++j) {
           y[static_cast<std::size_t>(j) * p + col] +=
               y_partial[static_cast<std::size_t>(j)];

@@ -20,13 +20,16 @@
 // a session per request.
 //
 // Fast path: when a cache is attached, mvm_batch resolves (or builds,
-// once) the PackedRomWeights for the layer's weight buffer and drives
-// CimMacro::mvm_packed / mvm_packed_exact_cost per (k-tile, column) —
-// bit-identical to the legacy per-call path, including the RNG draw
-// order, so deployments can switch it on without changing a single
-// output. Without a cache the engine behaves exactly as before the
-// packing existed (the pre-packing baseline the macro bench compares
-// against).
+// once) the PackedRomWeights for the layer's weight buffer. Analog mode
+// drives CimMacro::mvm_packed per (k-tile, column); exact-cost mode makes
+// one CimMacro::mvm_packed_exact_cost_tile call per k-tile, which reads
+// the k x p activations and accumulates the m x p outputs in place (an
+// int8 GEMM over all columns). Both are bit-identical to the legacy
+// per-call path — outputs, every MacroRunStats sum and the RNG draw
+// order — so deployments can switch packing on without changing a
+// single output. Without a cache the engine behaves exactly as before
+// the packing existed (the pre-packing baseline the macro bench and the
+// parity tests compare against).
 
 #include "macro/cim_macro.hpp"
 #include "macro/packed_weights.hpp"

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/int_gemm.hpp"
 #include "macro/packed_kernels.hpp"
 
 namespace yoloc {
@@ -381,59 +382,114 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   charge_op_costs(m, k, pulses, stats);
 }
 
-void CimMacro::mvm_packed_exact_cost(const PackedRomWeights& packed,
-                                     int tile_index, const std::int8_t* w,
-                                     const std::uint8_t* x, std::int32_t* y,
-                                     MacroRunStats& stats) const {
+namespace {
+
+/// Activation columns per block of the exact-cost tile: the tile's
+/// activation rows for one block (<= 128 x 256 bytes) stay in L1/L2
+/// while the GEMM walks every output row over them.
+constexpr int kExactColBlock = 256;
+
+/// pulses[c] = sum over the k rows of popcount(x[i*ldx + c] & window),
+/// for c < cols <= kExactColBlock, where `window` is the input_bits mask
+/// replicated into every byte. Eight columns share one 64-bit SWAR byte
+/// popcount; the per-byte counts (<= 8 per row) are summed in 16-bit
+/// lanes, even and odd bytes apart, which holds k up to 8191 rows.
+void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
+                         int cols, std::uint64_t window,
+                         std::uint32_t* pulses) {
+  constexpr std::uint64_t kOnes = 0x5555555555555555ull;
+  constexpr std::uint64_t kPairs = 0x3333333333333333ull;
+  constexpr std::uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
+  constexpr std::uint64_t kLowBytes = 0x00FF00FF00FF00FFull;
+  // The lane-to-column mapping below reads byte b of a loaded word as
+  // column b, which holds on little-endian hosts; on others the scalar
+  // loop at the end counts every column.
+  const int words =
+      std::endian::native == std::endian::little ? cols / 8 : 0;
+  std::array<std::uint64_t, kExactColBlock / 8> even{};
+  std::array<std::uint64_t, kExactColBlock / 8> odd{};
+  for (int i = 0; i < k; ++i) {
+    const std::uint8_t* row = x + static_cast<std::size_t>(i) * ldx;
+    for (int wd = 0; wd < words; ++wd) {
+      std::uint64_t v;
+      std::memcpy(&v, row + 8 * wd, sizeof(v));
+      v &= window;
+      v -= (v >> 1) & kOnes;
+      v = (v & kPairs) + ((v >> 2) & kPairs);
+      v = (v + (v >> 4)) & kNibbles;
+      even[static_cast<std::size_t>(wd)] += v & kLowBytes;
+      odd[static_cast<std::size_t>(wd)] += (v >> 8) & kLowBytes;
+    }
+  }
+  for (int wd = 0; wd < words; ++wd) {
+    for (int lane = 0; lane < 4; ++lane) {
+      pulses[8 * wd + 2 * lane] = static_cast<std::uint32_t>(
+          (even[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
+      pulses[8 * wd + 2 * lane + 1] = static_cast<std::uint32_t>(
+          (odd[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
+    }
+  }
+  const unsigned byte_window = static_cast<unsigned>(window & 0xFFu);
+  for (int c = 8 * words; c < cols; ++c) {
+    std::uint32_t sum = 0;
+    for (int i = 0; i < k; ++i) {
+      sum += static_cast<std::uint32_t>(std::popcount(
+          static_cast<unsigned>(x[static_cast<std::size_t>(i) * ldx + c]) &
+          byte_window));
+    }
+    pulses[c] = sum;
+  }
+}
+
+}  // namespace
+
+void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
+                                          int tile_index,
+                                          const std::int8_t* w,
+                                          const std::uint8_t* x, int p,
+                                          std::int32_t* y,
+                                          MacroRunStats& stats) const {
   check_packed_tile(packed, tile_index);
+  YOLOC_CHECK(p >= 1, "cim macro: exact-cost tile needs p >= 1 columns");
   const auto& g = config_.geometry;
   const PackedRomWeights::Tile& tile = packed.tile(tile_index);
   const int m = packed.m();
   const int k = tile.k_size;
-  const int full_k = packed.k();
+  const std::size_t ld = static_cast<std::size_t>(p);
+  const std::int8_t* wt = w + tile.k0;  // row j at wt + j * packed.k()
+  const std::uint8_t* xt = x + static_cast<std::size_t>(tile.k0) * ld;
 
-  // The exact product stays a plain integer MAC over the raw weight rows
-  // (the compiler vectorizes it far better than a bit-plane
-  // reconstruction) — the fast-path win here is skipping the per-call
-  // weight chunk copy and replacing charge_op_costs' branchy second scan
-  // of x with a byte-popcount over the input_bits window.
-  for (int j = 0; j < m; ++j) {
-    const std::int8_t* wrow =
-        w + static_cast<std::size_t>(j) * full_k + tile.k0;
-    std::int64_t acc = 0;
-    for (int i = 0; i < k; ++i) {
-      acc += static_cast<std::int64_t>(wrow[i]) * x[i];
-    }
-    y[j] = static_cast<std::int32_t>(acc);
-  }
-
-  // Wordline pulses = set bits of x inside the input_bits window. A
-  // byte-replicated window mask turns this into 8-bytes-per-popcount:
-  // sum_i popcount(x[i] & win) == sum_words popcount(word & win*0x0101..).
-  const std::uint64_t pulse_window =
-      ((1ull << g.input_bits) - 1ull) * 0x0101010101010101ull;
-  std::uint64_t pulses = 0;
-  int i = 0;
-  for (; i + 8 <= k; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, x + i, sizeof(word));
-    pulses += static_cast<unsigned>(std::popcount(word & pulse_window));
-  }
-  for (; i < k; ++i) {
-    pulses += static_cast<unsigned>(
-        std::popcount(x[i] & static_cast<unsigned>(pulse_window & 0xFFu)));
-  }
-
-  const int groups = tile.groups;
-  const std::uint64_t conversions =
-      static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-  stats.array.adc_conversions += conversions;
-  stats.array.adc_energy_pj +=
+  // Cost terms every column of the tile pays alike: the same products
+  // mvm_exact_cost forms per call, formed once.
+  const std::uint64_t conversions = static_cast<std::uint64_t>(m) *
+                                    g.weight_bits * g.input_bits *
+                                    tile.groups;
+  const double adc_pj =
       static_cast<double>(conversions) * config_.adc.energy_pj;
-  stats.array.precharge_energy_pj +=
+  // Average discharge ~ quarter of the group (random data assumption).
+  const double precharge_pj =
       static_cast<double>(conversions) *
       array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  charge_op_costs(m, k, pulses, stats);
+  // Wordline pulses are the set bits of x inside the input_bits window.
+  const std::uint64_t window =
+      ((1ull << g.input_bits) - 1ull) * 0x0101010101010101ull;
+
+  std::array<std::uint32_t, kExactColBlock> pulses;
+  for (int c0 = 0; c0 < p; c0 += kExactColBlock) {
+    const int cols = std::min(kExactColBlock, p - c0);
+    count_window_pulses(xt + c0, ld, k, cols, window, pulses.data());
+    // The stats doubles advance once per column, in column order, with
+    // the legacy per-call operands, so every sum rounds exactly as p
+    // separate mvm_exact_cost calls would.
+    for (int c = 0; c < cols; ++c) {
+      stats.array.adc_conversions += conversions;
+      stats.array.adc_energy_pj += adc_pj;
+      stats.array.precharge_energy_pj += precharge_pj;
+      charge_op_costs(m, k, pulses[static_cast<std::size_t>(c)], stats);
+    }
+    gemm_s8u8_accumulate(wt, static_cast<std::size_t>(packed.k()), m, k,
+                         xt + c0, ld, cols, y + c0, ld);
+  }
 }
 
 }  // namespace yoloc

@@ -20,16 +20,17 @@
 // Two functional paths exist per mode:
 //   * mvm / mvm_exact_cost: the legacy per-call path that derives weight
 //     bit-planes from the raw int8 buffer on every call.
-//   * mvm_packed / mvm_packed_exact_cost: the deploy-time fast path over
-//     a PackedRomWeights tile. Bit-identical to the legacy path — same
-//     outputs, same stats, and (in analog mode) the same RNG draw order
-//     (j, b, t, grp) — just without re-deriving what ROM weights cannot
-//     change. When the config is noise-free (sigma_cell == 0 AND
-//     adc.noise_sigma_v == 0) the packed analog path additionally skips
-//     the zero-scaled noise draws and reads the ADC transfer from a
-//     precomputed count -> estimate table; outputs and stats stay
-//     bit-identical (every skipped draw was multiplied by 0), but the
-//     session RNG is no longer advanced by such calls.
+//   * mvm_packed / mvm_packed_exact_cost_tile: the deploy-time fast path
+//     over a PackedRomWeights tile (one column per analog call; every
+//     column of the tile per exact-cost call). Bit-identical to the
+//     legacy path — same outputs, same stats, and (in analog mode) the
+//     same RNG draw order (j, b, t, grp) — just without re-deriving what
+//     ROM weights cannot change. When the config is noise-free
+//     (sigma_cell == 0 AND adc.noise_sigma_v == 0) the packed analog path
+//     additionally skips the zero-scaled noise draws and reads the ADC
+//     transfer from a precomputed count -> estimate table; outputs and
+//     stats stay bit-identical (every skipped draw was multiplied by 0),
+//     but the session RNG is no longer advanced by such calls.
 
 #include <array>
 #include <cstdint>
@@ -81,15 +82,20 @@ class CimMacro {
                   MacroRunStats& stats, std::vector<std::uint8_t>& read_counts,
                   std::vector<double>& read_normals) const;
 
-  /// Exact-cost fast path over one packed tile: bit-identical to
-  /// mvm_exact_cost() on the same tile. `w` is the FULL (m x k) weight
-  /// matrix the packing was built from (the integer MAC reads the raw
-  /// rows in place — no per-call chunk copy); `packed` supplies the tile
-  /// boundaries and cost geometry. No RNG is consumed (the legacy exact
-  /// path draws none either).
-  void mvm_packed_exact_cost(const PackedRomWeights& packed, int tile_index,
-                             const std::int8_t* w, const std::uint8_t* x,
-                             std::int32_t* y, MacroRunStats& stats) const;
+  /// Exact-cost fast path over one packed tile and all p input columns
+  /// at once. `w` is the FULL (m x k) weight matrix the packing was
+  /// built from, `x` the FULL (k x p) row-major activation matrix (both
+  /// read in place at the tile's rows), and `y` an (m x p) row-major
+  /// accumulator: y[j*p + c] += W[j, tile] * x[tile, c]. Bit-identical
+  /// to p mvm_exact_cost() calls on the tile's chunk, one per column in
+  /// column order, with their partial sums added into y: same outputs,
+  /// and every MacroRunStats field advanced per column in that order. No
+  /// RNG is consumed (the legacy exact path draws none either).
+  void mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
+                                  int tile_index, const std::int8_t* w,
+                                  const std::uint8_t* x, int p,
+                                  std::int32_t* y,
+                                  MacroRunStats& stats) const;
 
   [[nodiscard]] const MacroConfig& config() const { return config_; }
   [[nodiscard]] const CimArrayModel& array_model() const { return array_; }

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/int_gemm.hpp"
 #include "common/parallel.hpp"
 #include "common/trace_clock.hpp"
 #include "nn/batchnorm.hpp"
@@ -58,6 +59,61 @@ ResolvedEngine resolve_engine(const MvmEngine* direct, EngineKind kind,
   return resolved;
 }
 
+/// The uint8 counterpart of im2col_into over a quantized NCHW input:
+/// cols is (c*kernel*kernel) x (n*oh*ow) row-major, with code 0 wherever
+/// a patch reaches into the padding.
+void im2col_u8_into(const std::uint8_t* input, int n, int c, int h, int w,
+                    int kernel, int stride, int pad, int oh, int ow,
+                    std::vector<std::uint8_t>& cols) {
+  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
+  const std::size_t col_stride = static_cast<std::size_t>(n) * spatial;
+  cols.resize(static_cast<std::size_t>(c) * kernel * kernel * col_stride);
+  parallel_for(static_cast<std::size_t>(n), [&](std::size_t ni) {
+    for (int ci = 0; ci < c; ++ci) {
+      const std::uint8_t* plane =
+          input + (ni * static_cast<std::size_t>(c) + ci) * h * w;
+      for (int ki = 0; ki < kernel; ++ki) {
+        for (int kj = 0; kj < kernel; ++kj) {
+          // Output columns [lo, hi) read input columns inside [0, w).
+          const int shift = kj - pad;
+          const int lo =
+              std::min(ow, shift < 0 ? (-shift + stride - 1) / stride : 0);
+          const int hi = std::max(
+              lo, std::min(ow, w - 1 - shift < 0
+                                   ? 0
+                                   : (w - 1 - shift) / stride + 1));
+          const int prow = (ci * kernel + ki) * kernel + kj;
+          std::uint8_t* dst = cols.data() +
+                              static_cast<std::size_t>(prow) * col_stride +
+                              ni * spatial;
+          for (int oi = 0; oi < oh; ++oi, dst += ow) {
+            const int ii = oi * stride + ki - pad;
+            if (ii < 0 || ii >= h) {
+              std::fill(dst, dst + ow, std::uint8_t{0});
+              continue;
+            }
+            std::fill(dst, dst + lo, std::uint8_t{0});
+            if (hi > lo) {
+              // First input column read: 0 <= lo * stride + shift < w.
+              const std::uint8_t* src = plane +
+                                        static_cast<std::size_t>(ii) * w +
+                                        (lo * stride + shift);
+              if (stride == 1) {
+                std::copy(src, src + (hi - lo), dst + lo);
+              } else {
+                for (int oj = lo; oj < hi; ++oj) {
+                  dst[oj] = src[(oj - lo) * stride];
+                }
+              }
+            }
+            std::fill(dst + hi, dst + ow, std::uint8_t{0});
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 
 MvmBinding::Scope::Scope(const MvmBinding& binding) : prev_(t_binding) {
@@ -95,16 +151,12 @@ void ExactMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
     }
     for (int k0 = 0; k0 < k; k0 += kKBlock) {
       const int k1 = std::min(k, k0 + kKBlock);
-      for (int j = j0; j < j1; ++j) {
-        const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
-        std::int32_t* yrow = y + static_cast<std::size_t>(j) * p;
-        for (int kk = k0; kk < k1; ++kk) {
-          const std::int32_t wv = wrow[kk];
-          if (wv == 0) continue;
-          const std::uint8_t* xrow = x + static_cast<std::size_t>(kk) * p;
-          for (int col = p0; col < p1; ++col) yrow[col] += wv * xrow[col];
-        }
-      }
+      gemm_s8u8_accumulate(w + static_cast<std::size_t>(j0) * k + k0,
+                           static_cast<std::size_t>(k), j1 - j0, k1 - k0,
+                           x + static_cast<std::size_t>(k0) * p + p0,
+                           static_cast<std::size_t>(p), p1 - p0,
+                           y + static_cast<std::size_t>(j0) * p + p0,
+                           static_cast<std::size_t>(p));
     }
   });
 }
@@ -213,13 +265,16 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   LayerTraceSink* trace = re.session.trace;
   std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
 
-  im2col_into(input, kernel_, kernel_, stride_, pad_, scratch->cols);
-  const int p = scratch->cols.shape()[1];
-
-  // Quantize the im2col matrix (clamp negatives to zero: wordline pulses
-  // are unsigned).
-  quantize_unsigned_with_scale_into(scratch->cols, act_scale_, act_bits_,
-                                    scratch->qx);
+  // Quantize the input once (clamp negatives to zero: wordline pulses
+  // are unsigned), then gather the uint8 patch matrix. The quantizer
+  // works element by element and maps 0.0 to code 0, so this equals
+  // quantizing the float im2col matrix, padding included.
+  quantize_unsigned_with_scale_into(input, act_scale_, act_bits_,
+                                    scratch->qinput);
+  const int p = n * spatial;
+  im2col_u8_into(scratch->qinput.data(), n, in_channels_, input.shape()[2],
+                 input.shape()[3], kernel_, stride_, pad_, oh, ow,
+                 scratch->qx);
   if (trace != nullptr) {
     const std::uint64_t t1 = trace_now_ns();
     trace->layer_span("im2col", name_.c_str(), kind_, t0, t1);

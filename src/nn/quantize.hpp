@@ -49,8 +49,8 @@ struct MacroRunStats;  // macro/cim_macro.hpp — sessions only hold a pointer
 /// (one per concurrent request); every field is resized on first use and
 /// reused afterwards so the per-layer inner loop stops allocating.
 struct MvmScratch {
-  Tensor cols;                       // im2col output
-  std::vector<std::uint8_t> qx;      // quantized activations
+  std::vector<std::uint8_t> qinput;  // quantized NCHW conv input
+  std::vector<std::uint8_t> qx;      // quantized MVM activations (k x p)
   std::vector<std::int32_t> acc;     // int32 MVM accumulator
   std::vector<std::int8_t> w_chunk;  // macro row-tile of the weight matrix
   std::vector<std::uint8_t> x_chunk;

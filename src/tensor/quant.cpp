@@ -52,12 +52,22 @@ QuantizedActivations quantize_unsigned_with_scale(const Tensor& t, float scale,
 void quantize_unsigned_with_scale_into(const Tensor& t, float scale, int bits,
                                        std::vector<std::uint8_t>& out) {
   YOLOC_CHECK(scale > 0.0f, "activation scale must be positive");
-  const int qmax = unsigned_qmax(bits);
-  out.resize(t.size());
+  const float qmax = static_cast<float>(unsigned_qmax(bits));
+  const std::size_t n = t.size();
+  out.resize(n);
   const float inv = 1.0f / scale;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const int v = static_cast<int>(std::lround(std::max(0.0f, t[i]) * inv));
-    out[i] = static_cast<std::uint8_t>(std::clamp(v, 0, qmax));
+  const float* src = t.data();
+  std::uint8_t* dst = out.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    // Clamp in float, so huge and infinite inputs saturate at qmax (an
+    // integer conversion first would overflow). std::max keeps its first
+    // argument on NaN, so a NaN product maps to 0.
+    const float f = std::min(std::max(0.0f, src[i] * inv), qmax);
+    // Round half away from zero, as std::lround does: for 0 <= f <= 255
+    // the fraction f - whole is exact.
+    const int whole = static_cast<int>(f);
+    dst[i] = static_cast<std::uint8_t>(
+        whole + (f - static_cast<float>(whole) >= 0.5f ? 1 : 0));
   }
 }
 

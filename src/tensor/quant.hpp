@@ -42,7 +42,9 @@ QuantizedTensor quantize_symmetric(const Tensor& t, int bits = 8);
 QuantizedActivations quantize_unsigned(const Tensor& t, int bits = 8);
 
 /// Unsigned quantization with a caller-provided scale (for calibrated
-/// activation ranges measured on a calibration batch).
+/// activation ranges measured on a calibration batch). Codes round half
+/// away from zero; values past the range, +inf included, saturate at
+/// qmax, and NaN maps to 0.
 QuantizedActivations quantize_unsigned_with_scale(const Tensor& t,
                                                   float scale, int bits = 8);
 

@@ -2,7 +2,9 @@
 // (macro/packed_weights.*) and the packed CimMacro/MacroMvmEngine MVM
 // must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
 // energy/latency stats, same RNG draw order — across analog (noisy and
-// noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
+// noise-free), exact-cost, odd reduction sizes and multi-tile shapes,
+// and — for the tile-wide exact-cost call — p = 1 to p > 1024 columns,
+// all-zero weight rows and a pulse window narrower than the activations.
 // The popcount kernels behind the packed path are also run variant by
 // variant (plain body vs hardware POPCNT), so the one a POPCNT host never
 // selects stays covered.
@@ -59,16 +61,17 @@ void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
   EXPECT_EQ(a.latency_ns, b.latency_ns);
 }
 
-/// Drives both engine paths with identically seeded sessions and checks
-/// outputs, stats and the session RNG position match exactly.
+/// Drives both engine paths over the (m x k) weights `w` with identically
+/// seeded sessions and checks outputs, stats and the session RNG
+/// position match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
-                            MacroMvmEngine::Mode mode, int m, int k, int p,
-                            std::uint64_t seed) {
+                            MacroMvmEngine::Mode mode,
+                            const std::vector<std::int8_t>& w, int m, int k,
+                            int p, std::uint64_t seed) {
   const CimMacro macro(cfg);
   PackedWeightsCache cache;
   const MacroMvmEngine legacy(macro, mode);
   const MacroMvmEngine packed(macro, mode, &cache);
-  const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
 
   std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
@@ -100,6 +103,14 @@ void expect_paths_identical(const MacroConfig& cfg,
     EXPECT_EQ(rng_legacy.normal(), rng_packed.normal());
     EXPECT_EQ(rng_legacy(), rng_packed());
   }
+}
+
+/// Same, over random weights.
+void expect_paths_identical(const MacroConfig& cfg,
+                            MacroMvmEngine::Mode mode, int m, int k, int p,
+                            std::uint64_t seed) {
+  expect_paths_identical(cfg, mode, random_weights(m, k, seed), m, k, p,
+                         seed);
 }
 
 TEST(PackedRomWeights, MasksMatchNaiveDerivation) {
@@ -325,6 +336,57 @@ TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                          /*m=*/8, /*k=*/128, /*p=*/4, /*seed=*/110);
+}
+
+TEST(PackedMvm, ExactCostTileWideColumnCounts) {
+  // The exact-cost fast path makes one call per k-tile over all p
+  // columns, walking them in 256-column blocks and 8-column pulse words.
+  // p = 1 fills no whole word; p = 1100 crosses four block boundaries
+  // and ends mid-word; k = 300 spans three tiles (128 + 128 + 44), on
+  // both macro kinds.
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    SCOPED_TRACE(static_cast<int>(cfg.kind));
+    for (const int p : {1, 1100}) {
+      SCOPED_TRACE(p);
+      expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
+                             /*m=*/6, /*k=*/300, p,
+                             /*seed=*/120 + static_cast<std::uint64_t>(p));
+      expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
+                             /*m=*/5, /*k=*/128, p,
+                             /*seed=*/130 + static_cast<std::uint64_t>(p));
+    }
+  }
+}
+
+TEST(PackedMvm, ExactCostAllZeroWeightRows) {
+  // Zero weights are skipped by the GEMM body; all-zero output rows
+  // (two adjacent ones and the trailing one) must still come out 0 and
+  // be costed like any other row.
+  const int m = 5;
+  const int k = 300;
+  auto w = random_weights(m, k, 140);
+  for (const int zero_row : {2, 3, 4}) {
+    std::fill(w.begin() + static_cast<std::ptrdiff_t>(zero_row) * k,
+              w.begin() + static_cast<std::ptrdiff_t>(zero_row + 1) * k,
+              std::int8_t{0});
+  }
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    SCOPED_TRACE(static_cast<int>(cfg.kind));
+    expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost, w, m, k,
+                           /*p=*/1100, /*seed=*/141);
+  }
+}
+
+TEST(PackedMvm, ExactCostPulseWindowNarrowerThanActivations) {
+  // 8-bit activations on a 4-bit input geometry: only the low input_bits
+  // of each byte pulse a wordline, so the SWAR pulse count must mask the
+  // window exactly as the legacy per-bit scan does.
+  for (MacroConfig cfg : {default_rom_macro(), default_sram_macro()}) {
+    cfg.geometry.input_bits = 4;
+    SCOPED_TRACE(static_cast<int>(cfg.kind));
+    expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
+                           /*m=*/6, /*k=*/300, /*p=*/1100, /*seed=*/150);
+  }
 }
 
 // Random 128-row mask with set bits only in rows [0, bits).

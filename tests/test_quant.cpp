@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/quant.hpp"
@@ -57,6 +61,48 @@ TEST(Quant, UnsignedWithGivenScaleClips) {
   QuantizedActivations q = quantize_unsigned_with_scale(t, 0.01f, 8);
   EXPECT_EQ(q.data[0], 255);  // 10/0.01 = 1000 clips at 255
   EXPECT_EQ(q.data[1], 50);
+}
+
+TEST(Quant, UnsignedSaturatesHugeAndInfinite) {
+  // Values past the int range and +inf saturate at qmax instead of
+  // wrapping through an integer conversion; NaN maps to 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor t = Tensor::from_vector({6}, {1.0f, 3e9f, inf, 200.0f, nan, -inf});
+  QuantizedActivations q = quantize_unsigned_with_scale(t, 1.0f, 8);
+  EXPECT_EQ(q.data, (std::vector<std::uint8_t>{1, 255, 255, 200, 0, 0}));
+  QuantizedActivations q4 = quantize_unsigned_with_scale(t, 1.0f, 4);
+  EXPECT_EQ(q4.data, (std::vector<std::uint8_t>{1, 15, 15, 15, 0, 0}));
+}
+
+TEST(Quant, UnsignedMatchesLroundBelowSaturation) {
+  // Every code and every half-way point between codes, nudged one ulp
+  // either side: the libm-free rounding must agree with std::lround
+  // (round half away from zero) wherever the integer path cannot wrap.
+  std::vector<float> values;
+  for (int code = 0; code <= 300; ++code) {
+    for (const float base : {static_cast<float>(code), code + 0.5f}) {
+      values.push_back(base);
+      values.push_back(std::nextafter(base, 0.0f));
+      values.push_back(std::nextafter(base, 1e9f));
+    }
+  }
+  Rng rng(5);
+  for (int i = 0; i < 4096; ++i) {
+    values.push_back(static_cast<float>(rng.uniform(-10.0, 300.0)));
+  }
+  Tensor t = Tensor::from_vector({static_cast<int>(values.size())}, values);
+  for (const float scale : {1.0f, 0.037f}) {
+    for (const int bits : {8, 5}) {
+      QuantizedActivations q = quantize_unsigned_with_scale(t, scale, bits);
+      const float inv = 1.0f / scale;
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const long r = std::lround(std::max(0.0f, values[i]) * inv);
+        const long expected = std::clamp<long>(r, 0, unsigned_qmax(bits));
+        ASSERT_EQ(q.data[i], expected) << values[i] << " scale " << scale;
+      }
+    }
+  }
 }
 
 TEST(Quant, UnsignedRejectsBadScale) {

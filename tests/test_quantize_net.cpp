@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -13,6 +18,7 @@
 #include "nn/pooling.hpp"
 #include "nn/quantize.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/quant.hpp"
 
 namespace yoloc {
 namespace {
@@ -156,6 +162,99 @@ TEST(QuantLayers, CalibrationRecordsScale) {
   EXPECT_TRUE(qconv.is_calibrated());
   // Scale ~ max/255 with max close to 2.
   EXPECT_NEAR(qconv.act_scale(), 2.0f / 255.0f, 0.5f / 255.0f);
+}
+
+/// Test-side oracle of QuantConv2d's deploy forward: the float im2col
+/// matrix, quantized element by element with std::lround, an integer
+/// GEMM, then the layer's rescale + bias epilogue.
+Tensor oracle_quant_conv(const QuantConv2d& q, const Tensor& input) {
+  const int n = input.shape()[0];
+  const Tensor cols =
+      im2col(input, q.kernel(), q.kernel(), q.stride(), q.pad());
+  const int patch = cols.shape()[0];
+  const int p = cols.shape()[1];
+  const int qmax = unsigned_qmax(q.act_bits());
+  const float inv = 1.0f / q.act_scale();
+  std::vector<std::uint8_t> qx(cols.size());
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    const int v = static_cast<int>(std::lround(std::max(0.0f, cols[i]) * inv));
+    qx[i] = static_cast<std::uint8_t>(std::clamp(v, 0, qmax));
+  }
+  const int m = q.out_channels();
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(m) * p, 0);
+  for (int o = 0; o < m; ++o) {
+    for (int i = 0; i < patch; ++i) {
+      const std::int32_t wv =
+          q.weights().data[static_cast<std::size_t>(o) * patch + i];
+      for (int c = 0; c < p; ++c) {
+        acc[static_cast<std::size_t>(o) * p + c] +=
+            wv * qx[static_cast<std::size_t>(i) * p + c];
+      }
+    }
+  }
+  const int spatial = p / n;
+  const int oh = conv_out_extent(input.shape()[2], q.kernel(), q.stride(),
+                                 q.pad());
+  const int ow = spatial / oh;
+  Tensor out({n, m, oh, ow});
+  const float rescale = q.weights().scale * q.act_scale();
+  for (int ni = 0; ni < n; ++ni) {
+    for (int o = 0; o < m; ++o) {
+      for (int s = 0; s < spatial; ++s) {
+        out[(static_cast<std::size_t>(ni) * m + o) * spatial + s] =
+            rescale * static_cast<float>(
+                          acc[static_cast<std::size_t>(o) * p +
+                              static_cast<std::size_t>(ni) * spatial + s]) +
+            q.bias()[static_cast<std::size_t>(o)];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
+  // The deploy path quantizes the input first and gathers uint8 patches;
+  // it must equal quantizing the float patch matrix, bit for bit, padding
+  // and saturation included, across kernel/stride/pad/batch geometries on
+  // odd spatial sizes.
+  ExactMvmEngine engine;
+  struct Spatial {
+    int h;
+    int w;
+  };
+  int cases = 0;
+  for (const int kernel : {1, 3}) {
+    for (const int stride : {1, 2}) {
+      for (const int pad : {0, 1}) {
+        for (const int n : {1, 3}) {
+          for (const Spatial hw : {Spatial{7, 9}, Spatial{5, 3}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "kernel " << kernel << " stride " << stride
+                         << " pad " << pad << " n " << n << " " << hw.h
+                         << "x" << hw.w);
+            Rng rng(static_cast<std::uint64_t>(1000 + cases++));
+            Conv2d conv(3, 4, kernel, stride, pad, true, rng, "c");
+            QuantConv2d qconv(conv, engine);
+            qconv.set_calibration_mode(true);
+            (void)qconv.forward(
+                Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, 0.0f, 2.0f),
+                false);
+            qconv.finalize_calibration();
+            // Wider than the calibration range: negatives clamp to 0 and
+            // values past the range saturate.
+            const Tensor x =
+                Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, -1.0f, 3.0f);
+            const Tensor got = qconv.forward(x, false);
+            const Tensor want = oracle_quant_conv(qconv, x);
+            ASSERT_EQ(got.shape(), want.shape());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(got[i], want[i]) << "element " << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

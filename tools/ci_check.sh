@@ -10,10 +10,12 @@
 #                 concurrency-heavy labels: serve | trace | fault;
 #   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
 #                 the wire/format labels http | serde, and macro (the
-#                 packed kernels write through raw pointers into the
-#                 session's MvmScratch buffers);
+#                 packed kernels, the uint8 im2col gather and the int8
+#                 GEMM write through raw pointers into the session's
+#                 MvmScratch buffers and the caller's outputs);
 #   4. native   — a -march=native build (<build-dir>-native) running the
-#                 packed-vs-legacy bit-identity labels: macro | fault,
+#                 packed-vs-legacy and quantized-conv bit-identity
+#                 labels: macro | fault,
 #                 so the contract holds under the ISA deployments are
 #                 told to build with (FMA and wider vectors included).
 #
