@@ -4,9 +4,10 @@
 // {rows, input_bits, weight_bits} geometries, in analog mode with the
 // default ROM noise, in noise-free analog mode (sigma_cell = 0,
 // adc noise = 0 — the configuration every fidelity test runs), and in
-// exact-cost mode (at p = 16 and p = 1024 columns). One JSON line per
-// (geometry, variant, p, path), same trajectory-file conventions as
-// bench_serving_throughput:
+// exact-cost mode (at p = 16 and p = 1024 columns), all at m = 128 output
+// rows; plus one exact-cost cell shaped like the served ReBranch model
+// (m = 8, k = 72, p = 8192). One JSON line per (geometry, variant, m, p,
+// path), same trajectory-file conventions as bench_serving_throughput:
 //
 //   {"bench":"macro_mvm","path":"packed","variant":"analog",...,
 //    "ns_per_mac":..,"columns_per_s":..,"pack_ms":..,
@@ -16,8 +17,9 @@
 // stats are bit-identical to the legacy path under the same seed, and in
 // noisy analog mode that both sessions' next RNG draw agrees — the bench
 // refuses to report a speedup for a kernel that changed results. Packed
-// rows carry "popcount":"hw"|"portable", the popcount variant the packed
-// kernels selected on this host (macro/packed_kernels.hpp).
+// rows carry "popcount":"hw"|"portable" and "gemm":"avx2"|"portable", the
+// variants the packed analog kernels and the exact-cost tile selected on
+// this host (macro/packed_kernels.hpp).
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
@@ -114,6 +116,86 @@ Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
   return out;
 }
 
+/// Times one (geometry, variant, m, k, p) cell on both paths and prints
+/// its two rows. Returns false, printing why, when the packed path's
+/// results differ from the legacy path's.
+bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
+              int p, double min_seconds) {
+  Rng init(3);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+  std::vector<std::uint8_t> x(static_cast<std::size_t>(k) * p);
+  for (auto& v : w) {
+    v = static_cast<std::int8_t>(init.uniform_int(-127, 127));
+  }
+  for (auto& v : x) {
+    v = static_cast<std::uint8_t>(init.uniform_int(0, 255));
+  }
+  const MacroConfig cfg = make_config(geom, variant.noise_free);
+  const CimMacro macro(cfg);
+  PackedWeightsCache cache;
+  const MacroMvmEngine legacy(macro, variant.mode);
+  const MacroMvmEngine packed(macro, variant.mode, &cache);
+
+  // Refuse to time a kernel whose results changed.
+  {
+    std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
+    std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
+    Rng ra(7);
+    Rng rb(7);
+    MacroRunStats sa, sb;
+    MvmScratch sca, scb;
+    MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
+    legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
+    packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
+    // A noise-free packed session draws nothing by design; a noisy
+    // one must leave its RNG where the legacy session left it (the
+    // cached half of a polar pair included, hence normal() first).
+    const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
+                       !macro.noise_free();
+    const bool same_next_draw =
+        !noisy || (ra.normal() == rb.normal() && ra() == rb());
+    if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
+      std::fprintf(stderr,
+                   "FATAL: packed path diverged from legacy at "
+                   "rows=%d ib=%d wb=%d variant=%s p=%d\n",
+                   geom.rows, geom.input_bits, geom.weight_bits,
+                   variant.name, p);
+      return false;
+    }
+  }
+
+  const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
+  const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
+  const double macs = static_cast<double>(m) * k;
+  const double legacy_ns_per_mac =
+      lm.seconds * 1e9 / (macs * static_cast<double>(lm.columns));
+  const double packed_ns_per_mac =
+      pm.seconds * 1e9 / (macs * static_cast<double>(pm.columns));
+  const double legacy_cols_s =
+      static_cast<double>(lm.columns) / lm.seconds;
+  const double packed_cols_s =
+      static_cast<double>(pm.columns) / pm.seconds;
+
+  std::printf(
+      "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
+      "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
+      "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
+      variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
+      p, legacy_ns_per_mac, legacy_cols_s);
+  std::printf(
+      "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
+      "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
+      "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
+      "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
+      "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\",\"gemm\":\"%s\"}\n",
+      variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
+      p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
+      packed_cols_s / legacy_cols_s, detail::packed_kernels().popcount,
+      detail::exact_tile_kernels().gemm);
+  std::fflush(stdout);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,7 +217,6 @@ int main(int argc, char** argv) {
       {"analog_noise_free", MacroMvmEngine::Mode::kAnalog, true},
       {"exact_cost", MacroMvmEngine::Mode::kExactCost, false},
   };
-  const char* popcount = detail::packed_kernels().popcount;
   const int m = 128;  // output rows (YOLO-scale conv channel tile)
   // im2col columns per engine call. Exact-cost also runs p = 1024 (an
   // early conv layer of a batch): its packed path makes one call per
@@ -150,79 +231,16 @@ int main(int argc, char** argv) {
       for (const int p : variant.mode == MacroMvmEngine::Mode::kExactCost
                              ? exact_columns
                              : analog_columns) {
-        Rng init(3);
-        std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
-        std::vector<std::uint8_t> x(static_cast<std::size_t>(k) * p);
-        for (auto& v : w) {
-          v = static_cast<std::int8_t>(init.uniform_int(-127, 127));
-        }
-        for (auto& v : x) {
-          v = static_cast<std::uint8_t>(init.uniform_int(0, 255));
-        }
-        const MacroConfig cfg = make_config(geom, variant.noise_free);
-        const CimMacro macro(cfg);
-        PackedWeightsCache cache;
-        const MacroMvmEngine legacy(macro, variant.mode);
-        const MacroMvmEngine packed(macro, variant.mode, &cache);
-
-        // Refuse to time a kernel whose results changed.
-        {
-          std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
-          std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-          Rng ra(7);
-          Rng rb(7);
-          MacroRunStats sa, sb;
-          MvmScratch sca, scb;
-          MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
-          legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
-          packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
-          // A noise-free packed session draws nothing by design; a noisy
-          // one must leave its RNG where the legacy session left it (the
-          // cached half of a polar pair included, hence normal() first).
-          const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
-                             !macro.noise_free();
-          const bool same_next_draw =
-              !noisy || (ra.normal() == rb.normal() && ra() == rb());
-          if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
-            std::fprintf(stderr,
-                         "FATAL: packed path diverged from legacy at "
-                         "rows=%d ib=%d wb=%d variant=%s p=%d\n",
-                         geom.rows, geom.input_bits, geom.weight_bits,
-                         variant.name, p);
-            return 1;
-          }
-        }
-
-        const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
-        const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
-        const double macs = static_cast<double>(m) * k;
-        const double legacy_ns_per_mac =
-            lm.seconds * 1e9 / (macs * static_cast<double>(lm.columns));
-        const double packed_ns_per_mac =
-            pm.seconds * 1e9 / (macs * static_cast<double>(pm.columns));
-        const double legacy_cols_s =
-            static_cast<double>(lm.columns) / lm.seconds;
-        const double packed_cols_s =
-            static_cast<double>(pm.columns) / pm.seconds;
-
-        std::printf(
-            "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
-            "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-            "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
-            variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-            p, legacy_ns_per_mac, legacy_cols_s);
-        std::printf(
-            "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
-            "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-            "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
-            "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-            "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\"}\n",
-            variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-            p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
-            packed_cols_s / legacy_cols_s, popcount);
-        std::fflush(stdout);
+        if (!run_cell(geom, variant, m, k, p, min_seconds)) return 1;
       }
     }
+  }
+  // The ReBranch deployment's shape: the stage-0 3x3 trunk conv of one
+  // 8-image request (m = 8 output channels, k = 8 * 3 * 3 rows, p = 8
+  // images * 32 * 32 positions), on the Table I macro.
+  if (!run_cell(geometries[0], variants[2], /*m=*/8, /*k=*/72, /*p=*/8192,
+                min_seconds)) {
+    return 1;
   }
   return 0;
 }

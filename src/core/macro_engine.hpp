@@ -24,7 +24,8 @@
 // drives CimMacro::mvm_packed per (k-tile, column); exact-cost mode makes
 // one CimMacro::mvm_packed_exact_cost_tile call per k-tile, which reads
 // the k x p activations and accumulates the m x p outputs in place (an
-// int8 GEMM over all columns). Both are bit-identical to the legacy
+// int8 GEMM over all columns, on AVX2 vpmaddwd where the CPU has it and
+// on the plain body otherwise). Both are bit-identical to the legacy
 // per-call path — outputs, every MacroRunStats sum and the RNG draw
 // order — so deployments can switch packing on without changing a
 // single output. Without a cache the engine behaves exactly as before

@@ -1,12 +1,9 @@
 #include "macro/cim_macro.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/check.hpp"
-#include "common/int_gemm.hpp"
 #include "macro/packed_kernels.hpp"
 
 namespace yoloc {
@@ -384,62 +381,9 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
 
 namespace {
 
-/// Activation columns per block of the exact-cost tile: the tile's
-/// activation rows for one block (<= 128 x 256 bytes) stay in L1/L2
-/// while the GEMM walks every output row over them.
+/// Columns per call of the exact-cost tile kernel: their pulse counts
+/// sit on the stack until the stats pass charges them.
 constexpr int kExactColBlock = 256;
-
-/// pulses[c] = sum over the k rows of popcount(x[i*ldx + c] & window),
-/// for c < cols <= kExactColBlock, where `window` is the input_bits mask
-/// replicated into every byte. Eight columns share one 64-bit SWAR byte
-/// popcount; the per-byte counts (<= 8 per row) are summed in 16-bit
-/// lanes, even and odd bytes apart, which holds k up to 8191 rows.
-void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
-                         int cols, std::uint64_t window,
-                         std::uint32_t* pulses) {
-  constexpr std::uint64_t kOnes = 0x5555555555555555ull;
-  constexpr std::uint64_t kPairs = 0x3333333333333333ull;
-  constexpr std::uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
-  constexpr std::uint64_t kLowBytes = 0x00FF00FF00FF00FFull;
-  // The lane-to-column mapping below reads byte b of a loaded word as
-  // column b, which holds on little-endian hosts; on others the scalar
-  // loop at the end counts every column.
-  const int words =
-      std::endian::native == std::endian::little ? cols / 8 : 0;
-  std::array<std::uint64_t, kExactColBlock / 8> even{};
-  std::array<std::uint64_t, kExactColBlock / 8> odd{};
-  for (int i = 0; i < k; ++i) {
-    const std::uint8_t* row = x + static_cast<std::size_t>(i) * ldx;
-    for (int wd = 0; wd < words; ++wd) {
-      std::uint64_t v;
-      std::memcpy(&v, row + 8 * wd, sizeof(v));
-      v &= window;
-      v -= (v >> 1) & kOnes;
-      v = (v & kPairs) + ((v >> 2) & kPairs);
-      v = (v + (v >> 4)) & kNibbles;
-      even[static_cast<std::size_t>(wd)] += v & kLowBytes;
-      odd[static_cast<std::size_t>(wd)] += (v >> 8) & kLowBytes;
-    }
-  }
-  for (int wd = 0; wd < words; ++wd) {
-    for (int lane = 0; lane < 4; ++lane) {
-      pulses[8 * wd + 2 * lane] = static_cast<std::uint32_t>(
-          (even[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
-      pulses[8 * wd + 2 * lane + 1] = static_cast<std::uint32_t>(
-          (odd[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
-    }
-  }
-  const unsigned byte_window = static_cast<unsigned>(window & 0xFFu);
-  for (int c = 8 * words; c < cols; ++c) {
-    std::uint32_t sum = 0;
-    for (int i = 0; i < k; ++i) {
-      sum += static_cast<std::uint32_t>(std::popcount(
-          static_cast<unsigned>(x[static_cast<std::size_t>(i) * ldx + c]) &
-          byte_window));
-    }
-    pulses[c] = sum;
-  }
-}
 
 }  // namespace
 
@@ -470,14 +414,26 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   const double precharge_pj =
       static_cast<double>(conversions) *
       array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  // Wordline pulses are the set bits of x inside the input_bits window.
-  const std::uint64_t window =
-      ((1ull << g.input_bits) - 1ull) * 0x0101010101010101ull;
+  // Wordline pulses are the set bits of x inside the input_bits window;
+  // the kernel counts them alongside the MACs.
+  const detail::ExactTileKernels& kernels = detail::exact_tile_kernels();
+  detail::ExactTileArgs args;
+  args.w = wt;
+  args.ldw = static_cast<std::size_t>(packed.k());
+  args.m = m;
+  args.k = k;
+  args.ldx = ld;
+  args.ldy = ld;
+  args.window = static_cast<std::uint8_t>((1u << g.input_bits) - 1u);
 
   std::array<std::uint32_t, kExactColBlock> pulses;
   for (int c0 = 0; c0 < p; c0 += kExactColBlock) {
     const int cols = std::min(kExactColBlock, p - c0);
-    count_window_pulses(xt + c0, ld, k, cols, window, pulses.data());
+    args.x = xt + c0;
+    args.p = cols;
+    args.y = y + c0;
+    args.pulses = pulses.data();
+    kernels.gemm_pulses(args);
     // The stats doubles advance once per column, in column order, with
     // the legacy per-call operands, so every sum rounds exactly as p
     // separate mvm_exact_cost calls would.
@@ -487,8 +443,6 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
       stats.array.precharge_energy_pj += precharge_pj;
       charge_op_costs(m, k, pulses[static_cast<std::size_t>(c)], stats);
     }
-    gemm_s8u8_accumulate(wt, static_cast<std::size_t>(packed.k()), m, k,
-                         xt + c0, ld, cols, y + c0, ld);
   }
 }
 

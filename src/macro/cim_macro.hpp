@@ -90,7 +90,13 @@ class CimMacro {
   /// to p mvm_exact_cost() calls on the tile's chunk, one per column in
   /// column order, with their partial sums added into y: same outputs,
   /// and every MacroRunStats field advanced per column in that order. No
-  /// RNG is consumed (the legacy exact path draws none either).
+  /// RNG is consumed (the legacy exact path draws none either). The MACs
+  /// and each column's wordline pulse count come from one kernel picked
+  /// per process: an AVX2 vpmaddwd GEMM that counts the pulses while it
+  /// interleaves the activations, or, on CPUs without AVX2, the plain
+  /// int8 GEMM after a SWAR pulse scan (macro/packed_kernels.hpp). Both
+  /// give the same y and pulses, so the choice changes no output or
+  /// stat.
   void mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
                                   int tile_index, const std::int8_t* w,
                                   const std::uint8_t* x, int p,

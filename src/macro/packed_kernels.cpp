@@ -1,7 +1,13 @@
 #include "macro/packed_kernels.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+
+#include "common/int_gemm.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(__POPCNT__)
@@ -116,6 +122,80 @@ void noise_free_rows_plain(const PackedCountArgs& a, NoiseFreeRows& nf) {
 }
 #endif
 
+/// Activation columns per block of the plain exact-cost body: the block's
+/// activation rows (<= 128 x 256 bytes) stay in L1/L2 while the GEMM
+/// walks every output row over them.
+constexpr int kExactColBlock = 256;
+
+/// pulses[c] = sum over the k rows of popcount(x[i*ldx + c] & window),
+/// for c < cols <= kExactColBlock, where `window` is the input_bits mask
+/// replicated into every byte. Eight columns share one 64-bit SWAR byte
+/// popcount; the per-byte counts (<= 8 per row) are summed in 16-bit
+/// lanes, even and odd bytes apart, which holds k up to 8191 rows.
+void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
+                         int cols, std::uint64_t window,
+                         std::uint32_t* pulses) {
+  constexpr std::uint64_t kOnes = 0x5555555555555555ull;
+  constexpr std::uint64_t kPairs = 0x3333333333333333ull;
+  constexpr std::uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
+  constexpr std::uint64_t kLowBytes = 0x00FF00FF00FF00FFull;
+  // The lane-to-column mapping below reads byte b of a loaded word as
+  // column b, which holds on little-endian hosts; on others the scalar
+  // loop at the end counts every column.
+  const int words =
+      std::endian::native == std::endian::little ? cols / 8 : 0;
+  std::array<std::uint64_t, kExactColBlock / 8> even{};
+  std::array<std::uint64_t, kExactColBlock / 8> odd{};
+  for (int i = 0; i < k; ++i) {
+    const std::uint8_t* row = x + static_cast<std::size_t>(i) * ldx;
+    for (int wd = 0; wd < words; ++wd) {
+      std::uint64_t v;
+      std::memcpy(&v, row + 8 * wd, sizeof(v));
+      v &= window;
+      v -= (v >> 1) & kOnes;
+      v = (v & kPairs) + ((v >> 2) & kPairs);
+      v = (v + (v >> 4)) & kNibbles;
+      even[static_cast<std::size_t>(wd)] += v & kLowBytes;
+      odd[static_cast<std::size_t>(wd)] += (v >> 8) & kLowBytes;
+    }
+  }
+  for (int wd = 0; wd < words; ++wd) {
+    for (int lane = 0; lane < 4; ++lane) {
+      pulses[8 * wd + 2 * lane] = static_cast<std::uint32_t>(
+          (even[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
+      pulses[8 * wd + 2 * lane + 1] = static_cast<std::uint32_t>(
+          (odd[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
+    }
+  }
+  const unsigned byte_window = static_cast<unsigned>(window & 0xFFu);
+  for (int c = 8 * words; c < cols; ++c) {
+    std::uint32_t sum = 0;
+    for (int i = 0; i < k; ++i) {
+      sum += static_cast<std::uint32_t>(std::popcount(
+          static_cast<unsigned>(x[static_cast<std::size_t>(i) * ldx + c]) &
+          byte_window));
+    }
+    pulses[c] = sum;
+  }
+}
+
+void exact_tile_plain(const ExactTileArgs& a) {
+  const std::uint64_t window = a.window * 0x0101010101010101ull;
+  for (int c0 = 0; c0 < a.p; c0 += kExactColBlock) {
+    const int cols = std::min(kExactColBlock, a.p - c0);
+    count_window_pulses(a.x + c0, a.ldx, a.k, cols, window, a.pulses + c0);
+    gemm_s8u8_accumulate(a.w, a.ldw, a.m, a.k, a.x + c0, a.ldx, cols,
+                         a.y + c0, a.ldy);
+  }
+}
+
+#if YOLOC_GEMM_AVX2
+void exact_tile_avx2(const ExactTileArgs& a) {
+  gemm_s8u8_accumulate_avx2(a.w, a.ldw, a.m, a.k, a.x, a.ldx, a.p, a.y,
+                            a.ldy, a.window, a.pulses);
+}
+#endif
+
 }  // namespace
 
 const PackedKernels& plain_packed_kernels() {
@@ -147,6 +227,32 @@ const PackedKernels& packed_kernels() {
   static const PackedKernels* const selected = [] {
     const PackedKernels* hw = popcnt_packed_kernels();
     return hw != nullptr ? hw : &plain_packed_kernels();
+  }();
+  return *selected;
+}
+
+const ExactTileKernels& plain_exact_tile_kernels() {
+  static constexpr ExactTileKernels kPlain{exact_tile_plain, "portable"};
+  return kPlain;
+}
+
+const ExactTileKernels* avx2_exact_tile_kernels() {
+#if YOLOC_GEMM_AVX2
+  static constexpr ExactTileKernels kAvx2{exact_tile_avx2, "avx2"};
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported ? &kAvx2 : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const ExactTileKernels& exact_tile_kernels() {
+  static const ExactTileKernels* const selected = [] {
+    const ExactTileKernels* avx2 = avx2_exact_tile_kernels();
+    return avx2 != nullptr ? avx2 : &plain_exact_tile_kernels();
   }();
   return *selected;
 }

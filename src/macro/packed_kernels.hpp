@@ -1,5 +1,6 @@
 #pragma once
-// Internal to macro/: the popcount-heavy loops of CimMacro::mvm_packed.
+// Internal to macro/: the popcount-heavy loops of CimMacro::mvm_packed,
+// and the MAC loop of CimMacro::mvm_packed_exact_cost_tile (below).
 //
 // Every ADC read of the bit-serial macro digitizes an ON-cell count,
 // popcount(weight plane & input plane & group mask) — two 64-bit
@@ -18,8 +19,10 @@
 // ISAs and compilers, only the plain body is built.
 //
 // Exposed (rather than kept file-local) so tests can run both variants
-// side by side — on a POPCNT host nothing else runs the plain body.
+// side by side — on a POPCNT host nothing else runs the plain body — and
+// so benches and the HTTP /plan endpoint can report which one runs.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "macro/fault_model.hpp"
@@ -74,5 +77,46 @@ const PackedKernels* popcnt_packed_kernels();
 /// The variant mvm_packed runs: POPCNT when available, else the plain
 /// body. Chosen once per process.
 const PackedKernels& packed_kernels();
+
+// The exact-cost tile's MAC loop and pulse count
+// (CimMacro::mvm_packed_exact_cost_tile), picked the same way: the AVX2
+// vpmaddwd GEMM of common/int_gemm.hpp, which counts each column's
+// wordline pulses in the pass that interleaves its activations, when the
+// CPU has AVX2; otherwise the plain gemm_s8u8_accumulate after a SWAR
+// pulse scan of x. Both give the same y and the same pulse counts.
+// Unlike the popcount pair, the AVX2 body is built on every x86-64
+// GCC/Clang build, -march=native included, so both always exist there.
+
+/// The operands of one exact-cost tile call: y[j*ldy + c] += sum over
+/// i < k of w[j*ldw + i] * x[i*ldx + c] for j < m, c < p, and pulses[c] =
+/// sum over i < k of popcount(x[i*ldx + c] & window) for c < p.
+struct ExactTileArgs {
+  const std::int8_t* w = nullptr;
+  std::size_t ldw = 0;
+  int m = 0;
+  int k = 0;  // <= 8191
+  const std::uint8_t* x = nullptr;
+  std::size_t ldx = 0;
+  int p = 0;
+  std::int32_t* y = nullptr;
+  std::size_t ldy = 0;
+  std::uint8_t window = 0;  // the input_bits mask
+  std::uint32_t* pulses = nullptr;
+};
+
+struct ExactTileKernels {
+  void (*gemm_pulses)(const ExactTileArgs& args);
+  /// "avx2" for the vpmaddwd body, "portable" for the plain one.
+  const char* gemm;
+};
+
+/// The plain body: SWAR pulse scan + gemm_s8u8_accumulate.
+const ExactTileKernels& plain_exact_tile_kernels();
+/// The AVX2 variant, or nullptr when this build has none or the CPU lacks
+/// AVX2.
+const ExactTileKernels* avx2_exact_tile_kernels();
+/// The variant the exact-cost tile runs: AVX2 when available, else the
+/// plain body. Chosen once per process.
+const ExactTileKernels& exact_tile_kernels();
 
 }  // namespace yoloc::detail

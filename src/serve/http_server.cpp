@@ -20,6 +20,7 @@
 
 #include "common/base64.hpp"
 #include "common/check.hpp"
+#include "macro/packed_kernels.hpp"
 #include "runtime/plan_serde.hpp"
 
 namespace yoloc {
@@ -1387,6 +1388,13 @@ std::string HttpServer::plan_json() {
   out += ",\"sram_macro\":{\"rows\":" +
          std::to_string(o.sram_macro.geometry.rows) +
          ",\"cols\":" + std::to_string(o.sram_macro.geometry.cols) + "}";
+  // The macro kernel variants this process picked from the CPU's feature
+  // bits: two hosts serving one plan can differ here, and in throughput.
+  out += ",\"kernels\":{\"popcount\":\"";
+  out += detail::packed_kernels().popcount;
+  out += "\",\"gemm\":\"";
+  out += detail::exact_tile_kernels().gemm;
+  out += "\"}";
 
   out += ",\"sections\":[";
   if (!plan_path_.empty()) {

@@ -30,6 +30,7 @@
 
 #include "common/base64.hpp"
 #include "hang_once.hpp"
+#include "macro/packed_kernels.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
@@ -215,6 +216,11 @@ TEST(HttpEndpoints, AllFourRoundTripOverLoopback) {
             std::string::npos);
   EXPECT_NE(plan_resp.body.find("\"packed_weight_bytes\":" +
                                 std::to_string(plan->packed_weight_bytes())),
+            std::string::npos);
+  EXPECT_NE(plan_resp.body.find(
+                std::string("\"kernels\":{\"popcount\":\"") +
+                detail::packed_kernels().popcount + "\",\"gemm\":\"" +
+                detail::exact_tile_kernels().gemm + "\"}"),
             std::string::npos);
 
   // /metrics: Prometheus exposition straight off the live scheduler.

@@ -19,6 +19,14 @@
 #                 so the contract holds under the ISA deployments are
 #                 told to build with (FMA and wider vectors included).
 #
+# The exact-cost tile's GEMM has two bodies on x86-64 GCC/Clang: the
+# plain gemm_s8u8_accumulate and an AVX2 vpmaddwd variant, both built in
+# every one of these trees (-march=native included) and picked at
+# runtime. test_int_gemm (macro label) runs each against the other, so
+# the asan and native gates cover the plain body even on an AVX2 host,
+# where serving never selects it. The POPCNT pair is different: a native
+# build on a POPCNT host compiles only its one (hardware) body.
+#
 # Every gate runs even after an earlier one fails, so a single pass
 # reports ALL the breakage; the exit code is non-zero when any gate
 # failed. Wired as the `check` CMake target:
