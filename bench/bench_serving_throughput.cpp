@@ -1,5 +1,5 @@
 // Serving throughput of the DeploymentPlan / ExecutionContext /
-// InferenceServer runtime: images/s for batch sizes {1, 8, 32} x worker
+// Scheduler runtime: images/s for batch sizes {1, 8, 32} x worker
 // counts {1, 4, 8}, one JSON line per configuration (the perf-trajectory
 // feed for BENCH_*.json) — plus `serving_scheduler` (fifo vs priority
 // mix), `serving_fairness` (strict vs deficit-weighted round-robin under
@@ -28,7 +28,6 @@
 #include "common/parallel.hpp"
 #include "nn/zoo.hpp"
 #include "runtime/deployment_plan.hpp"
-#include "runtime/inference_server.hpp"
 #include "runtime/plan_serde.hpp"
 #include "serve/scheduler.hpp"
 
@@ -68,45 +67,46 @@ struct RunResult {
 /// wall clock have elapsed (at least two waves).
 RunResult run_config(const DeploymentPlan& plan, int workers, int batch,
                      double min_seconds) {
-  ServerOptions options;
+  SchedulerOptions options;
   options.workers = workers;
   options.max_microbatch = 8;
-  InferenceServer server(plan, options);
+  Scheduler scheduler(plan, options);
 
   Rng rng(123);
   Tensor wave =
       Tensor::rand_uniform({batch, 3, kImageSize, kImageSize}, rng, 0.0f,
                            1.0f);
-  (void)server.infer(wave);  // warmup: touches every layer + scratch
-  server.wait_idle();
-  server.reset_stats();
-  const ServerMetrics warm = server.metrics();
+  (void)scheduler.infer(wave);  // warmup: touches every layer + scratch
+  scheduler.wait_idle();
+  scheduler.reset_stats();
+  scheduler.reset_metrics();  // snapshot covers the timed phase only
 
   const auto start = Clock::now();
   std::uint64_t images = 0;
   int waves = 0;
   for (;;) {
-    (void)server.infer(wave);
+    (void)scheduler.infer(wave);
     images += static_cast<std::uint64_t>(batch);
     ++waves;
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - start).count();
     if (waves >= 2 && elapsed >= min_seconds) break;
   }
-  server.wait_idle();
+  scheduler.wait_idle();
 
   RunResult r;
   r.images = images;
   r.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  const ServerMetrics m = server.metrics();
-  const std::uint64_t batches = m.batches - warm.batches;
+  // Served requests per batch; avg_batch_occupancy would also count the
+  // requests of failed batches.
+  const MetricsSnapshot m = scheduler.metrics_snapshot();
   r.avg_microbatch =
-      batches == 0 ? 0.0
-                   : static_cast<double>(m.requests - warm.requests) /
-                         static_cast<double>(batches);
+      m.batches == 0 ? 0.0
+                     : static_cast<double>(m.served_requests) /
+                           static_cast<double>(m.batches);
   r.energy_pj_per_image =
       images == 0 ? 0.0
-                  : server.total_energy_pj() / static_cast<double>(images);
+                  : scheduler.total_energy_pj() / static_cast<double>(images);
   return r;
 }
 

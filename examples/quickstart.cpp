@@ -8,20 +8,20 @@
 //   1. synthesize a dataset           (yoloc::data)
 //   2. build + train a float model    (yoloc::nn)
 //   3. mark ROM/SRAM residency        (parameter flags)
-//   4. deploy through YolocFramework  (yoloc::core — a facade over the
-//                                      DeploymentPlan/ExecutionContext
-//                                      runtime)
+//   4. lower into a DeploymentPlan and run it through an
+//      ExecutionContext               (yoloc::runtime)
 //   5. read back accuracy + energy    (macro run stats)
-//   6. serve parallel traffic with an InferenceServer over the shared
-//      DeploymentPlan                 (yoloc::runtime)
+//   6. serve parallel traffic with a Scheduler over the same
+//      DeploymentPlan                 (yoloc::serve)
 
 #include <cstdio>
 
-#include "core/yoloc_framework.hpp"
 #include "data/classification.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
-#include "runtime/inference_server.hpp"
+#include "runtime/deployment_plan.hpp"
+#include "runtime/execution_context.hpp"
+#include "serve/scheduler.hpp"
 
 int main() {
   using namespace yoloc;
@@ -63,9 +63,12 @@ int main() {
   std::vector<int> calib_idx;
   for (int i = 0; i < 12; ++i) calib_idx.push_back(i);
   Tensor calibration = gather_batch(train.images, calib_idx);
-  YolocFramework framework(std::move(model), calibration,
-                           FrameworkOptions{});
-  const double analog_acc = framework.evaluate_accuracy(test);
+  const DeploymentPlan plan(std::move(model), calibration,
+                            DeploymentOptions{});
+  ExecutionContext context(plan, /*noise_seed=*/2024);
+  const double analog_acc = evaluate_classifier(
+      [&context](const Tensor& batch) { return context.infer(batch); },
+      test.images, test.labels);
 
   // 5. Results: accuracy retention + metered macro energy.
   std::printf("analog CiM accuracy: %.1f%% (loss %.2f pts)\n",
@@ -73,30 +76,31 @@ int main() {
   const double images = test.size();
   std::printf("modeled macro energy: %.2f uJ/image "
               "(ROM %.1f%%, SRAM %.1f%%)\n",
-              framework.total_energy_pj() * 1e-6 / images,
-              100.0 * framework.rom_stats().energy_pj() /
-                  framework.total_energy_pj(),
-              100.0 * framework.sram_stats().energy_pj() /
-                  framework.total_energy_pj());
-  std::printf("quantized layers: %d\n", framework.quantized_layer_count());
+              context.total_energy_pj() * 1e-6 / images,
+              100.0 * context.rom_stats().energy_pj() /
+                  context.total_energy_pj(),
+              100.0 * context.sram_stats().energy_pj() /
+                  context.total_energy_pj());
+  std::printf("quantized layers: %d\n", plan.quantized_layer_count());
 
-  // 6. The framework's DeploymentPlan is immutable and reentrant: put a
-  //    micro-batching InferenceServer in front of it to serve many
+  // 6. The DeploymentPlan is immutable and reentrant: put a
+  //    continuous-batching Scheduler in front of it to serve many
   //    requests concurrently (workers default to parallel_workers(),
   //    which honours YOLOC_THREADS).
-  ServerOptions serve;
+  SchedulerOptions serve;
   serve.max_microbatch = 8;
-  InferenceServer server(framework.plan(), serve);
+  Scheduler scheduler(plan, serve);
   const double served_acc = evaluate_classifier(
-      [&server](const Tensor& batch) { return server.infer(batch); },
+      [&scheduler](const Tensor& batch) { return scheduler.infer(batch); },
       test.images, test.labels);
-  server.wait_idle();  // settle the completion accounting before reading
-  const ServerMetrics metrics = server.metrics();
+  scheduler.wait_idle();  // settle the completion accounting before reading
+  const MetricsSnapshot metrics = scheduler.metrics_snapshot();
   std::printf(
       "served %llu images on %d workers in %llu micro-batches "
       "(avg fill %.1f): accuracy %.1f%%\n",
-      static_cast<unsigned long long>(metrics.images), server.worker_count(),
+      static_cast<unsigned long long>(metrics.served_images),
+      scheduler.worker_count(),
       static_cast<unsigned long long>(metrics.batches),
-      metrics.avg_microbatch(), 100.0 * served_acc);
+      metrics.avg_batch_occupancy, 100.0 * served_acc);
   return 0;
 }

@@ -8,7 +8,9 @@
 //   build/serve_from_plan --load PATH     # serve from an existing artifact
 //
 // The --save mode doubles as the CTest fixture that provides the golden
-// artifact for `ctest -L serde` (a true cross-process round trip).
+// artifact for `ctest -L serde` (a true cross-process round trip); the
+// argument-less round trip is a `serde` CTest of its own (exit 1 on a
+// bit-identity mismatch).
 
 #include <unistd.h>
 
@@ -20,8 +22,8 @@
 
 #include "nn/zoo.hpp"
 #include "runtime/execution_context.hpp"
-#include "runtime/inference_server.hpp"
 #include "runtime/plan_serde.hpp"
+#include "serve/scheduler.hpp"
 
 namespace {
 
@@ -81,21 +83,23 @@ std::unique_ptr<DeploymentPlan> build_plan(const ArtifactFlags& flags = {}) {
 }
 
 void serve_demo(const DeploymentPlan& plan) {
-  ServerOptions options;
+  SchedulerOptions options;
   options.max_microbatch = 4;
-  InferenceServer server(plan, options);
+  Scheduler scheduler(plan, options);
   Rng rng(99);
   Tensor traffic =
       Tensor::rand_uniform({16, 3, kImageSize, kImageSize}, rng, 0.0f, 1.0f);
-  (void)server.infer(traffic);
-  server.wait_idle();
-  const ServerMetrics metrics = server.metrics();
+  (void)scheduler.infer(traffic);
+  scheduler.wait_idle();
+  const MetricsSnapshot metrics = scheduler.metrics_snapshot();
   std::printf(
       "served %llu images on %d workers in %llu micro-batches, "
       "%.1f pJ/image macro energy\n",
-      static_cast<unsigned long long>(metrics.images), server.worker_count(),
+      static_cast<unsigned long long>(metrics.served_images),
+      scheduler.worker_count(),
       static_cast<unsigned long long>(metrics.batches),
-      server.total_energy_pj() / static_cast<double>(metrics.images));
+      scheduler.total_energy_pj() /
+          static_cast<double>(metrics.served_images));
 }
 
 int save_artifact(const std::string& path, const ArtifactFlags& flags) {

@@ -28,9 +28,9 @@ class Pool {
   }
 
   void run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    // Top-level regions may now arrive from several threads at once (the
-    // InferenceServer workers); serialize them so one region's fn_/n_
-    // cannot be overwritten while workers are still draining it.
+    // Top-level regions may arrive from several threads at once (each
+    // driving its own ExecutionContext); serialize them so one region's
+    // fn_/n_ cannot be overwritten while workers are still draining it.
     std::lock_guard submit_lock(submit_mutex_);
     std::unique_lock lock(mutex_);
     fn_ = &fn;

@@ -8,7 +8,7 @@
 //
 // Concurrency model: parallel_for may be entered from any thread; the
 // underlying pool serializes top-level regions. Code that already runs on
-// its own worker thread (e.g. the InferenceServer, which parallelizes
+// its own worker thread (e.g. a Scheduler worker, which parallelizes
 // across requests instead of within kernels) wraps itself in a
 // ParallelSerialGuard so nested kernels execute inline.
 

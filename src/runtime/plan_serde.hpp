@@ -100,7 +100,7 @@ void save_plan(const DeploymentPlan& plan, const std::string& path);
 
 /// Rebuild a servable plan from a .yolocplan artifact. No float model,
 /// no calibration images — the returned plan is immediately servable by
-/// ExecutionContext / InferenceServer. Throws std::runtime_error on
+/// ExecutionContext / Scheduler. Throws std::runtime_error on
 /// missing/truncated/corrupt/incompatible files.
 std::unique_ptr<DeploymentPlan> load_plan(const std::string& path);
 

@@ -154,13 +154,6 @@ class MetricsRegistry {
       const std::array<std::uint64_t, kPriorityClassCount>& queue_depths)
       const;
 
-  /// Convenience: snapshot() rendered as the Prometheus text format.
-  [[nodiscard]] std::string to_prometheus(
-      const std::array<std::uint64_t, kPriorityClassCount>& queue_depths)
-      const {
-    return snapshot(queue_depths).to_prometheus();
-  }
-
   /// Zero every counter, histogram and throughput slot (each under its
   /// own lock; safe concurrently with recording, though a snapshot
   /// racing a reset may see partially cleared state). The registry

@@ -288,6 +288,27 @@ std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
   return future;
 }
 
+Tensor Scheduler::infer(const Tensor& images) {
+  YOLOC_CHECK(images.rank() == 4 && images.shape()[0] >= 1,
+              "scheduler: rank-4 NCHW input required");
+  const int n = images.shape()[0];
+  std::vector<std::future<Tensor>> futures;
+  futures.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    futures.push_back(submit(slice_rows(images, i, 1)));
+  }
+  std::vector<Tensor> outputs;
+  outputs.reserve(futures.size());
+  for (auto& f : futures) outputs.push_back(f.get());
+  std::vector<const Tensor*> rows;
+  rows.reserve(outputs.size());
+  for (const Tensor& t : outputs) {
+    YOLOC_CHECK(t.shape()[0] == 1, "scheduler: unexpected output row");
+    rows.push_back(&t);
+  }
+  return concat_rows(rows);
+}
+
 void Scheduler::wait_idle() {
   std::unique_lock lock(mutex_);
   idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });

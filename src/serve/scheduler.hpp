@@ -25,8 +25,7 @@
 // later than the end of the shortest in-flight batch (or the next
 // submission, whichever comes first).
 //
-// Determinism contract (inherited from the FIFO InferenceServer it
-// replaces): each batch executes on a context reseeded with
+// Determinism contract: each batch executes on a context reseeded with
 // noise_seed + id of its FIRST request (ids are admission-ordered), and
 // per-batch stats merge in batch-formation order. With max_microbatch=1
 // and a single priority class, formation order equals admission order,
@@ -141,6 +140,11 @@ class Scheduler {
   /// error. Admission rejections resolve the future immediately and do
   /// NOT consume a request id.
   std::future<Tensor> submit(Tensor images, SubmitOptions options = {});
+
+  /// Synchronous convenience: split `images` (rank-4 NCHW) into
+  /// per-image batch-lane requests, serve them all, and re-stack the
+  /// outputs in submission order. Rethrows the first failed request.
+  Tensor infer(const Tensor& images);
 
   /// Block until every accepted request has resolved (served, failed,
   /// or expired) — futures fulfilled AND metrics/stats accounting

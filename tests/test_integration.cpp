@@ -1,14 +1,16 @@
-// Integration tests: full pipeline from trained float model through the
-// YOLoC framework (BN fold -> int8 -> analog macro inference), and the
-// transfer harness end to end at miniature scale.
+// Integration tests: full pipeline from trained float model through a
+// DeploymentPlan (BN fold -> int8 -> analog macro inference) served by an
+// ExecutionContext, and the transfer harness end to end at miniature
+// scale.
 
 #include <gtest/gtest.h>
 
-#include "core/yoloc_framework.hpp"
 #include "data/classification.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
 #include "rebranch/transfer.hpp"
+#include "runtime/deployment_plan.hpp"
+#include "runtime/execution_context.hpp"
 
 namespace yoloc {
 namespace {
@@ -52,6 +54,13 @@ TrainedModel train_mini_classifier() {
   return out;
 }
 
+/// Top-1 accuracy of the deployed (quantized, analog) model.
+double deployed_accuracy(ExecutionContext& ctx, const LabeledDataset& data) {
+  return evaluate_classifier(
+      [&ctx](const Tensor& batch) { return ctx.infer(batch); }, data.images,
+      data.labels);
+}
+
 TEST(Integration, FloatModelLearnsMiniTask) {
   const TrainedModel tm = train_mini_classifier();
   EXPECT_GT(tm.float_acc, 0.7);
@@ -66,44 +75,46 @@ TEST(Integration, AnalogDeploymentPreservesAccuracy) {
   }
   Tensor calib = gather_batch(tm.train.images,
                               {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
-  FrameworkOptions options;
-  YolocFramework framework(std::move(tm.net), calib, options);
-  EXPECT_GT(framework.quantized_layer_count(), 0);
+  const DeploymentPlan plan(std::move(tm.net), calib, DeploymentOptions{});
+  EXPECT_GT(plan.quantized_layer_count(), 0);
 
-  const double analog_acc = framework.evaluate_accuracy(tm.test);
+  ExecutionContext ctx(plan, /*noise_seed=*/2024);
+  const double analog_acc = deployed_accuracy(ctx, tm.test);
   // Paper: almost no accuracy loss from the CiM datapath.
   EXPECT_GT(analog_acc, tm.float_acc - 0.1);
 }
 
-TEST(Integration, FrameworkMetersEnergyOnBothMacros) {
+TEST(Integration, DeploymentMetersEnergyOnBothMacros) {
   TrainedModel tm = train_mini_classifier();
   for (Parameter* p : tm.net->parameters()) {
     p->rom_resident = p->name.find("backbone") != std::string::npos;
   }
   Tensor calib = gather_batch(tm.train.images, {0, 1, 2, 3});
-  YolocFramework framework(std::move(tm.net), calib, FrameworkOptions{});
-  EXPECT_DOUBLE_EQ(framework.total_energy_pj(), 0.0);  // reset after calib
+  const DeploymentPlan plan(std::move(tm.net), calib, DeploymentOptions{});
+  ExecutionContext ctx(plan, /*noise_seed=*/2024);
+  EXPECT_DOUBLE_EQ(ctx.total_energy_pj(), 0.0);  // calibration not metered
 
   Tensor batch = gather_batch(tm.test.images, {0, 1});
-  (void)framework.infer(batch);
-  EXPECT_GT(framework.rom_stats().energy_pj(), 0.0);
-  EXPECT_GT(framework.sram_stats().energy_pj(), 0.0);
-  EXPECT_GT(framework.rom_stats().macs, framework.sram_stats().macs);
+  (void)ctx.infer(batch);
+  EXPECT_GT(ctx.rom_stats().energy_pj(), 0.0);
+  EXPECT_GT(ctx.sram_stats().energy_pj(), 0.0);
+  EXPECT_GT(ctx.rom_stats().macs, ctx.sram_stats().macs);
 
-  framework.reset_stats();
-  EXPECT_DOUBLE_EQ(framework.total_energy_pj(), 0.0);
+  ctx.reset_stats();
+  EXPECT_DOUBLE_EQ(ctx.total_energy_pj(), 0.0);
 }
 
 TEST(Integration, EnergyScalesWithBatchSize) {
   TrainedModel tm = train_mini_classifier();
   Tensor calib = gather_batch(tm.train.images, {0, 1, 2, 3});
-  YolocFramework framework(std::move(tm.net), calib, FrameworkOptions{});
+  const DeploymentPlan plan(std::move(tm.net), calib, DeploymentOptions{});
+  ExecutionContext ctx(plan, /*noise_seed=*/2024);
 
-  (void)framework.infer(gather_batch(tm.test.images, {0}));
-  const double e1 = framework.total_energy_pj();
-  framework.reset_stats();
-  (void)framework.infer(gather_batch(tm.test.images, {0, 1, 2}));
-  const double e3 = framework.total_energy_pj();
+  (void)ctx.infer(gather_batch(tm.test.images, {0}));
+  const double e1 = ctx.total_energy_pj();
+  ctx.reset_stats();
+  (void)ctx.infer(gather_batch(tm.test.images, {0, 1, 2}));
+  const double e3 = ctx.total_energy_pj();
   EXPECT_NEAR(e3 / e1, 3.0, 0.4);
 }
 
@@ -138,14 +149,15 @@ TEST(Integration, AnalogNoiseSweepDegradesGracefully) {
   const double float_acc = tm.float_acc;
 
   // Extremely noisy cells should hurt more than nominal ones.
-  FrameworkOptions noisy;
+  DeploymentOptions noisy;
   noisy.rom_macro.bitline.sigma_cell = 0.5;
   noisy.sram_macro.bitline.sigma_cell = 0.5;
   noisy.rom_macro.adc.noise_sigma_v = 0.05;
   noisy.sram_macro.adc.noise_sigma_v = 0.05;
   Tensor calib = gather_batch(tm.train.images, {0, 1, 2, 3});
-  YolocFramework framework(std::move(tm.net), calib, noisy);
-  const double noisy_acc = framework.evaluate_accuracy(tm.test);
+  const DeploymentPlan plan(std::move(tm.net), calib, noisy);
+  ExecutionContext ctx(plan, /*noise_seed=*/2024);
+  const double noisy_acc = deployed_accuracy(ctx, tm.test);
   EXPECT_LE(noisy_acc, float_acc + 0.05);
 }
 

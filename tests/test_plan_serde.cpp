@@ -3,7 +3,7 @@
 // images) into a plan whose execute() outputs and merged stats are
 // bit-identical to the plan that saved it — for ROM-only and mixed
 // ROM+SRAM residency, serial and through the multi-threaded
-// InferenceServer. Every corruption path (bad magic, wrong version,
+// Scheduler. Every corruption path (bad magic, wrong version,
 // truncation, any flipped payload byte) must fail loudly, never load
 // into a silently wrong plan.
 
@@ -22,8 +22,8 @@
 #include "nn/pooling.hpp"
 #include "nn/quantize.hpp"
 #include "runtime/execution_context.hpp"
-#include "runtime/inference_server.hpp"
 #include "runtime/plan_serde.hpp"
+#include "serve/scheduler.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor_io.hpp"
 
@@ -164,20 +164,20 @@ TEST(PlanSerde, LoadedPlanServesBitIdenticallyThroughServer) {
 
   const int kRequests = 6;
   const auto xs = make_requests(kRequests);
-  ServerOptions options;
+  SchedulerOptions options;
   options.workers = 3;
   options.max_microbatch = 1;  // reproducible batch composition
   options.noise_seed = 777;
 
   auto serve = [&](const DeploymentPlan& plan, std::vector<Tensor>& out,
                    MacroRunStats& rom, MacroRunStats& sram) {
-    InferenceServer server(plan, options);
+    Scheduler scheduler(plan, options);
     std::vector<std::future<Tensor>> futures;
-    for (const Tensor& x : xs) futures.push_back(server.submit(x));
+    for (const Tensor& x : xs) futures.push_back(scheduler.submit(x));
     for (auto& f : futures) out.push_back(f.get());
-    server.wait_idle();
-    rom = server.rom_stats();
-    sram = server.sram_stats();
+    scheduler.wait_idle();
+    rom = scheduler.rom_stats();
+    sram = scheduler.sram_stats();
   };
 
   std::vector<Tensor> out_a, out_b;
@@ -206,15 +206,15 @@ TEST(PlanSerde, LoadedPlanServesMicrobatchedExactTraffic) {
   ExecutionContext ctx(*original, 1);
   Tensor reference = ctx.infer(images);
 
-  ServerOptions options;
+  SchedulerOptions options;
   options.workers = 2;
   options.max_microbatch = 4;
-  InferenceServer server(*loaded, options);
-  Tensor served = server.infer(images);
+  Scheduler scheduler(*loaded, options);
+  Tensor served = scheduler.infer(images);
   EXPECT_TRUE(bit_identical(reference, served));
-  server.wait_idle();
-  EXPECT_EQ(ctx.rom_stats().macs, server.rom_stats().macs);
-  EXPECT_EQ(ctx.sram_stats().macs, server.sram_stats().macs);
+  scheduler.wait_idle();
+  EXPECT_EQ(ctx.rom_stats().macs, scheduler.rom_stats().macs);
+  EXPECT_EQ(ctx.sram_stats().macs, scheduler.sram_stats().macs);
 }
 
 TEST(PlanSerde, LoadPathNeedsNoCalibrationImages) {

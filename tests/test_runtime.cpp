@@ -1,7 +1,7 @@
 // Runtime concurrency tests: the deploy/serve split must make a shared
 // DeploymentPlan fully reentrant — N threads with per-context seeds
 // produce bit-identical outputs and stats to serial execution — and the
-// InferenceServer must preserve that determinism through its queue.
+// Scheduler must preserve that determinism through its queue.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "core/yoloc_framework.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
@@ -20,7 +19,7 @@
 #include "nn/pooling.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
-#include "runtime/inference_server.hpp"
+#include "serve/scheduler.hpp"
 #include "tensor/ops.hpp"
 
 namespace yoloc {
@@ -211,24 +210,6 @@ TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
   }
 }
 
-TEST(Runtime, FacadeMatchesBareRuntime) {
-  Rng data_rng(33);
-  Tensor calib = Tensor::rand_uniform({8, 3, 8, 8}, data_rng, 0.0f, 1.0f);
-  FrameworkOptions fw_options;
-  fw_options.noise_seed = 4242;
-  YolocFramework framework(make_model(21), calib, fw_options);
-
-  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
-  ExecutionContext ctx(*plan, 4242);
-
-  const auto xs = make_requests(1);
-  Tensor via_facade = framework.infer(xs[0]);
-  Tensor via_runtime = ctx.infer(xs[0]);
-  EXPECT_TRUE(bit_identical(via_facade, via_runtime));
-  EXPECT_EQ(framework.total_energy_pj(), ctx.total_energy_pj());
-  EXPECT_EQ(framework.quantized_layer_count(), 3);
-}
-
 TEST(Runtime, ServerMatchesSerialAtMicrobatchOne) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
   const int kRequests = 6;
@@ -246,27 +227,29 @@ TEST(Runtime, ServerMatchesSerialAtMicrobatchOne) {
     serial_sram.accumulate(ctx.sram_stats());
   }
 
-  ServerOptions options;
+  SchedulerOptions options;
   options.workers = 3;
   options.max_microbatch = 1;
   options.noise_seed = kSeed;
-  InferenceServer server(*plan, options);
+  Scheduler scheduler(*plan, options);
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(server.submit(xs[static_cast<std::size_t>(i)]));
+    futures.push_back(scheduler.submit(xs[static_cast<std::size_t>(i)]));
   }
   for (int i = 0; i < kRequests; ++i) {
     Tensor out = futures[static_cast<std::size_t>(i)].get();
     EXPECT_TRUE(bit_identical(serial_out[static_cast<std::size_t>(i)], out))
         << "request " << i;
   }
-  server.wait_idle();
-  expect_stats_identical(serial_rom, server.rom_stats());
-  expect_stats_identical(serial_sram, server.sram_stats());
+  scheduler.wait_idle();
+  expect_stats_identical(serial_rom, scheduler.rom_stats());
+  expect_stats_identical(serial_sram, scheduler.sram_stats());
 
-  const ServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(metrics.images, static_cast<std::uint64_t>(kRequests));
+  const MetricsSnapshot metrics = scheduler.metrics_snapshot();
+  const ClassSnapshot& batch_lane =
+      metrics.classes[static_cast<std::size_t>(Priority::kBatch)];
+  EXPECT_EQ(batch_lane.served_requests, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(batch_lane.served_images, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(metrics.batches, static_cast<std::uint64_t>(kRequests));
 }
 
@@ -281,43 +264,48 @@ TEST(Runtime, ServerMicrobatchingPreservesExactOutputs) {
   ExecutionContext ctx(*plan, 1);
   Tensor reference = ctx.infer(images);
 
-  ServerOptions options;
+  SchedulerOptions options;
   options.workers = 2;
   options.max_microbatch = 4;
-  InferenceServer server(*plan, options);
-  Tensor served = server.infer(images);
+  Scheduler scheduler(*plan, options);
+  Tensor served = scheduler.infer(images);
   EXPECT_TRUE(bit_identical(reference, served));
 
-  server.wait_idle();
-  const ServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.images, static_cast<std::uint64_t>(kImages));
-  EXPECT_LE(metrics.batches, metrics.requests);
+  scheduler.wait_idle();
+  const MetricsSnapshot metrics = scheduler.metrics_snapshot();
+  const ClassSnapshot& batch_lane =
+      metrics.classes[static_cast<std::size_t>(Priority::kBatch)];
+  EXPECT_EQ(batch_lane.served_images, static_cast<std::uint64_t>(kImages));
+  EXPECT_LE(metrics.batches, batch_lane.served_requests);
   // Cost totals match the single-pass reference up to summation order.
-  EXPECT_EQ(ctx.rom_stats().macs, server.rom_stats().macs);
-  EXPECT_EQ(ctx.sram_stats().macs, server.sram_stats().macs);
-  EXPECT_NEAR(ctx.total_energy_pj(), server.total_energy_pj(),
+  EXPECT_EQ(ctx.rom_stats().macs, scheduler.rom_stats().macs);
+  EXPECT_EQ(ctx.sram_stats().macs, scheduler.sram_stats().macs);
+  EXPECT_NEAR(ctx.total_energy_pj(), scheduler.total_energy_pj(),
               1e-9 * ctx.total_energy_pj());
 }
 
 TEST(Runtime, ServerRejectsMalformedRequests) {
   auto plan = make_plan(MacroMvmEngine::Mode::kExactCost);
-  InferenceServer server(*plan, {});
+  Scheduler scheduler(*plan, {});
   Rng rng(3);
   Tensor bad = Tensor::rand_uniform({4, 4}, rng, 0.0f, 1.0f);
-  EXPECT_THROW((void)server.submit(bad), std::runtime_error);
+  EXPECT_THROW((void)scheduler.submit(bad), std::runtime_error);
+  EXPECT_THROW((void)scheduler.infer(bad), std::runtime_error);
 
   // A request that passes admission but fails in the model (wrong channel
   // count) must surface through the future and count only as a failure —
   // served-image metrics and energy totals stay clean.
   Tensor wrong_channels = Tensor::rand_uniform({1, 5, 8, 8}, rng, 0.0f, 1.0f);
-  auto future = server.submit(wrong_channels);
+  auto future = scheduler.submit(wrong_channels);
   EXPECT_THROW((void)future.get(), std::runtime_error);
-  server.wait_idle();
-  const ServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.failed_requests, 1u);
-  EXPECT_EQ(metrics.requests, 0u);
-  EXPECT_EQ(metrics.images, 0u);
-  EXPECT_EQ(server.total_energy_pj(), 0.0);
+  scheduler.wait_idle();
+  const MetricsSnapshot metrics = scheduler.metrics_snapshot();
+  const ClassSnapshot& batch_lane =
+      metrics.classes[static_cast<std::size_t>(Priority::kBatch)];
+  EXPECT_EQ(batch_lane.failed_requests, 1u);
+  EXPECT_EQ(batch_lane.served_requests, 0u);
+  EXPECT_EQ(batch_lane.served_images, 0u);
+  EXPECT_EQ(scheduler.total_energy_pj(), 0.0);
 }
 
 TEST(Runtime, SurvivingBatchNormIsEvalSafe) {

@@ -31,7 +31,6 @@
 #include "nn/pooling.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
-#include "runtime/inference_server.hpp"
 #include "serve/metrics_registry.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/scheduler.hpp"
@@ -1217,26 +1216,6 @@ TEST(Prometheus, ConcurrentScrapesUnderTrafficStayWellFormed) {
   EXPECT_EQ(failures.load(), 0);
   // The run did both things at once: traffic flowed AND scrapes read it.
   EXPECT_GT(scheduler.metrics_snapshot().served_requests, 0u);
-}
-
-TEST(InferenceServer, FacadeAggregatesSchedulerFailuresIntoLegacyMetrics) {
-  auto plan = make_plan(MacroMvmEngine::Mode::kExactCost);
-  InferenceServer server(*plan, {});
-  // Expired-at-admission requests surface in the legacy failed counter.
-  auto dead = server.submit(make_input(1, {1, 3, 8, 8}),
-                            {Priority::kInteractive, -milliseconds(1)});
-  EXPECT_THROW((void)dead.get(), DeadlineExpiredError);
-  (void)server.infer(make_input(2, {3, 3, 8, 8}));
-  server.wait_idle();
-
-  const ServerMetrics m = server.metrics();
-  EXPECT_EQ(m.requests, 3u);
-  EXPECT_EQ(m.images, 3u);
-  EXPECT_EQ(m.failed_requests, 1u);
-  EXPECT_EQ(server.metrics_snapshot()
-                .classes[static_cast<std::size_t>(Priority::kInteractive)]
-                .rejected_requests,
-            1u);
 }
 
 }  // namespace

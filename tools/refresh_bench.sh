@@ -6,17 +6,15 @@
 # Runs the two always-available self-timed benches and rewrites
 #   bench/BENCH_macro_mvm.json        (one JSON line per kernel cell)
 #   bench/BENCH_serving.json          (one JSON line per serving config)
-#   bench/BENCH_http_serving.json     (one JSON line per loadgen scenario)
 #   bench/BENCH_fault_resilience.json (one JSON line per resilience config)
 # keeping only the JSON lines (stdout commentary is dropped), so the
 # committed snapshots stay machine-diffable. Wired as the `bench` CMake
 # target: `cmake --build build --target bench` refreshes all files.
 #
-# The HTTP section stands up a real yoloc_serve (ephemeral port, plan
-# written by serve_from_plan --save) and drives it with yoloc_loadgen:
-# one closed-loop capacity row, one open-loop row paced below capacity
-# (zero 5xx expected), one open-loop row over a deliberately tiny
-# admission queue (429s expected — exercising the shed path).
+# The fault-resilience section stands up a real yoloc_serve (ephemeral
+# port, plans written by serve_from_plan --save) and drives it with
+# yoloc_loadgen, one closed-loop row per resilience config. Live HTTP
+# throughput and latency are measured by perfbench/run.py instead.
 #
 # Snapshots are a perf *trajectory*, not a CI gate: absolute numbers move
 # with the host, but the within-file ratios (packed-vs-legacy speedup,
@@ -51,9 +49,10 @@ echo "refresh_bench: bench_serving_throughput --seconds=$seconds" >&2
 "$build/bench_serving_throughput" --seconds="$seconds" \
   | grep '^{' > "$out/BENCH_serving.json"
 
-# ------------------------------------------------------------ HTTP serving
+# ------------------------------------------------------- live HTTP server
 # Drives a live yoloc_serve over loopback. Durations scale with the
-# per-cell budget (40x, floor 1 s) so a default refresh spends ~6 s here.
+# per-cell budget (40x, floor 1 s): a default refresh spends ~1 s per
+# scenario here.
 http_seconds=$(awk -v s="$seconds" 'BEGIN { d = s * 40; if (d < 1) d = 1; printf "%.1f", d }')
 workdir=$(mktemp -d)
 server_pid=""
@@ -89,39 +88,7 @@ stop_server() {
   server_pid=""
 }
 
-tag_row() {  # tag_row <scenario> <row-file> -> appends annotated row
-  sed "s/^{\"bench\":\"http_serving\",/{\"bench\":\"http_serving\",\"scenario\":\"$1\",/" \
-      "$2" >> "$out/BENCH_http_serving.json"
-}
-
-echo "refresh_bench: http serving ($http_seconds s per scenario)" >&2
 "$build/serve_from_plan" --save "$workdir/bench.yolocplan" >/dev/null
-: > "$out/BENCH_http_serving.json"
-
-# Capacity: closed loop against a generous queue.
-start_server --max-queue-depth 256
-"$build/yoloc_loadgen" --port-file "$port_file" --mode closed \
-    --concurrency 4 --duration-s "$http_seconds" --priority-mix 2,1,1 \
-    | grep '^{' > "$workdir/closed.json"
-tag_row closed_capacity "$workdir/closed.json"
-capacity=$(sed 's/.*"images_per_s":\([0-9.]*\).*/\1/' "$workdir/closed.json")
-
-# Open loop below capacity: zero 5xx expected under the admission limit.
-under_rate=$(awk -v c="$capacity" 'BEGIN { r = c * 0.5; if (r < 1) r = 1; printf "%.0f", r }')
-"$build/yoloc_loadgen" --port-file "$port_file" --mode open \
-    --rate "$under_rate" --concurrency 4 --duration-s "$http_seconds" \
-    --priority-mix 2,1,1 | grep '^{' > "$workdir/under.json"
-tag_row open_under_capacity "$workdir/under.json"
-stop_server
-
-# Open loop over a tiny admission queue: 429s expected, not collapse.
-start_server --max-queue-depth 2
-over_rate=$(awk -v c="$capacity" 'BEGIN { r = c * 3; if (r < 10) r = 10; printf "%.0f", r }')
-"$build/yoloc_loadgen" --port-file "$port_file" --mode open \
-    --rate "$over_rate" --concurrency 4 --duration-s "$http_seconds" \
-    --priority-mix 2,1,1 | grep '^{' > "$workdir/over.json"
-tag_row open_over_tiny_queue "$workdir/over.json"
-stop_server
 
 # ------------------------------------------------------ fault resilience
 # One closed-loop probe against four resilience configs of the SAME
@@ -186,5 +153,4 @@ stop_server
 
 echo "refresh_bench: wrote $(wc -l < "$out/BENCH_macro_mvm.json") macro rows," \
      "$(wc -l < "$out/BENCH_serving.json") serving rows," \
-     "$(wc -l < "$out/BENCH_http_serving.json") http rows," \
      "$(wc -l < "$out/BENCH_fault_resilience.json") resilience rows into $out" >&2

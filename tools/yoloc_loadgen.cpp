@@ -7,7 +7,7 @@
 //   build/yoloc_loadgen --port 8080 --mode open --rate 200 --duration-s 10
 //
 // Emits one JSON summary line on stdout (grep '^{'), the shape
-// refresh_bench.sh snapshots into bench/BENCH_http_serving.json:
+// refresh_bench.sh snapshots into bench/BENCH_fault_resilience.json:
 // requests / ok / err_429 / err_503 / err_other / error_rate /
 // images_per_s / p50_ms / p99_ms.
 
