@@ -1,6 +1,8 @@
-// Kernel-level throughput of the CiM macro MVM: packed (deploy-time
-// weight bit-plane packing, PR "ROM packing") vs legacy (per-call mask
-// derivation — the pre-packing baseline, still compiled unchanged) across
+// Kernel-level throughput of the CiM macro MVM: packed (MacroMvmEngine
+// over its deploy-time weight bit-plane packing) vs legacy (the test-side
+// per-call tiler of tests/reference_macro_engine.hpp, which re-derives
+// the weight masks through CimMacro::mvm / mvm_exact_cost on every
+// column — the pre-packing baseline) across
 // {rows, input_bits, weight_bits} geometries, in analog mode with the
 // default ROM noise, in noise-free analog mode (sigma_cell = 0,
 // adc noise = 0 — the configuration every fidelity test runs), and in
@@ -16,7 +18,9 @@
 // Before timing, each configuration asserts the packed outputs and run
 // stats are bit-identical to the legacy path under the same seed, and in
 // noisy analog mode that both sessions' next RNG draw agrees — the bench
-// refuses to report a speedup for a kernel that changed results. Packed
+// refuses to report a speedup for a kernel that changed results, and
+// exits 1 (`--seconds=0` runs just that check on every cell; ctest runs
+// it as bench_macro_mvm_selfcheck). Packed
 // rows carry "popcount":"hw"|"portable" and "gemm":"avx2"|"portable", the
 // variants the packed analog kernels and the exact-cost tile selected on
 // this host (macro/packed_kernels.hpp).
@@ -32,6 +36,7 @@
 
 #include "core/macro_engine.hpp"
 #include "macro/packed_kernels.hpp"
+#include "reference_macro_engine.hpp"
 
 namespace {
 
@@ -53,8 +58,6 @@ struct Variant {
 struct Measurement {
   double seconds = 0.0;
   std::uint64_t columns = 0;
-  double pack_ms = 0.0;
-  std::size_t packed_bytes = 0;
 };
 
 MacroConfig make_config(const Geometry& geom, bool noise_free) {
@@ -73,22 +76,7 @@ MacroConfig make_config(const Geometry& geom, bool noise_free) {
   return cfg;
 }
 
-/// True when outputs AND every modeled stat agree exactly.
-bool bit_identical(const std::vector<std::int32_t>& ya,
-                   const std::vector<std::int32_t>& yb,
-                   const MacroRunStats& sa, const MacroRunStats& sb) {
-  return ya == yb && sa.array.adc_conversions == sb.array.adc_conversions &&
-         sa.array.wl_pulses == sb.array.wl_pulses &&
-         sa.array.shift_adds == sb.array.shift_adds &&
-         sa.array.adc_energy_pj == sb.array.adc_energy_pj &&
-         sa.array.precharge_energy_pj == sb.array.precharge_energy_pj &&
-         sa.array.wl_energy_pj == sb.array.wl_energy_pj &&
-         sa.array.shift_add_energy_pj == sb.array.shift_add_energy_pj &&
-         sa.macro_ops == sb.macro_ops && sa.macs == sb.macs &&
-         sa.latency_ns == sb.latency_ns;
-}
-
-Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
+Measurement run_path(const MvmEngine& engine, int m, int k, int p,
                      const std::vector<std::int8_t>& w,
                      const std::vector<std::uint8_t>& x, double min_seconds) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
@@ -109,10 +97,6 @@ Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
     if (out.seconds >= min_seconds && iters >= 3) break;
   }
   out.columns = static_cast<std::uint64_t>(iters) * p;
-  if (const PackedWeightsCache* cache = engine.packed_cache()) {
-    out.pack_ms = cache->total_pack_ms();
-    out.packed_bytes = cache->packed_bytes();
-  }
   return out;
 }
 
@@ -132,9 +116,9 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
   }
   const MacroConfig cfg = make_config(geom, variant.noise_free);
   const CimMacro macro(cfg);
-  PackedWeightsCache cache;
-  const MacroMvmEngine legacy(macro, variant.mode);
-  const MacroMvmEngine packed(macro, variant.mode, &cache);
+  const ReferenceMacroEngine legacy(macro, variant.mode);
+  MacroMvmEngine packed(macro, variant.mode);
+  (void)packed.pack(w.data(), m, k);
 
   // Refuse to time a kernel whose results changed.
   {
@@ -154,7 +138,7 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
                        !macro.noise_free();
     const bool same_next_draw =
         !noisy || (ra.normal() == rb.normal() && ra() == rb());
-    if (!bit_identical(ya, yb, sa, sb) || !same_next_draw) {
+    if (ya != yb || sa != sb || !same_next_draw) {
       std::fprintf(stderr,
                    "FATAL: packed path diverged from legacy at "
                    "rows=%d ib=%d wb=%d variant=%s p=%d\n",
@@ -189,7 +173,8 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
       "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
       "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\",\"gemm\":\"%s\"}\n",
       variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-      p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
+      p, packed_ns_per_mac, packed_cols_s, packed.packed().total_pack_ms(),
+      packed.packed().packed_bytes(),
       packed_cols_s / legacy_cols_s, detail::packed_kernels().popcount,
       detail::exact_tile_kernels().gemm);
   std::fflush(stdout);

@@ -45,6 +45,9 @@ struct ArrayReadStats {
            shift_add_energy_pj;
   }
   void accumulate(const ArrayReadStats& other);
+  /// Field-wise and exact (doubles compare by value, not within a
+  /// tolerance): the bit-identity contract between execution paths.
+  bool operator==(const ArrayReadStats&) const = default;
 };
 
 /// Per-column ADC transfer drift (fault injection, macro/fault_model.*):

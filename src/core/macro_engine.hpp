@@ -9,28 +9,29 @@
 // simultaneously (a) task accuracy under analog non-idealities and
 // (b) measured compute energy per inference.
 //
-// The engine itself is immutable and reentrant: it holds only the macro
-// model, the mode, and (optionally) a pointer to a PackedWeightsCache.
-// The noise RNG stream and the run statistics travel in the caller's
-// MvmSession, so any number of requests can execute through one engine
-// concurrently, each with its own session. Because a session is REQUIRED
-// (stats always, rng in analog mode), this engine cannot be direct-bound
+// The engine owns the frozen ROM packing of every weight matrix it
+// serves: pack() expands a layer's weights into their macro-native
+// bit-plane layout once (a DeploymentPlan packs every quantized layer at
+// construction — the software analogue of committing the ROM mask at
+// tape-out), and mvm_batch only looks that packing up. After packing the
+// engine is immutable and reentrant: the noise RNG stream, the run
+// statistics and the scratch buffers travel in the caller's MvmSession,
+// so any number of requests can execute through one engine concurrently,
+// each with its own session. Because a session is REQUIRED (stats and
+// scratch always, rng in analog mode), this engine cannot be direct-bound
 // to quantized layers the way the sessionless ExactMvmEngine can — drive
 // it through an ExecutionContext / MvmBinding (src/runtime/), which wires
 // a session per request.
 //
-// Fast path: when a cache is attached, mvm_batch resolves (or builds,
-// once) the PackedRomWeights for the layer's weight buffer. Analog mode
-// drives CimMacro::mvm_packed per (k-tile, column); exact-cost mode makes
-// one CimMacro::mvm_packed_exact_cost_tile call per k-tile, which reads
-// the k x p activations and accumulates the m x p outputs in place (an
-// int8 GEMM over all columns, on AVX2 vpmaddwd where the CPU has it and
-// on the plain body otherwise). Both are bit-identical to the legacy
-// per-call path — outputs, every MacroRunStats sum and the RNG draw
-// order — so deployments can switch packing on without changing a
-// single output. Without a cache the engine behaves exactly as before
-// the packing existed (the pre-packing baseline the macro bench and the
-// parity tests compare against).
+// Analog mode drives CimMacro::mvm_packed per (k-tile, column);
+// exact-cost mode makes one CimMacro::mvm_packed_exact_cost_tile call per
+// k-tile, which reads the k x p activations and accumulates the m x p
+// outputs in place (an int8 GEMM over all columns, on AVX2 vpmaddwd where
+// the CPU has it and on the plain body otherwise). Both are bit-identical
+// to tiling the same MVM over per-call CimMacro::mvm / mvm_exact_cost —
+// outputs, every MacroRunStats sum and the RNG draw order; the tests and
+// the macro bench keep that per-call tiler as an oracle
+// (tests/reference_macro_engine.hpp).
 
 #include "macro/cim_macro.hpp"
 #include "macro/packed_weights.hpp"
@@ -45,31 +46,35 @@ class MacroMvmEngine final : public MvmEngine {
     kExactCost,  // bit-exact math, modeled cost (cost-only studies)
   };
 
-  /// `packed_cache`, when non-null, must outlive the engine and be
-  /// dedicated to this macro's geometry (a DeploymentPlan owns one per
-  /// engine). Null disables the packed fast path.
-  MacroMvmEngine(const CimMacro& macro, Mode mode,
-                 const PackedWeightsCache* packed_cache = nullptr);
+  /// `macro` must outlive the engine.
+  MacroMvmEngine(const CimMacro& macro, Mode mode);
+
+  /// Packs the (m x k) weight buffer `w` for this engine's macro geometry
+  /// and mode (exact-cost keeps only the tile boundaries). Must be called
+  /// for every weight buffer before mvm_batch sees it, and never while
+  /// mvm_batch runs; `w` must stay alive and unchanged for the engine's
+  /// lifetime.
+  const PackedRomWeights& pack(const std::int8_t* w, int m, int k);
 
   // Note: the base class's sessionless mvm_batch convenience is
   // deliberately NOT re-exposed — this engine requires a session, so the
   // hidden overload turns a guaranteed runtime throw into a compile error.
 
-  /// Requires session.stats; kAnalog additionally requires session.rng.
+  /// Requires session.stats and session.scratch; kAnalog additionally
+  /// requires session.rng. `w` must have been packed (pack()).
   void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
                  int p, std::int32_t* y, MvmSession& session) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const CimMacro& macro() const { return *macro_; }
   [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] const PackedWeightsCache* packed_cache() const {
-    return packed_cache_;
-  }
+  /// Every packing built by pack() (entry count, resident bytes, cost).
+  [[nodiscard]] const PackedWeightsCache& packed() const { return packed_; }
 
  private:
   const CimMacro* macro_;
   Mode mode_;
-  const PackedWeightsCache* packed_cache_;
+  PackedWeightsCache packed_;
 };
 
 }  // namespace yoloc

@@ -18,19 +18,23 @@
 // wordlines) and the cost constants.
 //
 // Two functional paths exist per mode:
-//   * mvm / mvm_exact_cost: the legacy per-call path that derives weight
-//     bit-planes from the raw int8 buffer on every call.
-//   * mvm_packed / mvm_packed_exact_cost_tile: the deploy-time fast path
-//     over a PackedRomWeights tile (one column per analog call; every
-//     column of the tile per exact-cost call). Bit-identical to the
-//     legacy path — same outputs, same stats, and (in analog mode) the
-//     same RNG draw order (j, b, t, grp) — just without re-deriving what
-//     ROM weights cannot change. When the config is noise-free
-//     (sigma_cell == 0 AND adc.noise_sigma_v == 0) the packed analog path
-//     additionally skips the zero-scaled noise draws and reads the ADC
-//     transfer from a precomputed count -> estimate table; outputs and
-//     stats stay bit-identical (every skipped draw was multiplied by 0),
-//     but the session RNG is no longer advanced by such calls.
+//   * mvm / mvm_exact_cost: the per-call reference that derives weight
+//     bit-planes from the raw int8 buffer on every call. The circuit
+//     benches and macro_spec call it directly on single tiles, and it is
+//     the specification the packed path is tested against (the tests'
+//     per-call tiler, tests/reference_macro_engine.hpp, drives it).
+//   * mvm_packed / mvm_packed_exact_cost_tile: the deploy-time path over
+//     a PackedRomWeights tile (one column per analog call; every column
+//     of the tile per exact-cost call) — the only path MacroMvmEngine
+//     runs. Bit-identical to the per-call path — same outputs, same
+//     stats, and (in analog mode) the same RNG draw order (j, b, t, grp)
+//     — just without re-deriving what ROM weights cannot change. When
+//     the config is noise-free (sigma_cell == 0 AND adc.noise_sigma_v ==
+//     0) the packed analog path additionally skips the zero-scaled noise
+//     draws and reads the ADC transfer from a precomputed count ->
+//     estimate table; outputs and stats stay bit-identical (every skipped
+//     draw was multiplied by 0), but the session RNG is no longer
+//     advanced by such calls.
 
 #include <array>
 #include <cstdint>
@@ -51,6 +55,8 @@ struct MacroRunStats {
   double latency_ns = 0.0;       // serialized conversion slots
   [[nodiscard]] double energy_pj() const { return array.total_energy_pj(); }
   void accumulate(const MacroRunStats& other);
+  /// Exact field-wise equality (see ArrayReadStats::operator==).
+  bool operator==(const MacroRunStats&) const = default;
 };
 
 class CimMacro {

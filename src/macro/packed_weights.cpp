@@ -1,6 +1,7 @@
 #include "macro/packed_weights.hpp"
 
 #include <chrono>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -103,51 +104,38 @@ std::array<std::int8_t, 3> sample_weights(const std::int8_t* w, int m,
 
 }  // namespace
 
-const PackedRomWeights& PackedWeightsCache::get_or_pack(
+const PackedRomWeights& PackedWeightsCache::add(
     const std::int8_t* w, int m, int k, const MacroGeometry& geometry,
-    bool pack_planes) const {
-  const Key key{w, m, k};
-  {
-    std::shared_lock lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      const PackedRomWeights& packed = *it->second.packed;
-      YOLOC_CHECK(packed.rows() == geometry.rows &&
-                      packed.weight_bits() == geometry.weight_bits &&
-                      packed.input_bits() == geometry.input_bits &&
-                      packed.rows_per_activation() ==
-                          geometry.rows_per_activation &&
-                      packed.has_planes() == pack_planes,
-                  "packed weights cache: one cache serves one macro "
-                  "geometry/mode — use a separate cache per engine");
-      // Tripwire for the documented lifetime invariant (cached buffers
-      // must outlive the cache): a reallocated buffer with different
-      // contents at the same address fails loudly here instead of
-      // computing with stale bit-planes.
-      YOLOC_CHECK(it->second.sample == sample_weights(w, m, k),
-                  "packed weights cache: weight buffer contents changed "
-                  "under a cached key — the buffer must stay alive and "
-                  "immutable for the cache's lifetime");
-      return packed;
-    }
-  }
-  // Pack outside the lock (packing is deterministic, so a racing
-  // duplicate is just discarded by try_emplace).
+    bool pack_planes) {
+  if (entries_.contains(Key{w, m, k})) return find(w, m, k);
   auto packed =
       std::make_unique<PackedRomWeights>(w, m, k, geometry, pack_planes);
-  std::unique_lock lock(mutex_);
-  auto [it, inserted] = entries_.try_emplace(
-      key, Entry{std::move(packed), sample_weights(w, m, k)});
+  const auto [it, inserted] = entries_.emplace(
+      Key{w, m, k}, Entry{std::move(packed), sample_weights(w, m, k)});
   return *it->second.packed;
 }
 
-std::size_t PackedWeightsCache::entries() const {
-  std::shared_lock lock(mutex_);
-  return entries_.size();
+const PackedRomWeights& PackedWeightsCache::find(const std::int8_t* w, int m,
+                                                 int k) const {
+  const auto it = entries_.find(Key{w, m, k});
+  YOLOC_CHECK(it != entries_.end(),
+              "packed weights cache: no packing for a " + std::to_string(m) +
+                  " x " + std::to_string(k) +
+                  " weight buffer — pack() every layer before serving");
+  // Tripwire for the documented lifetime invariant (packed buffers must
+  // outlive the cache): a reallocated buffer with different contents at
+  // the same address fails loudly here instead of computing with stale
+  // bit-planes.
+  YOLOC_CHECK(it->second.sample == sample_weights(w, m, k),
+              "packed weights cache: weight buffer contents changed "
+              "under a packed key — the buffer must stay alive and "
+              "immutable for the cache's lifetime");
+  return *it->second.packed;
 }
 
+std::size_t PackedWeightsCache::entries() const { return entries_.size(); }
+
 std::size_t PackedWeightsCache::packed_bytes() const {
-  std::shared_lock lock(mutex_);
   std::size_t total = 0;
   for (const auto& [key, entry] : entries_) {
     total += entry.packed->packed_bytes();
@@ -156,7 +144,6 @@ std::size_t PackedWeightsCache::packed_bytes() const {
 }
 
 double PackedWeightsCache::total_pack_ms() const {
-  std::shared_lock lock(mutex_);
   double total = 0.0;
   for (const auto& [key, entry] : entries_) total += entry.packed->pack_ms();
   return total;

@@ -1,14 +1,13 @@
 #pragma once
-// Deploy-time ROM weight packing (the fast-path counterpart of
+// Deploy-time ROM weight packing (the serving counterpart of
 // macro/cim_macro.*).
 //
 // The premise of ROM-based CiM is that weights are immutable after
 // tape-out: the bit-sliced column pattern a weight matrix occupies in the
-// subarray is fixed for the lifetime of the chip. The legacy
-// CimMacro::mvm nevertheless re-derived every output row's weight
-// bit-plane masks for every im2col column of every request —
-// O(m * k * weight_bits) redundant work per column that dwarfs the
-// popcount + ADC math it feeds.
+// subarray is fixed for the lifetime of the chip. The per-call reference
+// CimMacro::mvm re-derives every output row's weight bit-plane masks on
+// every call — per im2col column, O(m * k * weight_bits) redundant work
+// that dwarfs the popcount + ADC math it feeds.
 //
 // PackedRomWeights performs that expansion exactly once per (weight
 // buffer, macro geometry): per subarray row-tile it stores each output
@@ -19,18 +18,16 @@
 // construction and is shared read-only by every ExecutionContext serving
 // the plan — only activations move at serve time.
 //
-// PackedWeightsCache maps a layer's weight buffer to its packing. A
-// DeploymentPlan owns one cache per macro engine and pre-packs every
-// quantized layer at lowering/load time; the cache also packs lazily (under
-// a shared_mutex) so standalone engine users get the fast path on first
-// touch.
+// PackedWeightsCache maps a layer's weight buffer to its packing. Each
+// MacroMvmEngine owns one and fills it through MacroMvmEngine::pack
+// before serving (a DeploymentPlan packs every quantized layer at
+// lowering/load time); afterwards the table is frozen and read without
+// a lock.
 
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -39,7 +36,7 @@
 namespace yoloc {
 
 /// 128 rows fit two 64-bit lanes; mask type for subarray row bitsets.
-/// (Shared by the legacy per-call path in cim_macro.cpp and the packed
+/// (Shared by the per-call reference path in cim_macro.cpp and the packed
 /// representation below.)
 struct RowMask {
   std::uint64_t lane[2] = {0, 0};
@@ -165,29 +162,34 @@ class PackedRomWeights {
   std::size_t packed_bytes_ = 0;
 };
 
-/// Concurrent read-mostly registry: weight buffer -> packing. Keyed by
-/// (data pointer, m, k); one cache serves exactly one macro geometry (a
-/// DeploymentPlan owns one per engine), which a geometry check enforces
-/// on every hit. Entries are never evicted — the backing weight buffers
-/// live as long as the plan that owns this cache.
+/// Weight buffer -> packing, keyed by (data pointer, m, k). Filled once
+/// by its owning engine (MacroMvmEngine::pack) for that engine's one
+/// macro geometry, then only read: find() takes no lock, so concurrent
+/// readers are safe as long as nothing is added while they run. Entries
+/// are never evicted — the backing weight buffers live as long as the
+/// plan whose engines own the tables.
 class PackedWeightsCache {
  public:
   PackedWeightsCache() = default;
   PackedWeightsCache(const PackedWeightsCache&) = delete;
   PackedWeightsCache& operator=(const PackedWeightsCache&) = delete;
 
-  /// Returns the packing for `w`, building it on first touch. Safe to
-  /// call concurrently; callers may retain the reference for the
-  /// lifetime of the cache. `pack_planes = false` requests the
-  /// boundaries-only packing (exact-cost engines). A cheap sampled
-  /// content check runs on every hit: it turns the most likely form of
-  /// key-aliasing (a freed weight buffer reallocated at the same
-  /// address with different contents) into a loud error instead of
-  /// silently stale bit-planes — the real invariant remains that cached
-  /// weight buffers outlive the cache, as plan-owned caches guarantee.
-  const PackedRomWeights& get_or_pack(const std::int8_t* w, int m, int k,
-                                      const MacroGeometry& geometry,
-                                      bool pack_planes = true) const;
+  /// Packs `w` (or returns the existing entry for the same key). The
+  /// returned reference stays valid for the lifetime of the cache.
+  /// `pack_planes = false` builds the boundaries-only packing
+  /// (exact-cost engines).
+  const PackedRomWeights& add(const std::int8_t* w, int m, int k,
+                              const MacroGeometry& geometry,
+                              bool pack_planes);
+
+  /// The packing of `w`; a buffer that was never added fails loudly. A
+  /// cheap sampled content check runs on every lookup: it turns the most
+  /// likely form of key-aliasing (a freed weight buffer reallocated at
+  /// the same address with different contents) into a loud error instead
+  /// of silently stale bit-planes — the real invariant remains that
+  /// packed weight buffers outlive the cache and never change.
+  [[nodiscard]] const PackedRomWeights& find(const std::int8_t* w, int m,
+                                             int k) const;
 
   [[nodiscard]] std::size_t entries() const;
   /// Total resident bytes across all packings.
@@ -214,12 +216,11 @@ class PackedWeightsCache {
   struct Entry {
     std::unique_ptr<PackedRomWeights> packed;
     /// Sampled weight bytes (first/middle/last) captured at pack time;
-    /// rechecked on every hit (see get_or_pack).
+    /// rechecked on every lookup (see find).
     std::array<std::int8_t, 3> sample{};
   };
 
-  mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::unordered_map<Key, Entry, KeyHash> entries_;
 };
 
 }  // namespace yoloc

@@ -52,7 +52,8 @@ struct MvmScratch {
   std::vector<std::uint8_t> qinput;  // quantized NCHW conv input
   std::vector<std::uint8_t> qx;      // quantized MVM activations (k x p)
   std::vector<std::int32_t> acc;     // int32 MVM accumulator
-  std::vector<std::int8_t> w_chunk;  // macro row-tile of the weight matrix
+  // Packed analog MVM: one column's row-tile of activations and its m
+  // partial sums.
   std::vector<std::uint8_t> x_chunk;
   std::vector<std::int32_t> y_partial;
   // Noisy packed analog read chain (CimMacro::mvm_packed): one output
@@ -65,10 +66,11 @@ struct MvmScratch {
 class LayerTraceSink;  // defined below, after EngineKind
 
 /// Mutable per-request state threaded through an engine call. Engines that
-/// model analog noise require `rng` and all engines that meter activity
-/// require `stats`; `scratch` is optional (engines fall back to local
-/// allocations when it is null). `trace` is an optional observer for
-/// per-layer span timing — null (the default) costs the hot loop nothing.
+/// model analog noise require `rng`, and engines that meter activity
+/// require `stats` and `scratch` (quantized layers always supply a
+/// scratch arena; ExactMvmEngine ignores it). `trace` is an optional
+/// observer for per-layer span timing — null (the default) costs the hot
+/// loop nothing.
 struct MvmSession {
   Rng* rng = nullptr;
   MacroRunStats* stats = nullptr;

@@ -40,8 +40,8 @@ DeploymentPlan::DeploymentPlan(LayerPtr trained_model,
     : options_(validated(std::move(options))),
       rom_macro_(options_.rom_macro),
       sram_macro_(options_.sram_macro),
-      rom_engine_(rom_macro_, options_.mode, &rom_packed_),
-      sram_engine_(sram_macro_, options_.mode, &sram_packed_),
+      rom_engine_(rom_macro_, options_.mode),
+      sram_engine_(sram_macro_, options_.mode),
       model_(std::move(trained_model)) {
   YOLOC_CHECK(model_ != nullptr, "deployment plan: null model");
   fold_batchnorm(*model_);
@@ -58,8 +58,8 @@ DeploymentPlan::DeploymentPlan(LoweredPlanImage image,
     : options_(validated(std::move(options))),
       rom_macro_(options_.rom_macro),
       sram_macro_(options_.sram_macro),
-      rom_engine_(rom_macro_, options_.mode, &rom_packed_),
-      sram_engine_(sram_macro_, options_.mode, &sram_packed_),
+      rom_engine_(rom_macro_, options_.mode),
+      sram_engine_(sram_macro_, options_.mode),
       model_(std::move(image.model)) {
   YOLOC_CHECK(model_ != nullptr, "plan image: null model");
   quantized_layers_ = count_quantized_layers(*model_);
@@ -83,22 +83,17 @@ void DeploymentPlan::prepack_weights() {
     const int k = qw.shape[1];
     // Lowering assigns every layer kRom or kSram; treat a (legacy)
     // default binding as ROM-resident, matching execute()'s slot wiring.
-    const bool sram = kind == EngineKind::kSram;
-    const PackedWeightsCache& cache = sram ? sram_packed_ : rom_packed_;
-    const MacroGeometry& geometry = sram
-                                        ? sram_macro_.config().geometry
-                                        : rom_macro_.config().geometry;
-    // Exact-cost deployments only need the tile boundaries (the MAC
-    // reads the raw int8 rows) — skip the plane expansion's memory.
-    const bool pack_planes =
-        options_.mode != MacroMvmEngine::Mode::kExactCost;
-    (void)cache.get_or_pack(qw.data.data(), m, k, geometry, pack_planes);
+    MacroMvmEngine& engine =
+        kind == EngineKind::kSram ? sram_engine_ : rom_engine_;
+    (void)engine.pack(qw.data.data(), m, k);
   });
-  pack_ms_ = rom_packed_.total_pack_ms() + sram_packed_.total_pack_ms();
+  pack_ms_ = rom_engine_.packed().total_pack_ms() +
+             sram_engine_.packed().total_pack_ms();
 }
 
 std::size_t DeploymentPlan::packed_weight_bytes() const {
-  return rom_packed_.packed_bytes() + sram_packed_.packed_bytes();
+  return rom_engine_.packed().packed_bytes() +
+         sram_engine_.packed().packed_bytes();
 }
 
 int DeploymentPlan::lower_network(Layer& node) {

@@ -279,40 +279,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // --------------------------------------------------------- HTTP basics
 
 const char* status_text(int status) {
@@ -1026,8 +992,7 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
                            ",\"healthy_workers\":" +
                            std::to_string(res.healthy_workers) +
                            ",\"reason\":\"" +
-                           prometheus_escape_label(res.degraded_reason) +
-                           "\"}",
+                           json_escape(res.degraded_reason) + "\"}",
                        "application/json", !c.keep_alive);
       } else {
         queue_response(c, 200,

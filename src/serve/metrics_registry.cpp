@@ -136,6 +136,40 @@ std::string prometheus_escape_label(const std::string& value) {
   return out;
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 namespace {
 
 /// Emitted `le` thresholds: every even log2 exponent from 2^10 ns
@@ -446,7 +480,7 @@ std::string MetricsSnapshot::to_json() const {
     // The reason is generated internally (no quotes/backslashes), but
     // escape anyway so the object can never be malformed.
     out += ",\"degraded_reason\":\"";
-    out += prometheus_escape_label(resilience.degraded_reason);
+    out += json_escape(resilience.degraded_reason);
     out += '"';
   }
   out += "}}";

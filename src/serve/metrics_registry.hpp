@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -63,6 +64,13 @@ class LatencyHistogram {
 /// Escape a Prometheus label value per the text exposition format
 /// (version 0.0.4): backslash, double quote and newline are escaped.
 [[nodiscard]] std::string prometheus_escape_label(const std::string& value);
+
+/// Escape `s` for the inside of a JSON string literal: double quote,
+/// backslash, \n, \r and \t get their short escapes, other control
+/// bytes below 0x20 become \u00XX, and every other byte (UTF-8
+/// included) passes through unchanged. The one JSON escaper of the
+/// serving layer (HTTP bodies, metrics JSON, trace export).
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Quantile digest of one histogram, in milliseconds (JSON-friendly).
 struct LatencySummary {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "serve/metrics_registry.hpp"
 
 namespace yoloc {
 
@@ -85,35 +86,6 @@ std::uint64_t TraceCollector::dropped_events() const {
   return total;
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string TraceCollector::to_chrome_json() const {
   const std::vector<TraceEvent> events = drain_events();
   std::string out;
@@ -134,7 +106,7 @@ std::string TraceCollector::to_chrome_json() const {
   char buf[256];
   for (const TraceEvent& ev : events) {
     out += ",{\"name\":\"";
-    append_json_escaped(out, ev.name);
+    out += json_escape(ev.name);
     // ts/dur are MICROseconds in the trace-event format; fractional
     // values keep the ns resolution.
     std::snprintf(buf, sizeof(buf),
@@ -161,13 +133,13 @@ std::string TraceCollector::to_chrome_json() const {
     }
     if (ev.layer != nullptr) {
       out += first ? "\"layer\":\"" : ",\"layer\":\"";
-      append_json_escaped(out, ev.layer);
+      out += json_escape(ev.layer);
       out += '"';
       first = false;
     }
     if (ev.engine != nullptr) {
       out += first ? "\"engine\":\"" : ",\"engine\":\"";
-      append_json_escaped(out, ev.engine);
+      out += json_escape(ev.engine);
       out += '"';
       first = false;
     }

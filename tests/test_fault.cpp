@@ -1,7 +1,7 @@
 // Deterministic fault-injection coverage (macro/fault_model.*) and the
 // serving resilience layer built on it (serve/resilience.*): fixed-seed
-// fault patterns replay bit-exactly, the legacy and packed MVM paths
-// stay bit-identical under faults, dormant faults cost nothing and
+// fault patterns replay bit-exactly on the serving engine, the engine
+// stays bit-identical to the per-call reference tiler under faults, dormant faults cost nothing and
 // change nothing, plans round-trip fault configs + canary suites
 // (format v2), and the scheduler's canary -> breaker -> shed -> recover
 // pipeline works end to end. `ctest -L fault` selects this suite.
@@ -26,6 +26,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "reference_macro_engine.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/plan_serde.hpp"
@@ -77,17 +78,14 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
   return x;
 }
 
-/// One engine run (legacy or packed) over a fixed workload.
-/// `next_draw_out` receives the session RNG's next normal() after the run.
-std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
-                                     MacroMvmEngine::Mode mode, bool packed,
-                                     int m, int k, int p, std::uint64_t seed,
-                                     MacroRunStats* stats_out = nullptr,
-                                     double* next_draw_out = nullptr) {
-  const CimMacro macro(cfg);
-  PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, mode, packed ? &cache : nullptr);
-  const auto w = random_weights(m, k, seed);
+/// One run of `engine` over the (m x k) weights `w` and seeded
+/// activations. `next_draw_out` receives the session RNG's next normal()
+/// after the run.
+std::vector<std::int32_t> run_on(const MvmEngine& engine,
+                                 const std::vector<std::int8_t>& w, int m,
+                                 int k, int p, std::uint64_t seed,
+                                 MacroRunStats* stats_out,
+                                 double* next_draw_out) {
   const auto x = random_acts(k, p, seed);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
   Rng rng(seed);
@@ -100,29 +98,48 @@ std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
   return y;
 }
 
+/// The serving engine (MacroMvmEngine, analog) over a fixed workload.
+std::vector<std::int32_t> run_engine(const MacroConfig& cfg, int m, int k,
+                                     int p, std::uint64_t seed,
+                                     MacroRunStats* stats_out = nullptr,
+                                     double* next_draw_out = nullptr) {
+  const CimMacro macro(cfg);
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+  const auto w = random_weights(m, k, seed);
+  (void)engine.pack(w.data(), m, k);
+  return run_on(engine, w, m, k, p, seed, stats_out, next_draw_out);
+}
+
+/// The per-call reference tiler over the same workload.
+std::vector<std::int32_t> run_reference(const MacroConfig& cfg, int m, int k,
+                                        int p, std::uint64_t seed,
+                                        MacroRunStats* stats_out,
+                                        double* next_draw_out) {
+  const CimMacro macro(cfg);
+  const ReferenceMacroEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+  return run_on(engine, random_weights(m, k, seed), m, k, p, seed, stats_out,
+                next_draw_out);
+}
+
 // ------------------------------------------------- fault-model physics
 
 TEST(FaultModel, FixedSeedReplaysBitExactly) {
   const MacroConfig cfg = faulted_rom(heavy_faults());
-  const auto a = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                            3, 5);
-  const auto b = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                            3, 5);
+  const auto a = run_engine(cfg, 6, 96, 3, 5);
+  const auto b = run_engine(cfg, 6, 96, 3, 5);
   EXPECT_EQ(a, b) << "same seed, same fault pattern, same outputs";
 }
 
 TEST(FaultModel, SeedRedrawsThePattern) {
-  const auto a = run_engine(faulted_rom(heavy_faults(11)),
-                            MacroMvmEngine::Mode::kAnalog, false, 6, 96, 3, 5);
-  const auto b = run_engine(faulted_rom(heavy_faults(12)),
-                            MacroMvmEngine::Mode::kAnalog, false, 6, 96, 3, 5);
+  const auto a = run_engine(faulted_rom(heavy_faults(11)), 6, 96, 3, 5);
+  const auto b = run_engine(faulted_rom(heavy_faults(12)), 6, 96, 3, 5);
   EXPECT_NE(a, b) << "a different fault seed must redraw the fault map";
 }
 
 TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
-  // The determinism contract extends to faults: the packed fast path
-  // must see the SAME stuck cells, drifted columns and transient flips
-  // as the per-call path (fault coordinates are tile-local). Covered on
+  // The determinism contract extends to faults: the packed engine must
+  // see the SAME stuck cells, drifted columns and transient flips as the
+  // per-call reference tiler (fault coordinates are tile-local). Covered on
   // both packed kernels: the noise-free table path and the noisy read
   // chain (default ROM noise on top of the faults).
   MacroConfig noisy = default_rom_macro();
@@ -136,18 +153,11 @@ TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
       double next_legacy = 0.0;
       double next_packed = 0.0;
       const auto legacy =
-          run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, k, 3, 5,
-                     &stats_legacy, &next_legacy);
+          run_reference(cfg, 6, k, 3, 5, &stats_legacy, &next_legacy);
       const auto packed =
-          run_engine(cfg, MacroMvmEngine::Mode::kAnalog, true, 6, k, 3, 5,
-                     &stats_packed, &next_packed);
+          run_engine(cfg, 6, k, 3, 5, &stats_packed, &next_packed);
       EXPECT_EQ(legacy, packed);
-      EXPECT_EQ(stats_legacy.array.adc_conversions,
-                stats_packed.array.adc_conversions);
-      EXPECT_EQ(stats_legacy.array.adc_energy_pj,
-                stats_packed.array.adc_energy_pj);
-      EXPECT_EQ(stats_legacy.array.precharge_energy_pj,
-                stats_packed.array.precharge_energy_pj);
+      EXPECT_EQ(stats_legacy, stats_packed);
       // Same next session draw; a noise-free packed run draws nothing.
       EXPECT_EQ(next_packed, noise_free ? Rng(5).normal() : next_legacy);
     }
@@ -157,12 +167,8 @@ TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
 TEST(FaultModel, DormantFaultsAreInvisible) {
   FaultModelConfig dormant = heavy_faults();
   dormant.start_active = false;
-  const auto clean = run_engine(faulted_rom(FaultModelConfig{}),
-                                MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                                3, 5);
-  const auto faulted_off = run_engine(faulted_rom(dormant),
-                                      MacroMvmEngine::Mode::kAnalog, false, 6,
-                                      96, 3, 5);
+  const auto clean = run_engine(faulted_rom(FaultModelConfig{}), 6, 96, 3, 5);
+  const auto faulted_off = run_engine(faulted_rom(dormant), 6, 96, 3, 5);
   EXPECT_EQ(clean, faulted_off)
       << "inactive faults must be bit-invisible, not just small";
 }
@@ -170,9 +176,9 @@ TEST(FaultModel, DormantFaultsAreInvisible) {
 TEST(FaultModel, SetActiveTogglesAtRuntime) {
   const CimMacro macro(faulted_rom(heavy_faults()));
   ASSERT_NE(macro.fault_model(), nullptr);
-  PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, &cache);
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
   const auto w = random_weights(6, 96, 5);
+  (void)engine.pack(w.data(), 6, 96);
   const auto x = random_acts(96, 2, 5);
   const auto run = [&] {
     std::vector<std::int32_t> y(12);

@@ -1,11 +1,14 @@
-// Packed-weights fast path coverage: the deploy-time bit-plane packing
-// (macro/packed_weights.*) and the packed CimMacro/MacroMvmEngine MVM
-// must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
-// energy/latency stats, same RNG draw order — across analog (noisy and
-// noise-free), exact-cost, odd reduction sizes and multi-tile shapes,
-// and — for the tile-wide exact-cost call — p = 1 to p > 1024 columns,
-// all-zero weight rows and a pulse window narrower than the activations.
-// The popcount kernels behind the packed path are also run variant by
+// Packed-weights coverage: the deploy-time bit-plane packing
+// (macro/packed_weights.*) and MacroMvmEngine, which runs only the packed
+// CimMacro MVM, must be BIT-IDENTICAL to the per-call reference tiler
+// (tests/reference_macro_engine.hpp, over CimMacro::mvm /
+// mvm_exact_cost) — same outputs, every run stat, same RNG draw order —
+// across analog (noisy and noise-free), exact-cost, odd reduction sizes
+// and multi-tile shapes, and — for the tile-wide exact-cost call — p = 1
+// to p > 1024 columns, all-zero weight rows and a pulse window narrower
+// than the activations. The engine's frozen packing table must refuse an
+// unpacked buffer and a packed buffer whose contents changed. The
+// popcount kernels behind the packed path are also run variant by
 // variant (plain body vs hardware POPCNT), so the one a POPCNT host never
 // selects stays covered.
 // `ctest -L macro` selects this suite.
@@ -17,10 +20,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/macro_engine.hpp"
 #include "macro/packed_kernels.hpp"
+#include "reference_macro_engine.hpp"
 
 namespace yoloc {
 namespace {
@@ -46,32 +51,17 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
   return x;
 }
 
-void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
-  EXPECT_EQ(a.array.adc_conversions, b.array.adc_conversions);
-  EXPECT_EQ(a.array.wl_pulses, b.array.wl_pulses);
-  EXPECT_EQ(a.array.shift_adds, b.array.shift_adds);
-  // Energy/latency sums must match to the last bit (same values, same
-  // accumulation order).
-  EXPECT_EQ(a.array.adc_energy_pj, b.array.adc_energy_pj);
-  EXPECT_EQ(a.array.precharge_energy_pj, b.array.precharge_energy_pj);
-  EXPECT_EQ(a.array.wl_energy_pj, b.array.wl_energy_pj);
-  EXPECT_EQ(a.array.shift_add_energy_pj, b.array.shift_add_energy_pj);
-  EXPECT_EQ(a.macro_ops, b.macro_ops);
-  EXPECT_EQ(a.macs, b.macs);
-  EXPECT_EQ(a.latency_ns, b.latency_ns);
-}
-
-/// Drives both engine paths over the (m x k) weights `w` with identically
-/// seeded sessions and checks outputs, stats and the session RNG
-/// position match exactly.
+/// Drives the engine and the reference tiler over the (m x k) weights `w`
+/// with identically seeded sessions and checks outputs, stats and the
+/// session RNG position match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
                             MacroMvmEngine::Mode mode,
                             const std::vector<std::int8_t>& w, int m, int k,
                             int p, std::uint64_t seed) {
   const CimMacro macro(cfg);
-  PackedWeightsCache cache;
-  const MacroMvmEngine legacy(macro, mode);
-  const MacroMvmEngine packed(macro, mode, &cache);
+  const ReferenceMacroEngine legacy(macro, mode);
+  MacroMvmEngine packed(macro, mode);
+  (void)packed.pack(w.data(), m, k);
   const auto x = random_acts(k, p, seed);
 
   std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
@@ -91,7 +81,9 @@ void expect_paths_identical(const MacroConfig& cfg,
     packed.mvm_batch(w.data(), m, k, x.data(), p, y_packed.data(),
                      packed_session);
     EXPECT_EQ(y_legacy, y_packed) << "call " << call;
-    expect_stats_identical(stats_legacy, stats_packed);
+    // Energy/latency sums must match to the last bit (same values, same
+    // accumulation order).
+    EXPECT_EQ(stats_legacy, stats_packed) << "call " << call;
   }
 
   // No downstream draw changes: the next session draw agrees. The one
@@ -226,25 +218,103 @@ TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
                std::runtime_error);
 }
 
-TEST(PackedWeightsCache, ReturnsSameInstanceAndChecksGeometry) {
+TEST(PackedWeightsCache, ReturnsSameInstance) {
   const MacroGeometry g = default_rom_macro().geometry;
   PackedWeightsCache cache;
   const auto w = random_weights(4, 64, 45);
-  const PackedRomWeights& first = cache.get_or_pack(w.data(), 4, 64, g);
-  const PackedRomWeights& second = cache.get_or_pack(w.data(), 4, 64, g);
+  const PackedRomWeights& first = cache.add(w.data(), 4, 64, g, true);
+  const PackedRomWeights& second = cache.add(w.data(), 4, 64, g, true);
   EXPECT_EQ(&first, &second);  // packed once, shared afterwards
+  EXPECT_EQ(&cache.find(w.data(), 4, 64), &first);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.packed_bytes(), first.packed_bytes());
 
   // A different shape is a different entry.
-  (void)cache.get_or_pack(w.data(), 2, 64, g);
+  (void)cache.add(w.data(), 2, 64, g, true);
   EXPECT_EQ(cache.entries(), 2u);
+}
 
-  // One cache serves one geometry: a mismatched hit fails loudly.
-  MacroGeometry other = g;
-  other.rows_per_activation = 16;
-  EXPECT_THROW(cache.get_or_pack(w.data(), 4, 64, other),
-               std::runtime_error);
+TEST(PackedWeightsCache, FindOnUnpackedBufferThrows) {
+  const MacroGeometry g = default_rom_macro().geometry;
+  PackedWeightsCache cache;
+  const auto w = random_weights(4, 64, 47);
+  const auto other = random_weights(4, 64, 48);
+  try {
+    (void)cache.find(w.data(), 4, 64);
+    ADD_FAILURE() << "find on an empty table must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("4 x 64"), std::string::npos)
+        << e.what();
+  }
+  (void)cache.add(w.data(), 4, 64, g, true);
+  EXPECT_THROW((void)cache.find(other.data(), 4, 64), std::runtime_error);
+  EXPECT_THROW((void)cache.find(w.data(), 4, 32), std::runtime_error);
+  EXPECT_NO_THROW((void)cache.find(w.data(), 4, 64));
+}
+
+TEST(PackedMvm, RefusesUnpackedWeightsAndMissingScratch) {
+  const CimMacro macro(default_rom_macro());
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+  const auto w = random_weights(4, 64, 49);
+  const auto x = random_acts(64, 2, 49);
+  std::vector<std::int32_t> y(8);
+  MacroRunStats stats;
+  MvmScratch scratch;
+  MvmSession session{nullptr, &stats, &scratch};
+  EXPECT_THROW(
+      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), session),
+      std::runtime_error);
+  (void)engine.pack(w.data(), 4, 64);
+  MvmSession no_scratch{nullptr, &stats, nullptr};
+  EXPECT_THROW(
+      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), no_scratch),
+      std::runtime_error);
+  EXPECT_NO_THROW(
+      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), session));
+}
+
+TEST(PackedMvm, ChangedPackedBufferTripsContentCheck) {
+  // The sampled bytes are the buffer's first, middle and last: changing
+  // any one of them after packing must fail the next MVM loudly instead
+  // of computing with stale bit-planes.
+  const int m = 4;
+  const int k = 64;
+  const CimMacro macro(default_rom_macro());
+  const auto x = random_acts(k, 2, 50);
+  for (const auto mode :
+       {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
+    for (const std::size_t at :
+         {std::size_t{0}, std::size_t{m * k / 2}, std::size_t{m * k - 1}}) {
+      SCOPED_TRACE(::testing::Message() << "byte " << at);
+      auto w = random_weights(m, k, 50);
+      MacroMvmEngine engine(macro, mode);
+      (void)engine.pack(w.data(), m, k);
+      std::vector<std::int32_t> y(static_cast<std::size_t>(m) * 2);
+      Rng rng(50);
+      MacroRunStats stats;
+      MvmScratch scratch;
+      MvmSession session{&rng, &stats, &scratch};
+      engine.mvm_batch(w.data(), m, k, x.data(), 2, y.data(), session);
+      w[at] = static_cast<std::int8_t>(w[at] ^ 0x5A);
+      EXPECT_THROW(
+          engine.mvm_batch(w.data(), m, k, x.data(), 2, y.data(), session),
+          std::runtime_error);
+    }
+  }
+}
+
+TEST(PackedMvm, EnginePacksPerMode) {
+  // Analog engines pack the weight bit-planes; exact-cost engines keep
+  // only the tile boundaries (their MAC reads the raw int8 rows).
+  const CimMacro macro(default_rom_macro());
+  const auto w = random_weights(4, 150, 51);
+  MacroMvmEngine analog(macro, MacroMvmEngine::Mode::kAnalog);
+  MacroMvmEngine exact(macro, MacroMvmEngine::Mode::kExactCost);
+  EXPECT_TRUE(analog.pack(w.data(), 4, 150).has_planes());
+  EXPECT_FALSE(exact.pack(w.data(), 4, 150).has_planes());
+  EXPECT_EQ(analog.packed().entries(), 1u);
+  EXPECT_EQ(exact.packed().entries(), 1u);
+  EXPECT_LT(exact.packed().packed_bytes(), analog.packed().packed_bytes());
 }
 
 TEST(PackedMvm, AnalogBitIdenticalUnderDefaultNoise) {

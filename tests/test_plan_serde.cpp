@@ -93,13 +93,6 @@ std::vector<Tensor> make_requests(int count) {
   return ::testing::AssertionSuccess();
 }
 
-void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
-  EXPECT_EQ(a.macs, b.macs);
-  EXPECT_EQ(a.macro_ops, b.macro_ops);
-  EXPECT_EQ(a.energy_pj(), b.energy_pj());
-  EXPECT_EQ(a.latency_ns, b.latency_ns);
-}
-
 std::filesystem::path temp_plan_path(const char* stem) {
   return std::filesystem::temp_directory_path() /
          (std::string(stem) + kPlanFileExtension);
@@ -132,8 +125,8 @@ void check_round_trip(const DeploymentPlan& original, const char* stem) {
     load_rom.accumulate(load_ctx.rom_stats());
     load_sram.accumulate(load_ctx.sram_stats());
   }
-  expect_stats_identical(orig_rom, load_rom);
-  expect_stats_identical(orig_sram, load_sram);
+  EXPECT_EQ(orig_rom, load_rom);
+  EXPECT_EQ(orig_sram, load_sram);
 }
 
 TEST(PlanSerde, RoundTripBitIdenticalMixedResidencyAnalog) {
@@ -189,8 +182,8 @@ TEST(PlanSerde, LoadedPlanServesBitIdenticallyThroughServer) {
                               out_b[static_cast<std::size_t>(i)]))
         << "request " << i;
   }
-  expect_stats_identical(rom_a, rom_b);
-  expect_stats_identical(sram_a, sram_b);
+  EXPECT_EQ(rom_a, rom_b);
+  EXPECT_EQ(sram_a, sram_b);
 }
 
 TEST(PlanSerde, LoadedPlanServesMicrobatchedExactTraffic) {

@@ -17,6 +17,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "reference_macro_engine.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
 #include "serve/scheduler.hpp"
@@ -85,13 +86,6 @@ std::vector<Tensor> make_requests(int count) {
   return ::testing::AssertionSuccess();
 }
 
-void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
-  EXPECT_EQ(a.macs, b.macs);
-  EXPECT_EQ(a.macro_ops, b.macro_ops);
-  EXPECT_EQ(a.energy_pj(), b.energy_pj());  // bit-identical double sums
-  EXPECT_EQ(a.latency_ns, b.latency_ns);
-}
-
 TEST(ParallelWorkers, EnvOverrideApplies) {
   EXPECT_EQ(parallel_workers(), 4u);
 }
@@ -153,8 +147,8 @@ TEST(Runtime, ConcurrentContextsBitIdenticalToSerial) {
     merged_rom.accumulate(rom_stats[static_cast<std::size_t>(i)]);
     merged_sram.accumulate(sram_stats[static_cast<std::size_t>(i)]);
   }
-  expect_stats_identical(serial_rom, merged_rom);
-  expect_stats_identical(serial_sram, merged_sram);
+  EXPECT_EQ(serial_rom, merged_rom);
+  EXPECT_EQ(serial_sram, merged_sram);
 }
 
 TEST(Runtime, ScratchReuseIsDeterministic) {
@@ -168,27 +162,27 @@ TEST(Runtime, ScratchReuseIsDeterministic) {
 }
 
 TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
-  // The plan executes through cache-backed (packed) engines. Re-running
-  // the same lowered graph through cache-free engines — the pre-packing
+  // The plan executes through packed engines. Re-running the same
+  // lowered graph through the per-call reference tiler — the pre-packing
   // legacy path — with identically seeded noise streams must produce
   // bit-identical outputs and stats, across mixed ROM/SRAM residency.
   for (const auto mode :
        {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
     auto plan = make_plan(mode);
     EXPECT_GT(plan->packed_weight_bytes(), 0u);
-    EXPECT_GT(plan->rom_packed().entries(), 0u);   // b.c1 / b.c2
-    EXPECT_GT(plan->sram_packed().entries(), 0u);  // head.fc
+    EXPECT_EQ(plan->rom_engine().packed().entries(), 2u);   // b.c1 / b.c2
+    EXPECT_EQ(plan->sram_engine().packed().entries(), 1u);  // head.fc
     const auto xs = make_requests(1);
 
     const std::uint64_t seed = 7777;
     ExecutionContext ctx(*plan, seed);
     const Tensor via_packed = ctx.infer(xs[0]);
 
-    // Legacy engines over the same macros, no packed cache; sessions
-    // seeded exactly like ExecutionContext wires them (the SRAM stream
-    // is salted with 0x5A5A).
-    const MacroMvmEngine legacy_rom(plan->rom_macro(), mode);
-    const MacroMvmEngine legacy_sram(plan->sram_macro(), mode);
+    // Reference engines over the same macros; sessions seeded exactly
+    // like ExecutionContext wires them (the SRAM stream is salted with
+    // 0x5A5A).
+    const ReferenceMacroEngine legacy_rom(plan->rom_macro(), mode);
+    const ReferenceMacroEngine legacy_sram(plan->sram_macro(), mode);
     Rng rom_rng(seed);
     Rng sram_rng(seed ^ 0x5A5A);
     MacroRunStats rom_stats, sram_stats;
@@ -205,8 +199,8 @@ TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
     }
 
     EXPECT_TRUE(bit_identical(via_packed, via_legacy));
-    expect_stats_identical(ctx.rom_stats(), rom_stats);
-    expect_stats_identical(ctx.sram_stats(), sram_stats);
+    EXPECT_EQ(ctx.rom_stats(), rom_stats);
+    EXPECT_EQ(ctx.sram_stats(), sram_stats);
   }
 }
 
@@ -242,8 +236,8 @@ TEST(Runtime, ServerMatchesSerialAtMicrobatchOne) {
         << "request " << i;
   }
   scheduler.wait_idle();
-  expect_stats_identical(serial_rom, scheduler.rom_stats());
-  expect_stats_identical(serial_sram, scheduler.sram_stats());
+  EXPECT_EQ(serial_rom, scheduler.rom_stats());
+  EXPECT_EQ(serial_sram, scheduler.sram_stats());
 
   const MetricsSnapshot metrics = scheduler.metrics_snapshot();
   const ClassSnapshot& batch_lane =

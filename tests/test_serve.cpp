@@ -1019,6 +1019,16 @@ TEST(Prometheus, LabelEscaping) {
   EXPECT_EQ(prometheus_escape_label(""), "");
 }
 
+TEST(Json, StringEscaping) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape("x\x01y\x1f"), "x\\u0001y\\u001f");
+  // Bytes >= 0x80 (UTF-8 sequences) pass through unchanged.
+  EXPECT_EQ(json_escape("\xc3\xa9\xff"), "\xc3\xa9\xff");
+}
+
 TEST(Prometheus, ExpositionParsesAndBucketsAreMonotone) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
   // Holds the interactive blocker's batch on the only worker until the

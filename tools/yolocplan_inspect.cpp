@@ -215,19 +215,19 @@ int run(const std::string& path, bool dump_graph, bool dump_packed) {
           o.rom_macro.geometry.rows, o.rom_macro.geometry.cols,
           o.sram_macro.geometry.rows, o.sram_macro.geometry.cols);
       if (dump_packed) {
-        // deserialize_plan prepacks eagerly, so these caches are the
-        // deploy-time resident footprint, not a lazily filled subset.
+        // deserialize_plan packs every quantized layer into its engine,
+        // so these tables are the whole deploy-time resident footprint.
+        const PackedWeightsCache& rom = plan->rom_engine().packed();
+        const PackedWeightsCache& sram = plan->sram_engine().packed();
         std::printf(
             "\npacked weight bit-planes:\n"
             "  total    %llu B resident, packed in %.3f ms\n"
             "  rom      %zu entries, %llu B\n"
             "  sram     %zu entries, %llu B\n",
             static_cast<unsigned long long>(plan->packed_weight_bytes()),
-            plan->pack_ms(), plan->rom_packed().entries(),
-            static_cast<unsigned long long>(plan->rom_packed().packed_bytes()),
-            plan->sram_packed().entries(),
-            static_cast<unsigned long long>(
-                plan->sram_packed().packed_bytes()));
+            plan->pack_ms(), rom.entries(),
+            static_cast<unsigned long long>(rom.packed_bytes()),
+            sram.entries(), static_cast<unsigned long long>(sram.packed_bytes()));
       }
       if (dump_graph) {
         std::printf("\nlowered layer graph:\n");
