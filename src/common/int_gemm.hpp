@@ -1,7 +1,6 @@
 #pragma once
-// The int8 x uint8 GEMM bodies of the exact integer MVM paths:
-// ExactMvmEngine (the integer reference, nn/quantize.cpp) and the
-// exact-cost macro tile (CimMacro::mvm_packed_exact_cost_tile).
+// The int8 x uint8 GEMM bodies of the exact-cost macro tile
+// (CimMacro::mvm_packed_exact_cost_tile).
 //
 // gemm_s8u8_accumulate is the plain body: the reference, built for the
 // build's baseline ISA on every target. Products are formed in int16 and
@@ -17,7 +16,7 @@
 // bit-identical to the plain body's. (pmaddubsw, the uint8 x int8
 // form, is not usable: its int16 pair sums saturate.) The macro tile
 // picks one body per process from the CPU's feature bits
-// (macro/packed_kernels.hpp); ExactMvmEngine always runs the plain one.
+// (macro/packed_kernels.hpp).
 
 #include <cstddef>
 #include <cstdint>

@@ -17,11 +17,10 @@
 // engine is immutable and reentrant: the noise RNG stream, the run
 // statistics and the scratch buffers travel in the caller's MvmSession,
 // so any number of requests can execute through one engine concurrently,
-// each with its own session. Because a session is REQUIRED (stats and
-// scratch always, rng in analog mode), this engine cannot be direct-bound
-// to quantized layers the way the sessionless ExactMvmEngine can — drive
-// it through an ExecutionContext / MvmBinding (src/runtime/), which wires
-// a session per request.
+// each with its own session. A session is REQUIRED (stats and scratch
+// always, rng in analog mode): quantized layers reach the engine through
+// an ExecutionContext's MvmBinding (src/runtime/), which wires a session
+// per request.
 //
 // Analog mode drives CimMacro::mvm_packed per (k-tile, column);
 // exact-cost mode makes one CimMacro::mvm_packed_exact_cost_tile call per
@@ -55,10 +54,6 @@ class MacroMvmEngine final : public MvmEngine {
   /// mvm_batch runs; `w` must stay alive and unchanged for the engine's
   /// lifetime.
   const PackedRomWeights& pack(const std::int8_t* w, int m, int k);
-
-  // Note: the base class's sessionless mvm_batch convenience is
-  // deliberately NOT re-exposed — this engine requires a session, so the
-  // hidden overload turns a guaranteed runtime throw into a compile error.
 
   /// Requires session.stats and session.scratch; kAnalog additionally
   /// requires session.rng. `w` must have been packed (pack()).

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/int_gemm.hpp"
 #include "common/parallel.hpp"
 #include "common/trace_clock.hpp"
 #include "nn/batchnorm.hpp"
@@ -19,44 +18,20 @@ namespace {
 /// Active binding for the current thread (set by MvmBinding::Scope).
 thread_local const MvmBinding* t_binding = nullptr;
 
-struct ResolvedEngine {
-  const MvmEngine* engine = nullptr;
-  MvmSession session;
-};
-
-/// Engine lookup order: thread-local slot for the layer's kind, then the
-/// thread-local default slot, then the layer's direct binding. The
-/// returned session always carries a scratch arena: the binding's if it
-/// supplied one, otherwise a thread-local fallback (so unscoped layers
-/// still reuse buffers within a thread).
-ResolvedEngine resolve_engine(const MvmEngine* direct, EngineKind kind,
-                              const char* what) {
-  ResolvedEngine resolved;
-  if (const MvmBinding* binding = MvmBinding::current()) {
-    const MvmBinding::Slot& s = binding->slot(kind);
-    const MvmBinding::Slot& d = binding->slot(EngineKind::kDefault);
-    if (s.engine != nullptr) {
-      resolved = {s.engine, s.session};
-    } else if (d.engine != nullptr) {
-      resolved = {d.engine, d.session};
-    }
-  }
-  if (resolved.engine == nullptr) {
-    // Direct bindings execute with an otherwise-empty session: only
-    // sessionless engines (ExactMvmEngine) support that. Session-
-    // requiring engines (MacroMvmEngine) must be driven through an
-    // ExecutionContext / MvmBinding, which supplies rng + stats.
-    YOLOC_CHECK(direct != nullptr,
-                std::string(what) +
-                    ": no engine bound — run inside an ExecutionContext "
-                    "(or lower with a direct sessionless engine)");
-    resolved.engine = direct;
-  }
-  if (resolved.session.scratch == nullptr) {
-    thread_local MvmScratch t_fallback_scratch;
-    resolved.session.scratch = &t_fallback_scratch;
-  }
-  return resolved;
+/// The engine and session bound to `kind` on this thread. Deploy-mode
+/// forwards run only inside an ExecutionContext, whose binding carries an
+/// engine and a scratch arena for both kinds.
+MvmBinding::Slot resolve_engine(EngineKind kind, const std::string& layer) {
+  const MvmBinding* binding = MvmBinding::current();
+  YOLOC_CHECK(binding != nullptr,
+              layer + ": no engine binding; run deployed layers through an "
+                      "ExecutionContext");
+  const MvmBinding::Slot& slot = binding->slot(kind);
+  YOLOC_CHECK(slot.engine != nullptr && slot.session.scratch != nullptr,
+              layer + ": the engine binding for its kind lacks an engine or "
+                      "a scratch arena; run deployed layers through an "
+                      "ExecutionContext");
+  return slot;
 }
 
 /// The uint8 counterpart of im2col_into over a quantized NCHW input:
@@ -123,49 +98,6 @@ MvmBinding::Scope::Scope(const MvmBinding& binding) : prev_(t_binding) {
 MvmBinding::Scope::~Scope() { t_binding = prev_; }
 
 const MvmBinding* MvmBinding::current() { return t_binding; }
-
-void ExactMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
-                               const std::uint8_t* x, int p, std::int32_t* y,
-                               MvmSession& /*session*/) const {
-  // Cache-blocked (m, k, p) walk. The old row-at-a-time loop streamed the
-  // whole k x p activation matrix once per output row — for the large p
-  // of early conv layers that is m full passes over an L2-busting
-  // matrix. Blocking p and k and reusing each x tile across a small row
-  // block keeps the tile resident while it is hot; integer accumulation
-  // is exact, so the result is unchanged by the reordering.
-  constexpr int kRowBlock = 8;    // output rows sharing one x tile
-  constexpr int kKBlock = 256;    // reduction rows per tile
-  constexpr int kPBlock = 512;    // columns per tile (x tile <= 128 KiB)
-  const std::size_t row_blocks =
-      (static_cast<std::size_t>(m) + kRowBlock - 1) / kRowBlock;
-  const std::size_t p_blocks =
-      (static_cast<std::size_t>(p) + kPBlock - 1) / kPBlock;
-  parallel_for(row_blocks * p_blocks, [&](std::size_t task) {
-    const int j0 = static_cast<int>(task / p_blocks) * kRowBlock;
-    const int j1 = std::min(m, j0 + kRowBlock);
-    const int p0 = static_cast<int>(task % p_blocks) * kPBlock;
-    const int p1 = std::min(p, p0 + kPBlock);
-    for (int j = j0; j < j1; ++j) {
-      std::int32_t* yrow = y + static_cast<std::size_t>(j) * p;
-      for (int col = p0; col < p1; ++col) yrow[col] = 0;
-    }
-    for (int k0 = 0; k0 < k; k0 += kKBlock) {
-      const int k1 = std::min(k, k0 + kKBlock);
-      gemm_s8u8_accumulate(w + static_cast<std::size_t>(j0) * k + k0,
-                           static_cast<std::size_t>(k), j1 - j0, k1 - k0,
-                           x + static_cast<std::size_t>(k0) * p + p0,
-                           static_cast<std::size_t>(p), p1 - p0,
-                           y + static_cast<std::size_t>(j0) * p + p0,
-                           static_cast<std::size_t>(p));
-    }
-  });
-}
-
-QuantConv2d::QuantConv2d(const Conv2d& src, const MvmEngine& engine,
-                         int weight_bits, int act_bits)
-    : QuantConv2d(src, EngineKind::kDefault, weight_bits, act_bits) {
-  engine_ = &engine;
-}
 
 QuantConv2d::QuantConv2d(const Conv2d& src, EngineKind kind, int weight_bits,
                          int act_bits)
@@ -260,9 +192,9 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   }
 
   YOLOC_CHECK(is_calibrated(), "quant conv: deploy before calibration");
-  ResolvedEngine re = resolve_engine(engine_, kind_, "quant conv");
-  MvmScratch* scratch = re.session.scratch;
-  LayerTraceSink* trace = re.session.trace;
+  MvmBinding::Slot bound = resolve_engine(kind_, name_);
+  MvmScratch* scratch = bound.session.scratch;
+  LayerTraceSink* trace = bound.session.trace;
   std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
 
   // Quantize the input once (clamp negatives to zero: wordline pulses
@@ -282,9 +214,9 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   }
 
   scratch->acc.resize(static_cast<std::size_t>(out_channels_) * p);
-  re.engine->mvm_batch(qweight_.data.data(), out_channels_, patch_,
-                       scratch->qx.data(), p, scratch->acc.data(),
-                       re.session);
+  bound.engine->mvm_batch(qweight_.data.data(), out_channels_, patch_,
+                          scratch->qx.data(), p, scratch->acc.data(),
+                          bound.session);
   if (trace != nullptr) {
     trace->layer_span("mvm", name_.c_str(), kind_, t0, trace_now_ns());
   }
@@ -320,12 +252,6 @@ void QuantConv2d::finalize_calibration() {
   calibrating_ = false;
   const float qmax = static_cast<float>(unsigned_qmax(act_bits_));
   act_scale_ = observed_max_ > 0.0f ? observed_max_ / qmax : 1.0f;
-}
-
-QuantLinear::QuantLinear(Linear& src, const MvmEngine& engine, int weight_bits,
-                         int act_bits)
-    : QuantLinear(src, EngineKind::kDefault, weight_bits, act_bits) {
-  engine_ = &engine;
 }
 
 QuantLinear::QuantLinear(Linear& src, EngineKind kind, int weight_bits,
@@ -388,9 +314,9 @@ Tensor QuantLinear::forward(const Tensor& input, bool /*train*/) {
   }
 
   YOLOC_CHECK(act_scale_ > 0.0f, "quant linear: deploy before calibration");
-  ResolvedEngine re = resolve_engine(engine_, kind_, "quant linear");
-  MvmScratch* scratch = re.session.scratch;
-  LayerTraceSink* trace = re.session.trace;
+  MvmBinding::Slot bound = resolve_engine(kind_, name_);
+  MvmScratch* scratch = bound.session.scratch;
+  LayerTraceSink* trace = bound.session.trace;
   const std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
 
   // X columns = batch entries: engine wants (k x p) with k = features.
@@ -398,9 +324,9 @@ Tensor QuantLinear::forward(const Tensor& input, bool /*train*/) {
   quantize_unsigned_with_scale_into(scratch->xT, act_scale_, act_bits_,
                                     scratch->qx);
   scratch->acc.resize(static_cast<std::size_t>(out_features_) * batch);
-  re.engine->mvm_batch(qweight_.data.data(), out_features_, in_features_,
-                       scratch->qx.data(), batch, scratch->acc.data(),
-                       re.session);
+  bound.engine->mvm_batch(qweight_.data.data(), out_features_, in_features_,
+                          scratch->qx.data(), batch, scratch->acc.data(),
+                          bound.session);
   if (trace != nullptr) {
     trace->layer_span("mvm", name_.c_str(), kind_, t0, trace_now_ns());
   }
@@ -475,29 +401,6 @@ int fold_batchnorm_rec(Layer& layer) {
   return folds;
 }
 
-int quantize_rec(Layer& layer, const MvmEngine& engine, int weight_bits,
-                 int act_bits) {
-  int replaced = 0;
-  const auto children = layer.children();
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    Layer* child = children[i];
-    if (auto* conv = dynamic_cast<Conv2d*>(child)) {
-      auto q = std::make_unique<QuantConv2d>(*conv, engine, weight_bits,
-                                             act_bits);
-      layer.replace_child(i, std::move(q));
-      ++replaced;
-    } else if (auto* lin = dynamic_cast<Linear*>(child)) {
-      auto q =
-          std::make_unique<QuantLinear>(*lin, engine, weight_bits, act_bits);
-      layer.replace_child(i, std::move(q));
-      ++replaced;
-    } else {
-      replaced += quantize_rec(*child, engine, weight_bits, act_bits);
-    }
-  }
-  return replaced;
-}
-
 template <typename Fn>
 void for_each_quant_layer(Layer& layer, Fn&& fn) {
   if (auto* qc = dynamic_cast<QuantConv2d*>(&layer)) fn(qc, nullptr);
@@ -514,13 +417,6 @@ int fold_batchnorm(Layer& root) { return fold_batchnorm_rec(root); }
 void for_each_quantized_layer(
     Layer& root, const std::function<void(QuantConv2d*, QuantLinear*)>& fn) {
   for_each_quant_layer(root, fn);
-}
-
-int quantize_network(Layer& root, const MvmEngine& engine, int weight_bits,
-                     int act_bits) {
-  YOLOC_CHECK(!root.children().empty(),
-              "quantize_network: root must be a container");
-  return quantize_rec(root, engine, weight_bits, act_bits);
 }
 
 void calibrate_quantized(Layer& root, const Tensor& images) {

@@ -1,28 +1,31 @@
 #pragma once
 // Lowering a trained float network onto the integer CiM datapath.
 //
-// Pipeline (mirrors the paper's deployment flow, Sec. 3.3):
+// Pipeline (mirrors the paper's deployment flow, Sec. 3.3; driven by
+// DeploymentPlan in src/runtime/):
 //   1. fold_batchnorm()       - BN folded into the preceding conv, because
 //                               the macro executes a plain integer MVM.
-//   2. quantize_network()     - every Conv2d/Linear replaced by a
+//   2. lowering               - every Conv2d/Linear replaced by a
 //                               QuantConv2d/QuantLinear holding int8
-//                               weights plus an engine binding.
+//                               weights and the EngineKind of its home:
+//                               ROM, or the SRAM residual branch.
 //   3. calibrate + finalize   - one forward pass over a calibration batch
 //                               records per-layer activation ranges (pure
 //                               float math, no engine involved).
-//   4. Deploy mode            - forward() routes every MVM through an
-//                               MvmEngine: ExactMvmEngine for the integer
-//                               reference, or the macro-backed engine that
-//                               models the analog bitline + ADC.
+//   4. Deploy mode            - forward() routes every MVM through the
+//                               MvmEngine bound to the layer's EngineKind
+//                               (the macro-backed engine that models the
+//                               analog bitline + ADC, or its exact-cost
+//                               mode).
 //
 // Execution model: engines are immutable and reentrant. All mutable
 // per-request state (the analog-noise RNG stream, run statistics, scratch
 // buffers) travels in an MvmSession supplied by the caller. A quantized
-// layer finds its engine either through the layer's direct binding
-// (legacy single-engine deployments via quantize_network) or through the
-// thread-local MvmBinding that the runtime's ExecutionContext installs
-// for the duration of a forward pass — which is what lets many requests
-// share one lowered network concurrently.
+// layer finds its engine and session in exactly one place: the slot for
+// its EngineKind in the thread-local MvmBinding that the runtime's
+// ExecutionContext installs for the duration of a forward pass — which is
+// what lets many requests share one lowered network concurrently. A
+// deploy-mode forward outside such a binding is an error.
 //
 // Activation convention: unsigned 8-bit, zero point 0 (wordline pulses
 // encode non-negative amplitudes). Negative layer inputs clamp to zero,
@@ -67,8 +70,8 @@ class LayerTraceSink;  // defined below, after EngineKind
 
 /// Mutable per-request state threaded through an engine call. Engines that
 /// model analog noise require `rng`, and engines that meter activity
-/// require `stats` and `scratch` (quantized layers always supply a
-/// scratch arena; ExactMvmEngine ignores it). `trace` is an optional
+/// require `stats`; `scratch` is always required (quantized layers stage
+/// their activations and accumulator in it). `trace` is an optional
 /// observer for per-layer span timing — null (the default) costs the hot
 /// loop nothing.
 struct MvmSession {
@@ -78,10 +81,10 @@ struct MvmSession {
   LayerTraceSink* trace = nullptr;
 };
 
-/// Which engine a lowered layer should execute on. Deployment assigns
-/// kRom/kSram per the parameter residency flags; kDefault is the slot
-/// used by single-engine lowering (quantize_network).
-enum class EngineKind { kDefault = 0, kRom = 1, kSram = 2 };
+/// Which engine a lowered layer executes on. Deployment assigns kRom/kSram
+/// per the parameter residency flags. The values are the on-disk
+/// residency tags of a .yolocplan (runtime/plan_serde.*).
+enum class EngineKind { kRom = 1, kSram = 2 };
 
 /// Observer for per-layer deploy-time execution phases, implemented by
 /// the serving tracer (src/serve/trace.*). Quantized layers invoke it
@@ -110,23 +113,6 @@ class MvmEngine {
                          const std::uint8_t* x, int p, std::int32_t* y,
                          MvmSession& session) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Convenience for engines that need no session state.
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                 int p, std::int32_t* y) const {
-    MvmSession session;
-    mvm_batch(w, m, k, x, p, y, session);
-  }
-};
-
-/// Bit-exact integer reference backend (stateless; ignores the session's
-/// rng/stats).
-class ExactMvmEngine final : public MvmEngine {
- public:
-  using MvmEngine::mvm_batch;  // keep the sessionless convenience visible
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                 int p, std::int32_t* y, MvmSession& session) const override;
-  [[nodiscard]] std::string name() const override { return "exact"; }
 };
 
 /// Thread-local execution binding: maps EngineKind -> (engine, session)
@@ -141,11 +127,9 @@ class MvmBinding {
     MvmSession session;
   };
 
-  Slot& slot(EngineKind kind) {
-    return slots_[static_cast<std::size_t>(kind)];
-  }
+  Slot& slot(EngineKind kind) { return slots_[index(kind)]; }
   [[nodiscard]] const Slot& slot(EngineKind kind) const {
-    return slots_[static_cast<std::size_t>(kind)];
+    return slots_[index(kind)];
   }
 
   /// Installs `binding` as this thread's active binding; restores the
@@ -164,18 +148,19 @@ class MvmBinding {
   [[nodiscard]] static const MvmBinding* current();
 
  private:
-  std::array<Slot, 3> slots_{};
+  static std::size_t index(EngineKind kind) {
+    return static_cast<std::size_t>(kind) - 1;
+  }
+
+  std::array<Slot, 2> slots_{};
 };
 
 /// Inference-only quantized convolution. See file comment for the modes.
 class QuantConv2d final : public Layer {
  public:
-  /// Snapshot the float conv's geometry and weights with a direct engine
-  /// binding; `engine` must outlive this layer.
-  QuantConv2d(const Conv2d& src, const MvmEngine& engine, int weight_bits = 8,
-              int act_bits = 8);
-  /// Snapshot with a deferred binding: the engine is resolved per forward
-  /// pass from the thread-local MvmBinding slot for `kind`.
+  /// Snapshot the float conv's geometry and weights; the engine is
+  /// resolved per forward pass from the thread-local MvmBinding slot for
+  /// `kind`.
   QuantConv2d(const Conv2d& src, EngineKind kind, int weight_bits = 8,
               int act_bits = 8);
   /// Deserialization: rebuild an already-lowered, already-calibrated layer
@@ -221,8 +206,7 @@ class QuantConv2d final : public Layer {
   int act_bits_;
   QuantizedTensor qweight_;  // (out_ch x patch)
   Tensor bias_;              // (out_ch), float
-  const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
-  EngineKind kind_ = EngineKind::kDefault;
+  EngineKind kind_;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
   float act_scale_ = -1.0f;
@@ -231,8 +215,6 @@ class QuantConv2d final : public Layer {
 /// Inference-only quantized fully-connected layer.
 class QuantLinear final : public Layer {
  public:
-  QuantLinear(Linear& src, const MvmEngine& engine, int weight_bits = 8,
-              int act_bits = 8);
   QuantLinear(Linear& src, EngineKind kind, int weight_bits = 8,
               int act_bits = 8);
   /// Deserialization counterpart of the QuantConv2d restore constructor:
@@ -267,8 +249,7 @@ class QuantLinear final : public Layer {
   int act_bits_;
   QuantizedTensor qweight_;  // (out x in)
   Tensor bias_;
-  const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
-  EngineKind kind_ = EngineKind::kDefault;
+  EngineKind kind_;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
   float act_scale_ = -1.0f;
@@ -277,12 +258,6 @@ class QuantLinear final : public Layer {
 /// Fold every (Conv2d, BatchNorm2d) adjacent pair inside Sequential
 /// containers (recursively). Returns the number of folds performed.
 int fold_batchnorm(Layer& root);
-
-/// Replace every Conv2d / Linear reachable from root with its quantized
-/// counterpart bound directly to `engine`. Returns the number of
-/// replacements. Root itself must be a container.
-int quantize_network(Layer& root, const MvmEngine& engine, int weight_bits = 8,
-                     int act_bits = 8);
 
 /// Run `images` through the network in calibration mode, then finalize
 /// all activation scales.

@@ -81,8 +81,6 @@ void DeploymentPlan::prepack_weights() {
     YOLOC_CHECK(qw.shape.size() == 2, "prepack: quant weight must be 2-D");
     const int m = qw.shape[0];
     const int k = qw.shape[1];
-    // Lowering assigns every layer kRom or kSram; treat a (legacy)
-    // default binding as ROM-resident, matching execute()'s slot wiring.
     MacroMvmEngine& engine =
         kind == EngineKind::kSram ? sram_engine_ : rom_engine_;
     (void)engine.pack(qw.data.data(), m, k);

@@ -190,14 +190,6 @@ CanarySuite read_canaries(ByteReader& r) {
 
 // --------------------------------------------------------------- graph
 
-std::uint32_t engine_kind_tag(EngineKind kind, const std::string& name) {
-  YOLOC_CHECK(kind == EngineKind::kRom || kind == EngineKind::kSram,
-              "plan serde: layer '" + name +
-                  "' is direct-bound (kDefault); only kind-tagged "
-                  "deployment lowerings are serializable");
-  return static_cast<std::uint32_t>(kind);
-}
-
 EngineKind read_engine_kind(ByteReader& r) {
   const std::uint32_t tag = r.u32();
   YOLOC_CHECK(tag == static_cast<std::uint32_t>(EngineKind::kRom) ||
@@ -239,7 +231,7 @@ void write_layer(ByteWriter& w, Layer& layer) {
       w.i32(q.stride());
       w.i32(q.pad());
       w.i32(q.act_bits());
-      w.u32(engine_kind_tag(q.engine_kind(), q.name()));
+      w.u32(static_cast<std::uint32_t>(q.engine_kind()));
       w.f32(q.act_scale());
       write_quantized_tensor(w, q.weights());
       write_tensor(w, q.bias());
@@ -253,7 +245,7 @@ void write_layer(ByteWriter& w, Layer& layer) {
       w.i32(q.in_features());
       w.i32(q.out_features());
       w.i32(q.act_bits());
-      w.u32(engine_kind_tag(q.engine_kind(), q.name()));
+      w.u32(static_cast<std::uint32_t>(q.engine_kind()));
       w.f32(q.act_scale());
       write_quantized_tensor(w, q.weights());
       write_tensor(w, q.bias());

@@ -32,8 +32,7 @@ Scheduler::Scheduler(const DeploymentPlan& plan, SchedulerOptions options)
                                    : static_cast<int>(parallel_workers())),
       trace_(options.workers > 0 ? options.workers
                                  : static_cast<int>(parallel_workers()),
-             options.trace_sampling,
-             std::max<std::size_t>(options.trace_buffer_events, 1)),
+             options.trace_sampling),
       resilience_(options.workers > 0 ? options.workers
                                       : static_cast<int>(parallel_workers()),
                   options.resilience) {
@@ -433,10 +432,7 @@ void Scheduler::worker_loop(int worker_index) {
         if (traffic_waiting) {
           const std::uint64_t est =
               ewma_image_ns_.load(std::memory_order_relaxed);
-          const std::uint64_t window_est =
-              options_.deadline_aware_batching ? est : 0;
-          batch = queue_.pop_batch(lane_batch_caps(est), now, window_est,
-                                   mask);
+          batch = queue_.pop_batch(lane_batch_caps(est), now, est, mask);
           batch_id = next_batch_id_++;
           in_flight_ += static_cast<int>(batch.size());
           pickup = now;
@@ -681,24 +677,11 @@ void Scheduler::worker_loop(int worker_index) {
       if (ifb != nullptr && inflight_batches_[widx] == ifb) {
         inflight_batches_[widx].reset();
       }
-      // Merge per-batch stats in batch-formation order: given the same
-      // batch compositions (always true at max_microbatch = 1 with
-      // uniform-class traffic) the aggregate double sums are
-      // reproducible run to run. A failed batch merges zeros (its
-      // partial activity produced no output) but still holds its slot
-      // so the order is preserved.
-      pending_stats_[batch_id] =
-          error ? BatchStats{} : BatchStats{ctx.rom_stats(), ctx.sram_stats()};
-      for (auto it = pending_stats_.find(next_merge_id_);
-           it != pending_stats_.end();
-           it = pending_stats_.find(next_merge_id_)) {
-        rom_total_.accumulate(it->second.rom);
-        sram_total_.accumulate(it->second.sram);
-        pending_stats_.erase(it);
-        ++next_merge_id_;
-      }
-      in_flight_ -= static_cast<int>(batch.size());
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+      // A failed batch merges zeros: its partial activity produced no
+      // output.
+      finish_batch_locked(batch_id, batch.size(),
+                          error ? BatchStats{}
+                                : BatchStats{ctx.rom_stats(), ctx.sram_stats()});
     }
   }
 }
@@ -775,21 +758,28 @@ void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
   metrics_.record_batch(ifb->worker, obs);
   {
     std::lock_guard lock(mutex_);
-    // The hung batch merges zeros but still holds its slot in the merge
-    // train, exactly like an execution failure — otherwise every later
-    // batch's stats would wait on a merge id that never arrives.
-    pending_stats_[ifb->batch_id] = BatchStats{};
-    for (auto it = pending_stats_.find(next_merge_id_);
-         it != pending_stats_.end();
-         it = pending_stats_.find(next_merge_id_)) {
-      rom_total_.accumulate(it->second.rom);
-      sram_total_.accumulate(it->second.sram);
-      pending_stats_.erase(it);
-      ++next_merge_id_;
-    }
-    in_flight_ -= static_cast<int>(n);
-    if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+    // The hung batch merges zeros, exactly like an execution failure.
+    finish_batch_locked(ifb->batch_id, n, BatchStats{});
   }
+}
+
+void Scheduler::finish_batch_locked(std::uint64_t batch_id,
+                                    std::size_t requests, BatchStats stats) {
+  // Merge per-batch stats in batch-formation order: given the same batch
+  // compositions (always true at max_microbatch = 1 with uniform-class
+  // traffic) the aggregate double sums are reproducible run to run. Every
+  // formed batch parks exactly once — failed and hung ones too — or every
+  // later batch would wait on a merge id that never arrives.
+  pending_stats_[batch_id] = stats;
+  for (auto it = pending_stats_.find(next_merge_id_);
+       it != pending_stats_.end(); it = pending_stats_.find(next_merge_id_)) {
+    rom_total_.accumulate(it->second.rom);
+    sram_total_.accumulate(it->second.sram);
+    pending_stats_.erase(it);
+    ++next_merge_id_;
+  }
+  in_flight_ -= static_cast<int>(requests);
+  if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
 }
 
 }  // namespace yoloc

@@ -77,9 +77,6 @@ struct SchedulerOptions {
   std::uint64_t max_queue_depth = 0;
   /// Deadline applied to requests submitted without one. Zero = none.
   std::chrono::nanoseconds default_deadline{0};
-  /// Cap batch growth by the tightest member deadline against the
-  /// rolling per-image service estimate.
-  bool deadline_aware_batching = true;
   /// Per-lane DWRR service shares (see LaneWeights). The default,
   /// strict_lane_weights() = {inf, 1, 0}, reproduces the legacy strict
   /// priority policy exactly; finite weights (e.g. {8, 3, 1}) bound
@@ -104,9 +101,6 @@ struct SchedulerOptions {
   /// reads on the hot path. Tracing is observer-only: outputs, stats
   /// and scheduling are bit-identical at any sampling rate.
   double trace_sampling = 0.0;
-  /// Per-worker trace buffer capacity in events. A full buffer drops
-  /// (and counts) further events rather than stalling the worker.
-  std::size_t trace_buffer_events = TraceCollector::kDefaultCapacity;
   /// Record every submission (accepted or not) into an in-memory
   /// admission trace — arrival offset, class, relative deadline, input
   /// geometry — retrievable via recorded_trace() and replayable with
@@ -260,6 +254,13 @@ class Scheduler {
   /// Fail `expired` fast (DeadlineExpiredError) and settle accounting.
   /// Caller must have added them to in_flight_ under the queue lock.
   void cancel_expired(std::vector<ServeRequest> expired);
+  /// Completion accounting for batch `batch_id` of `requests` requests,
+  /// under mutex_: park its stats (zeros for a failed or hung batch, which
+  /// still holds its slot), merge every parked batch that is next in
+  /// formation order, and wake wait_idle() once nothing is queued or in
+  /// flight.
+  void finish_batch_locked(std::uint64_t batch_id, std::size_t requests,
+                           BatchStats stats);
 
   /// Effective per-lane micro-batch caps for one scheduling decision:
   /// the SLO-aware auto-batch rule described at SchedulerOptions::

@@ -177,9 +177,6 @@ void BatchTraceSink::layer_span(const char* phase, const char* layer,
     case EngineKind::kSram:
       ev.engine = "sram";
       break;
-    case EngineKind::kDefault:
-      ev.engine = "default";
-      break;
   }
   ev.request_id = request_id_;
   ev.batch_id = batch_id_;

@@ -66,7 +66,7 @@ inline constexpr std::uint64_t kTraceNoId = ~0ull;
 struct TraceEvent {
   const char* name = nullptr;   ///< span taxonomy entry (never null)
   const char* layer = nullptr;  ///< plan-owned layer name (layer spans)
-  const char* engine = nullptr; ///< "rom"/"sram"/"default" (layer spans)
+  const char* engine = nullptr; ///< "rom"/"sram" (layer spans)
   std::uint64_t request_id = kTraceNoId;
   std::uint64_t batch_id = kTraceNoId;
   std::uint64_t start_ns = 0;
@@ -135,56 +135,6 @@ class TraceCollector {
 
   double sampling_;
   std::vector<std::unique_ptr<WorkerRing>> rings_;
-};
-
-/// RAII span: records the construction time, emits one complete event on
-/// destruction. Inactive when constructed with a null collector (the
-/// unsampled path), in which case it never reads the clock.
-class SpanScope {
- public:
-  SpanScope() = default;
-  SpanScope(TraceCollector* collector, int worker, const char* name,
-            std::uint64_t request_id, std::uint64_t batch_id,
-            std::int32_t requests = 0, std::int32_t images = 0)
-      : collector_(collector),
-        worker_(worker),
-        name_(name),
-        request_id_(request_id),
-        batch_id_(batch_id),
-        requests_(requests),
-        images_(images),
-        start_ns_(collector != nullptr ? trace_now_ns() : 0) {}
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  ~SpanScope() { close(); }
-
-  /// Emit the span now (idempotent; the destructor becomes a no-op).
-  void close() {
-    if (collector_ == nullptr) return;
-    TraceEvent ev;
-    ev.name = name_;
-    ev.request_id = request_id_;
-    ev.batch_id = batch_id_;
-    ev.start_ns = start_ns_;
-    ev.dur_ns = trace_now_ns() - start_ns_;
-    ev.requests = requests_;
-    ev.images = images_;
-    ev.tid = worker_;
-    collector_->emit(worker_, ev);
-    collector_ = nullptr;
-  }
-
- private:
-  TraceCollector* collector_ = nullptr;
-  int worker_ = 0;
-  const char* name_ = nullptr;
-  std::uint64_t request_id_ = kTraceNoId;
-  std::uint64_t batch_id_ = kTraceNoId;
-  std::int32_t requests_ = 0;
-  std::int32_t images_ = 0;
-  std::uint64_t start_ns_ = 0;
 };
 
 /// LayerTraceSink adapter a worker installs on its ExecutionContext for

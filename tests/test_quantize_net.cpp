@@ -1,14 +1,20 @@
 // Network lowering tests: BatchNorm folding exactness, int8 quantized
-// inference fidelity against the float reference (exact integer engine),
-// and the calibration workflow.
+// inference fidelity against the float reference (an exact-cost
+// DeploymentPlan served through an ExecutionContext), the calibration
+// workflow, and the one way a quantized layer finds its engine: the
+// MvmBinding slot of its EngineKind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/int_gemm.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -17,6 +23,8 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/quantize.hpp"
+#include "runtime/deployment_plan.hpp"
+#include "runtime/execution_context.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
 
@@ -34,6 +42,50 @@ LayerPtr small_convnet(Rng& rng, bool with_bn) {
   net->add(std::make_unique<GlobalAvgPool>());
   net->add(std::make_unique<Linear>(4, 3, true, rng, "fc"));
   return net;
+}
+
+/// Exact integer MVM for layer-level tests: y = w * x through the plain
+/// GEMM body, no cost model and no session state.
+class TestExactEngine final : public MvmEngine {
+ public:
+  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
+                 int p, std::int32_t* y,
+                 MvmSession& /*session*/) const override {
+    std::fill(y, y + static_cast<std::size_t>(m) * p, 0);
+    gemm_s8u8_accumulate(w, static_cast<std::size_t>(k), m, k, x,
+                         static_cast<std::size_t>(p), p, y,
+                         static_cast<std::size_t>(p));
+  }
+  [[nodiscard]] std::string name() const override { return "test-exact"; }
+};
+
+/// A binding that routes both engine kinds to `engine`, staging through
+/// `scratch`.
+MvmBinding bind_both(const MvmEngine& engine, MvmScratch* scratch) {
+  MvmBinding binding;
+  binding.slot(EngineKind::kRom) = {&engine, {nullptr, nullptr, scratch}};
+  binding.slot(EngineKind::kSram) = {&engine, {nullptr, nullptr, scratch}};
+  return binding;
+}
+
+/// Lower `net` into an exact-cost plan calibrated on `calib`.
+std::unique_ptr<DeploymentPlan> exact_cost_plan(LayerPtr net,
+                                                const Tensor& calib) {
+  DeploymentOptions options;
+  options.mode = MacroMvmEngine::Mode::kExactCost;
+  return std::make_unique<DeploymentPlan>(std::move(net), calib,
+                                          std::move(options));
+}
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(BnFold, EvalOutputUnchanged) {
@@ -66,39 +118,15 @@ TEST(BnFold, NoOpWithoutBn) {
   EXPECT_EQ(fold_batchnorm(*net), 0);
 }
 
-TEST(ExactEngine, MatchesIntegerReference) {
-  ExactMvmEngine engine;
-  const int m = 3, k = 4, p = 2;
-  const std::int8_t w[m * k] = {1, -2, 3, -4, 5, 6, -7, 8, 0, 1, 2, 3};
-  const std::uint8_t x[k * p] = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::int32_t y[m * p];
-  engine.mvm_batch(w, m, k, x, p, y);
-  // Row 0, col 0: 1*1 - 2*3 + 3*5 - 4*7 = -18.
-  EXPECT_EQ(y[0], -18);
-  // Row 0, col 1: 1*2 - 2*4 + 3*6 - 4*8 = -20.
-  EXPECT_EQ(y[1], -20);
-  // Row 2, col 0: 0*1 + 1*3 + 2*5 + 3*7 = 34.
-  EXPECT_EQ(y[4], 34);
-}
-
-TEST(QuantizeNetwork, ReplacesConvAndLinear) {
+TEST(DeployLowering, ReplacesConvAndLinear) {
   Rng rng(4);
   LayerPtr net = small_convnet(rng, /*with_bn=*/false);
-  ExactMvmEngine engine;
-  const int replaced = quantize_network(*net, engine);
-  EXPECT_EQ(replaced, 3);  // two convs + one linear
+  const Tensor calib = Tensor::rand_uniform({2, 2, 6, 6}, rng, 0.0f, 1.0f);
+  auto plan = exact_cost_plan(std::move(net), calib);
+  EXPECT_EQ(plan->quantized_layer_count(), 3);  // two convs + one linear
 }
 
-TEST(QuantizeNetwork, DeployBeforeCalibrationThrows) {
-  Rng rng(5);
-  LayerPtr net = small_convnet(rng, /*with_bn=*/false);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
-  Tensor x = Tensor::rand_uniform({1, 2, 6, 6}, rng, 0.0f, 1.0f);
-  EXPECT_THROW(net->forward(x, false), std::runtime_error);
-}
-
-TEST(QuantizeNetwork, QuantizedCloseToFloatReference) {
+TEST(DeployLowering, QuantizedCloseToFloatReference) {
   Rng rng(6);
   LayerPtr net = small_convnet(rng, /*with_bn=*/true);
   Tensor warm = Tensor::rand_uniform({8, 2, 6, 6}, rng, 0.0f, 1.0f);
@@ -107,18 +135,16 @@ TEST(QuantizeNetwork, QuantizedCloseToFloatReference) {
   Tensor x = Tensor::rand_uniform({4, 2, 6, 6}, rng, 0.0f, 1.0f);
   Tensor reference = net->forward(x, false);
 
-  fold_batchnorm(*net);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
-  calibrate_quantized(*net, warm);
-  Tensor quantized = net->forward(x, false);
+  auto plan = exact_cost_plan(std::move(net), warm);
+  ExecutionContext ctx(*plan);
+  Tensor quantized = ctx.infer(x);
 
   // int8 weights + uint8 activations: a few percent of the output range.
   const float ref_range = reference.max_abs();
   EXPECT_LT(max_abs_diff(reference, quantized), 0.08f * ref_range + 0.05f);
 }
 
-TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
+TEST(DeployLowering, ArgmaxAgreementOnRandomInputs) {
   Rng rng(7);
   LayerPtr net = small_convnet(rng, /*with_bn=*/true);
   Tensor warm = Tensor::rand_uniform({16, 2, 6, 6}, rng, 0.0f, 1.0f);
@@ -127,11 +153,9 @@ TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
   Tensor x = Tensor::rand_uniform({32, 2, 6, 6}, rng, 0.0f, 1.0f);
   const auto ref_pred = argmax_rows(net->forward(x, false));
 
-  fold_batchnorm(*net);
-  ExactMvmEngine engine;
-  quantize_network(*net, engine);
-  calibrate_quantized(*net, warm);
-  const auto q_pred = argmax_rows(net->forward(x, false));
+  auto plan = exact_cost_plan(std::move(net), warm);
+  ExecutionContext ctx(*plan);
+  const auto q_pred = argmax_rows(ctx.infer(x));
 
   int agree = 0;
   for (std::size_t i = 0; i < ref_pred.size(); ++i) {
@@ -140,11 +164,32 @@ TEST(QuantizeNetwork, ArgmaxAgreementOnRandomInputs) {
   EXPECT_GE(agree, 29);  // >= ~90% agreement
 }
 
+TEST(QuantLayers, DeployBeforeCalibrationThrows) {
+  Rng rng(5);
+  Conv2d conv(2, 4, 3, 1, 1, true, rng, "c");
+  Linear lin(4, 3, true, rng, "fc");
+  QuantConv2d qconv(conv, EngineKind::kRom);
+  QuantLinear qlin(lin, EngineKind::kSram);
+  const TestExactEngine engine;
+  MvmScratch scratch;
+  const MvmBinding binding = bind_both(engine, &scratch);
+  MvmBinding::Scope scope(binding);
+  const Tensor xc = Tensor::rand_uniform({1, 2, 6, 6}, rng, 0.0f, 1.0f);
+  const Tensor xl = Tensor::rand_uniform({1, 4}, rng, 0.0f, 1.0f);
+  // Bound, so the missing calibration is the only fault.
+  const std::string conv_msg =
+      thrown_message([&] { (void)qconv.forward(xc, false); });
+  const std::string lin_msg =
+      thrown_message([&] { (void)qlin.forward(xl, false); });
+  EXPECT_NE(conv_msg.find("before calibration"), std::string::npos)
+      << conv_msg;
+  EXPECT_NE(lin_msg.find("before calibration"), std::string::npos) << lin_msg;
+}
+
 TEST(QuantLayers, BackwardThrows) {
   Rng rng(8);
   Conv2d conv(1, 1, 1, 1, 0, false, rng, "c");
-  ExactMvmEngine engine;
-  QuantConv2d qconv(conv, engine);
+  QuantConv2d qconv(conv, EngineKind::kRom);
   Tensor g({1, 1, 2, 2});
   EXPECT_THROW(qconv.backward(g), std::runtime_error);
 }
@@ -152,8 +197,7 @@ TEST(QuantLayers, BackwardThrows) {
 TEST(QuantLayers, CalibrationRecordsScale) {
   Rng rng(9);
   Conv2d conv(1, 2, 3, 1, 1, false, rng, "c");
-  ExactMvmEngine engine;
-  QuantConv2d qconv(conv, engine);
+  QuantConv2d qconv(conv, EngineKind::kRom);
   EXPECT_FALSE(qconv.is_calibrated());
   qconv.set_calibration_mode(true);
   Tensor x = Tensor::rand_uniform({2, 1, 4, 4}, rng, 0.0f, 2.0f);
@@ -217,7 +261,9 @@ TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
   // it must equal quantizing the float patch matrix, bit for bit, padding
   // and saturation included, across kernel/stride/pad/batch geometries on
   // odd spatial sizes.
-  ExactMvmEngine engine;
+  const TestExactEngine engine;
+  MvmScratch scratch;
+  const MvmBinding binding = bind_both(engine, &scratch);
   struct Spatial {
     int h;
     int w;
@@ -234,7 +280,7 @@ TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
                          << "x" << hw.w);
             Rng rng(static_cast<std::uint64_t>(1000 + cases++));
             Conv2d conv(3, 4, kernel, stride, pad, true, rng, "c");
-            QuantConv2d qconv(conv, engine);
+            QuantConv2d qconv(conv, EngineKind::kRom);
             qconv.set_calibration_mode(true);
             (void)qconv.forward(
                 Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, 0.0f, 2.0f),
@@ -244,7 +290,11 @@ TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
             // values past the range saturate.
             const Tensor x =
                 Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, -1.0f, 3.0f);
-            const Tensor got = qconv.forward(x, false);
+            Tensor got;
+            {
+              MvmBinding::Scope scope(binding);
+              got = qconv.forward(x, false);
+            }
             const Tensor want = oracle_quant_conv(qconv, x);
             ASSERT_EQ(got.shape(), want.shape());
             for (std::size_t i = 0; i < got.size(); ++i) {
@@ -254,6 +304,84 @@ TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
         }
       }
     }
+  }
+}
+
+/// A calibrated conv and linear pair, each tagged with its own kind.
+struct CalibratedPair {
+  explicit CalibratedPair(Rng& rng)
+      : conv(2, 4, 3, 1, 1, true, rng, "c"),
+        lin(4, 3, true, rng, "fc"),
+        qconv(conv, EngineKind::kRom),
+        qlin(lin, EngineKind::kSram) {
+    qconv.set_calibration_mode(true);
+    (void)qconv.forward(Tensor::rand_uniform({2, 2, 6, 6}, rng, 0.0f, 1.0f),
+                        false);
+    qconv.finalize_calibration();
+    qlin.set_calibration_mode(true);
+    (void)qlin.forward(Tensor::rand_uniform({2, 4}, rng, 0.0f, 1.0f), false);
+    qlin.finalize_calibration();
+  }
+
+  Conv2d conv;
+  Linear lin;
+  QuantConv2d qconv;
+  QuantLinear qlin;
+};
+
+TEST(EngineLookup, UnboundForwardThrowsNamingExecutionContext) {
+  Rng rng(21);
+  CalibratedPair pair(rng);
+  const Tensor xc = Tensor::rand_uniform({1, 2, 6, 6}, rng, 0.0f, 1.0f);
+  const Tensor xl = Tensor::rand_uniform({1, 4}, rng, 0.0f, 1.0f);
+  const std::string conv_msg =
+      thrown_message([&] { (void)pair.qconv.forward(xc, false); });
+  const std::string lin_msg =
+      thrown_message([&] { (void)pair.qlin.forward(xl, false); });
+  EXPECT_NE(conv_msg.find("ExecutionContext"), std::string::npos) << conv_msg;
+  EXPECT_NE(conv_msg.find("c.q"), std::string::npos) << conv_msg;
+  EXPECT_NE(lin_msg.find("ExecutionContext"), std::string::npos) << lin_msg;
+  EXPECT_NE(lin_msg.find("fc.q"), std::string::npos) << lin_msg;
+
+  // Bound, the same layers run.
+  const TestExactEngine engine;
+  MvmScratch scratch;
+  const MvmBinding binding = bind_both(engine, &scratch);
+  MvmBinding::Scope scope(binding);
+  EXPECT_NO_THROW((void)pair.qconv.forward(xc, false));
+  EXPECT_NO_THROW((void)pair.qlin.forward(xl, false));
+}
+
+TEST(EngineLookup, SlotWithoutScratchOrEngineThrows) {
+  Rng rng(22);
+  CalibratedPair pair(rng);
+  const Tensor xc = Tensor::rand_uniform({1, 2, 6, 6}, rng, 0.0f, 1.0f);
+  const Tensor xl = Tensor::rand_uniform({1, 4}, rng, 0.0f, 1.0f);
+  const TestExactEngine engine;
+
+  // Both slots bound to an engine, neither with a scratch arena.
+  {
+    const MvmBinding binding = bind_both(engine, nullptr);
+    MvmBinding::Scope scope(binding);
+    const std::string conv_msg =
+        thrown_message([&] { (void)pair.qconv.forward(xc, false); });
+    const std::string lin_msg =
+        thrown_message([&] { (void)pair.qlin.forward(xl, false); });
+    EXPECT_NE(conv_msg.find("scratch"), std::string::npos) << conv_msg;
+    EXPECT_NE(lin_msg.find("scratch"), std::string::npos) << lin_msg;
+  }
+
+  // Only the ROM slot bound: the SRAM-tagged linear finds no engine and
+  // does not borrow the other kind's.
+  {
+    MvmScratch scratch;
+    MvmBinding binding;
+    binding.slot(EngineKind::kRom) = {&engine, {nullptr, nullptr, &scratch}};
+    MvmBinding::Scope scope(binding);
+    EXPECT_NO_THROW((void)pair.qconv.forward(xc, false));
+    const std::string lin_msg =
+        thrown_message([&] { (void)pair.qlin.forward(xl, false); });
+    EXPECT_NE(lin_msg.find("ExecutionContext"), std::string::npos) << lin_msg;
   }
 }
 

@@ -3,18 +3,20 @@
 //   build/yolocplan_inspect PATH [--no-graph] [--packed]
 //
 // Prints the artifact header (magic/version), the section table with
-// id/offset/size and a stored-vs-computed CRC-32 verdict per section,
-// then cold-loads the plan and walks the lowered layer graph: one line
-// per layer with kind, name, geometry, engine residency (ROM/SRAM) and
+// id/offset/size, the stored CRC-32 and a CRC verdict per section, then
+// cold-loads the plan and walks the lowered layer graph: one line per
+// layer with kind, name, geometry, engine residency (ROM/SRAM) and
 // calibrated activation scale. --packed additionally reports the
 // deploy-time packed weight bit-plane footprint (total resident bytes,
 // pack time, per-engine entry/byte counts). Exit status: 0 on a clean
 // artifact, 1 on any integrity failure (bad magic/version/table/CRC or
 // a graph that refuses to load).
 //
-// The section-table walk parses the container format directly (it is
-// small and documented in runtime/plan_serde.hpp) so a corrupt artifact
-// still gets its table printed before the load fails.
+// The table comes from inspect_plan (runtime/plan_serde.hpp), the view
+// the serving front-end's GET /plan reports: it accepts every format
+// version the loader does, and reports a CRC mismatch per section, so a
+// corrupt payload still gets its table printed before the load is
+// skipped. A bad magic, version or table prints the loader's error.
 
 #include <cstdio>
 #include <cstring>
@@ -24,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/binio.hpp"
-#include "common/crc32.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
@@ -37,27 +37,12 @@ namespace {
 
 using namespace yoloc;
 
-const char* section_name(std::uint32_t id) {
-  switch (id) {
-    case 1:
-      return "OPTIONS";
-    case 2:
-      return "GRAPH";
-    case 3:
-      return "CANARY";
-    default:
-      return "unknown";
-  }
-}
-
 const char* engine_name(EngineKind kind) {
   switch (kind) {
     case EngineKind::kRom:
       return "ROM";
     case EngineKind::kSram:
       return "SRAM";
-    case EngineKind::kDefault:
-      return "default";
   }
   return "?";
 }
@@ -129,50 +114,23 @@ void dump_layer(Layer& layer, int depth) {
   }
 }
 
-/// Parse and print the container header + section table; returns false
-/// on any integrity failure.
+/// Print the container header + section table; returns false when any
+/// section fails its CRC. Throws the loader's error on a malformed
+/// container.
 bool dump_section_table(const std::vector<std::uint8_t>& bytes) {
-  constexpr char kMagic[8] = {'Y', 'O', 'L', 'O', 'C', 'P', 'L', 'N'};
-  if (bytes.size() < sizeof(kMagic) + 8 ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    std::printf("not a .yolocplan artifact (bad magic)\n");
-    return false;
-  }
-  ByteReader r(bytes.data(), bytes.size());
-  std::uint8_t magic_skip[sizeof(kMagic)];
-  r.bytes(magic_skip, sizeof(kMagic));
-  const std::uint32_t version = r.u32();
-  const std::uint32_t nsec = r.u32();
-  std::printf("magic   YOLOCPLN\nversion %u%s\nsections %u\n", version,
-              version == kPlanFormatVersion ? "" : "  (UNSUPPORTED)", nsec);
-  if (nsec == 0 || nsec > 64) {
-    std::printf("bad section count\n");
-    return false;
-  }
-  std::printf("  %-4s %-8s %10s %12s %10s %10s %s\n", "id", "name", "offset",
-              "size", "crc32", "computed", "verdict");
-  bool ok = version == kPlanFormatVersion;
-  for (std::uint32_t i = 0; i < nsec; ++i) {
-    if (r.remaining() < 24) {
-      std::printf("  truncated section table\n");
-      return false;
-    }
-    const std::uint32_t id = r.u32();
-    const std::uint64_t offset = r.u64();
-    const std::uint64_t size = r.u64();
-    const std::uint32_t stored_crc = r.u32();
-    const bool in_bounds =
-        offset <= bytes.size() && size <= bytes.size() - offset;
-    const std::uint32_t computed_crc =
-        in_bounds ? crc32(bytes.data() + offset, size) : 0;
-    const bool section_ok = in_bounds && computed_crc == stored_crc;
-    ok = ok && section_ok;
-    std::printf("  %-4u %-8s %10llu %12llu %#10x %#10x %s\n", id,
-                section_name(id), static_cast<unsigned long long>(offset),
-                static_cast<unsigned long long>(size), stored_crc,
-                computed_crc,
-                !in_bounds ? "OUT-OF-BOUNDS"
-                           : (section_ok ? "OK" : "CRC MISMATCH"));
+  const PlanArtifactInfo info = inspect_plan(bytes.data(), bytes.size());
+  std::printf("magic   YOLOCPLN\nversion %u\nsections %zu\n", info.version,
+              info.sections.size());
+  std::printf("  %-4s %-8s %10s %12s %10s %s\n", "id", "name", "offset",
+              "size", "crc32", "verdict");
+  bool ok = true;
+  for (const PlanSectionInfo& sec : info.sections) {
+    ok = ok && sec.crc_ok;
+    std::printf("  %-4u %-8s %10llu %12llu %#10x %s\n", sec.id,
+                plan_section_name(sec.id),
+                static_cast<unsigned long long>(sec.offset),
+                static_cast<unsigned long long>(sec.size), sec.crc32_value,
+                sec.crc_ok ? "OK" : "CRC MISMATCH");
   }
   return ok;
 }
