@@ -14,6 +14,7 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "core/macro_engine.hpp"
 #include "macro/cim_macro.hpp"
 
 namespace {
@@ -35,12 +36,18 @@ FidelityResult measure(const MacroConfig& cfg, int trials = 48) {
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k));
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
+  MvmScratch scratch;
+  AnalogNoise noise{rng(), 0};
+  MvmSession session{&noise, &stats, &scratch};
   double err_acc = 0.0;
   int err_count = 0;
   for (int t = 0; t < trials; ++t) {
     for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    // A fresh engine per trial: an engine's packing is frozen.
+    MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+    engine.pack(w.data(), m, k);
+    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
     for (int j = 0; j < m; ++j) {
       std::int64_t ref = 0;
       for (int i = 0; i < k; ++i) {

@@ -1,8 +1,8 @@
 // Kernel-level throughput of the CiM macro MVM: packed (MacroMvmEngine
 // over its deploy-time weight bit-plane packing) vs legacy (the test-side
 // per-call tiler of tests/reference_macro_engine.hpp, which re-derives
-// the weight masks through CimMacro::mvm / mvm_exact_cost on every
-// column — the pre-packing baseline) across
+// the weight masks on every column and runs each read as a plain scalar
+// loop over the keyed draws — the pre-packing baseline) across
 // {rows, input_bits, weight_bits} geometries, in analog mode with the
 // default ROM noise, in noise-free analog mode (sigma_cell = 0,
 // adc noise = 0 — the configuration every fidelity test runs), and in
@@ -15,15 +15,14 @@
 //    "ns_per_mac":..,"columns_per_s":..,"pack_ms":..,
 //    "speedup_vs_legacy":..}
 //
-// Before timing, each configuration asserts the packed outputs and run
-// stats are bit-identical to the legacy path under the same seed, and in
-// noisy analog mode that both sessions' next RNG draw agrees — the bench
-// refuses to report a speedup for a kernel that changed results, and
-// exits 1 (`--seconds=0` runs just that check on every cell; ctest runs
-// it as bench_macro_mvm_selfcheck). Packed
-// rows carry "popcount":"hw"|"portable" and "gemm":"avx2"|"portable", the
-// variants the packed analog kernels and the exact-cost tile selected on
-// this host (macro/packed_kernels.hpp).
+// Before timing, each configuration asserts the packed outputs, run stats
+// and noise call counts are bit-identical to the keyed oracle's under the
+// same seed — the bench refuses to report a speedup for a kernel that
+// changed results, and exits 1 (`--seconds=0` runs just that check on
+// every cell; ctest runs it as bench_macro_mvm_selfcheck). Packed rows
+// carry "popcount":"hw"|"portable", "chain":"avx2"|"portable" and
+// "gemm":"avx2"|"portable", the variants the packed analog kernels and
+// the exact-cost tile selected on this host (macro/packed_kernels.hpp).
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
@@ -80,10 +79,10 @@ Measurement run_path(const MvmEngine& engine, int m, int k, int p,
                      const std::vector<std::int8_t>& w,
                      const std::vector<std::uint8_t>& x, double min_seconds) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(11);
+  AnalogNoise noise{11, 0};
   MacroRunStats stats;
   MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
+  MvmSession session{&noise, &stats, &scratch};
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);  // warm
 
   Measurement out;
@@ -124,21 +123,14 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
   {
     std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
     std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-    Rng ra(7);
-    Rng rb(7);
+    AnalogNoise na{7, 0};
+    AnalogNoise nb{7, 0};
     MacroRunStats sa, sb;
     MvmScratch sca, scb;
-    MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
+    MvmSession sea{&na, &sa, &sca}, seb{&nb, &sb, &scb};
     legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
     packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
-    // A noise-free packed session draws nothing by design; a noisy
-    // one must leave its RNG where the legacy session left it (the
-    // cached half of a polar pair included, hence normal() first).
-    const bool noisy = variant.mode == MacroMvmEngine::Mode::kAnalog &&
-                       !macro.noise_free();
-    const bool same_next_draw =
-        !noisy || (ra.normal() == rb.normal() && ra() == rb());
-    if (ya != yb || sa != sb || !same_next_draw) {
+    if (ya != yb || sa != sb || na.calls != nb.calls) {
       std::fprintf(stderr,
                    "FATAL: packed path diverged from legacy at "
                    "rows=%d ib=%d wb=%d variant=%s p=%d\n",
@@ -171,12 +163,13 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
       "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
       "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
       "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-      "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\",\"gemm\":\"%s\"}\n",
+      "\"speedup_vs_legacy\":%.2f,\"popcount\":\"%s\",\"chain\":\"%s\","
+      "\"gemm\":\"%s\"}\n",
       variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
       p, packed_ns_per_mac, packed_cols_s, packed.packed().total_pack_ms(),
       packed.packed().packed_bytes(),
       packed_cols_s / legacy_cols_s, detail::packed_kernels().popcount,
-      detail::exact_tile_kernels().gemm);
+      detail::packed_kernels().chain, detail::exact_tile_kernels().gemm);
   std::fflush(stdout);
   return true;
 }

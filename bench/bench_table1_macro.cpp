@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/macro_engine.hpp"
 #include "macro/macro_spec.hpp"
 
 namespace {
@@ -51,8 +52,13 @@ void BM_RomMacroMvm(benchmark::State& state) {
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   MacroRunStats stats;
+  MvmScratch scratch;
+  AnalogNoise noise{1, 0};
+  MvmSession session{&noise, &stats, &scratch};
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+  engine.pack(w.data(), m, k);
   for (auto _ : state) {
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["modeled_TOPS/W"] =
@@ -66,15 +72,18 @@ BENCHMARK(BM_RomMacroMvm);
 /// Microbenchmark: the exact-cost path (accuracy studies disabled).
 void BM_RomMacroMvmExactCost(benchmark::State& state) {
   const CimMacro macro(default_rom_macro());
-  Rng rng(2);
   const int k = macro.config().geometry.rows;
   const int m = macro.config().geometry.weights_per_row();
   std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k, 3);
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 7);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
+  MvmScratch scratch;
+  MvmSession session{nullptr, &stats, &scratch};
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+  engine.pack(w.data(), m, k);
   for (auto _ : state) {
-    macro.mvm_exact_cost(w.data(), m, k, x.data(), y.data(), stats);
+    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
     benchmark::DoNotOptimize(y.data());
   }
 }

@@ -14,12 +14,6 @@ Adc::Adc(const AdcParams& params) : params_(params) {
   lsb_ = (params.v_hi - params.v_lo) / static_cast<double>(levels_ - 1);
 }
 
-int Adc::quantize(double voltage, Rng& rng) const {
-  const double noisy =
-      voltage + rng.normal(0.0, params_.noise_sigma_v);
-  return quantize_ideal(noisy);
-}
-
 int Adc::quantize_ideal(double voltage) const {
   const double clamped =
       std::clamp(voltage, params_.v_lo, params_.v_hi);

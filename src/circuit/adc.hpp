@@ -5,8 +5,6 @@
 // quantizes uniformly over [v_lo, v_hi] with optional input-referred
 // Gaussian noise and charges a fixed energy per conversion.
 
-#include "common/rng.hpp"
-
 namespace yoloc {
 
 struct AdcParams {
@@ -24,12 +22,11 @@ class Adc {
  public:
   explicit Adc(const AdcParams& params);
 
-  /// Digitize a voltage: returns a code in [0, 2^bits - 1]. Codes grow as
-  /// the voltage *falls* from v_hi (code 0 = no discharge), matching the
-  /// "count of ON cells" convention of the array model.
-  [[nodiscard]] int quantize(double voltage, Rng& rng) const;
-
-  /// Deterministic variant (no noise draw) for analysis.
+  /// Digitize a noise-free voltage: returns a code in [0, 2^bits - 1].
+  /// Codes grow as the voltage *falls* from v_hi (code 0 = no discharge),
+  /// matching the "count of ON cells" convention of the array model. The
+  /// input-referred noise (noise_sigma_v) is added by the array model's
+  /// read chain (CimArrayModel::read).
   [[nodiscard]] int quantize_ideal(double voltage) const;
 
   [[nodiscard]] int code_count() const { return levels_; }

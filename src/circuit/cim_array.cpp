@@ -52,39 +52,47 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
               "group size or cell current");
   counts_per_code_ =
       static_cast<double>(lsb_count_steps(group_size, adc_.params().bits));
+
+  const BitlineParams& bl = bitline_.params();
+  const AdcParams& adc_params = adc_.params();
+  chain_.sigma_cell = bl.sigma_cell;
+  chain_.noise_sigma_v = adc_params.noise_sigma_v;
+  chain_.delta_v = bitline_.delta_v_per_cell();
+  chain_.v_precharge = bl.v_precharge;
+  chain_.v_floor = bl.v_floor;
+  chain_.v_lo = adc_params.v_lo;
+  chain_.v_hi = adc_params.v_hi;
+  chain_.lsb = adc_.lsb_voltage();
+  chain_.levels = adc_.code_count();
+  chain_.counts_per_code = counts_per_code_;
+  chain_.adc_energy_pj = adc_params.energy_pj;
+  chain_.bl_range = bl.v_precharge - bl.v_floor;
 }
 
-// NOTE: CimMacro::mvm_packed inlines this chain (constants from
-// read_chain_consts() below) as the third of its count -> fill -> chain
-// passes: the draws below arrive pre-filled by Rng::fill_normal in this
-// function's call order, so any change here (including to how many
-// normals a read draws, and when) must be mirrored in both the draw
-// count of the count pass and the chain pass. The packed-vs-legacy
-// bit-identity suite (`ctest -L macro`) fails loudly on drift.
 double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
                                  ArrayReadStats& stats) const {
   YOLOC_CHECK(exact_count >= 0 && exact_count <= active_rows,
               "cim array: count exceeds active rows");
   YOLOC_CHECK(active_rows <= group_size_, "cim array: group overflow");
-  double effective = exact_count;
-  const double sigma = bitline_.params().sigma_cell;
-  if (sigma > 0.0 && exact_count > 0) {
-    effective += rng.normal(0.0, sigma * std::sqrt(exact_count));
-    if (effective < 0.0) effective = 0.0;
-  }
-  const double v = bitline_.voltage_for_count(effective);
-  const int code = adc_.quantize(v, rng);
-  stats.adc_conversions += 1;
-  stats.adc_energy_pj += adc_.params().energy_pj;
-  stats.precharge_energy_pj += bitline_.precharge_energy_pj(effective);
-  return code * counts_per_code_;
+  const double z_cell =
+      chain_.sigma_cell > 0.0 && exact_count > 0 ? rng.normal() : 0.0;
+  const ReadOutcome r = read(exact_count, z_cell, rng.normal());
+  charge_reads(1, r.discharge, stats);
+  return r.code * counts_per_code_;
 }
 
-double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
-                                 ArrayReadStats& stats,
-                                 const AdcDrift& drift) const {
-  return read_count(exact_count, active_rows, rng, stats) * drift.gain +
-         drift.offset_counts;
+void CimArrayModel::charge_reads(std::uint64_t conversions,
+                                 std::uint64_t discharge,
+                                 ArrayReadStats& stats) const {
+  const BitlineParams& bl = bitline_.params();
+  stats.adc_conversions += conversions;
+  stats.adc_energy_pj +=
+      static_cast<double>(conversions) * adc_.params().energy_pj;
+  // fF * V * V = fJ; convert to pJ (BitlineModel::precharge_energy_pj).
+  stats.precharge_energy_pj += bl.c_bl_ff * bl.v_precharge *
+                               (static_cast<double>(discharge) *
+                                kDischargeLsbV) *
+                               1e-3;
 }
 
 double CimArrayModel::read_count_ideal(int exact_count,
@@ -95,28 +103,6 @@ double CimArrayModel::read_count_ideal(int exact_count,
   stats.adc_energy_pj += adc_.params().energy_pj;
   stats.precharge_energy_pj += bitline_.precharge_energy_pj(exact_count);
   return code * counts_per_code_;
-}
-
-CimArrayModel::ReadChainConsts CimArrayModel::read_chain_consts() const {
-  ReadChainConsts consts;
-  const BitlineParams& bl = bitline_.params();
-  const AdcParams& adc = adc_.params();
-  consts.sigma_cell = bl.sigma_cell;
-  consts.noise_sigma_v = adc.noise_sigma_v;
-  consts.delta_v = bitline_.delta_v_per_cell();
-  consts.v_precharge = bl.v_precharge;
-  consts.v_floor = bl.v_floor;
-  consts.v_lo = adc.v_lo;
-  consts.v_hi = adc.v_hi;
-  consts.lsb = adc_.lsb_voltage();
-  consts.levels = adc_.code_count();
-  consts.counts_per_code = counts_per_code_;
-  consts.adc_energy_pj = adc.energy_pj;
-  // precharge_energy_pj computes ((c_bl * v_pre) * dv) * 1e-3; hoisting
-  // the (c_bl * v_pre) product preserves the rounding order exactly.
-  consts.cv = bl.c_bl_ff * bl.v_precharge;
-  consts.bl_range = bl.v_precharge - bl.v_floor;
-  return consts;
 }
 
 void CimArrayModel::charge_wl_pulses(std::uint64_t pulses,

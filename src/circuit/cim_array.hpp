@@ -8,12 +8,19 @@
 //   effective    = exact_count + N(0, sigma_cell * sqrt(exact_count))
 //                  (sum of i.i.d. per-cell current mismatch)
 //   v_bl         = bitline.voltage_for_count(effective)
-//   code         = adc.quantize(v_bl)
+//   code         = adc.quantize_ideal(v_bl + N(0, adc noise_sigma_v))
 //   estimate     = code scaled back to counts
+// read() takes the two normals as arguments, so the caller decides where
+// they come from: the macro's keyed counter-based draws
+// (common/keyed_noise.hpp) or, in read_count(), an Rng stream.
 // The estimate is exact when the row-group size matches the ADC level
 // count and sigma is ~0; widening the group beyond the ADC range (the
 // paper's aggressive 128-rows-per-activation mode) trades accuracy for
 // fewer conversions — an ablation benchmark sweeps exactly this.
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "circuit/adc.hpp"
 #include "circuit/bitline.hpp"
@@ -66,19 +73,56 @@ class CimArrayModel {
   CimArrayModel(const BitlineParams& bitline, AdcParams adc,
                 const ArrayEnergyParams& energy, int group_size);
 
-  /// One column read: digitize `exact_count` ON cells out of
-  /// `active_rows` pulsed rows. Returns the count estimate; accumulates
-  /// conversion + precharge energy into `stats`.
+  /// The outcome of one noisy column read: the ADC code, and the
+  /// bitline discharge min(effective * delta_v, v_precharge - v_floor)
+  /// rounded to whole kDischargeLsbV steps, the unit of the integer
+  /// energy ledger (charge_reads).
+  struct ReadOutcome {
+    int code = 0;
+    std::uint64_t discharge = 0;
+  };
+  static constexpr double kDischargeLsbV = 0x1p-32;
+
+  /// One noisy column read of `exact_count` ON cells, given its two
+  /// standard normals: cell mismatch adds sigma_cell * sqrt(exact_count)
+  /// * z_cell cells (floored at 0), the ADC input adds noise_sigma_v *
+  /// z_adc volts. A pure function of its arguments — the canonical per-read
+  /// model every read chain (CimMacro::mvm_packed's plain and AVX2 bodies,
+  /// the test oracle) is pinned to, bit for bit. It therefore uses only
+  /// +, -, *, / and the comparisons an AVX2 lane has (x86 max/min
+  /// semantics), in this order, and no FMA.
+  [[nodiscard]] ReadOutcome read(int exact_count, double z_cell,
+                                 double z_adc) const {
+    const ReadChainConsts& rc = chain_;
+    const double exact = exact_count;
+    const double cell_sd = rc.sigma_cell * std::sqrt(exact);
+    const double effective = max_x86(exact + cell_sd * z_cell, 0.0);
+    const double v =
+        max_x86(rc.v_precharge - effective * rc.delta_v, rc.v_floor);
+    const double noisy = v + rc.noise_sigma_v * z_adc;
+    const double clamped = min_x86(max_x86(noisy, rc.v_lo), rc.v_hi);
+    // Round half away from zero on a non-negative argument: truncate,
+    // then add one when the fraction (exact for q >= 0) reaches 0.5.
+    const double q = (rc.v_hi - clamped) / rc.lsb;
+    const double whole = std::trunc(q);
+    const double rounded = whole + (q - whole >= 0.5 ? 1.0 : 0.0);
+    const double code = min_x86(max_x86(rounded, 0.0), rc.levels - 1.0);
+    const double dv = min_x86(effective * rc.delta_v, rc.bl_range);
+    return {static_cast<int>(code), ledger_steps(dv * 0x1p32)};
+  }
+
+  /// Charge `conversions` ADC reads whose discharges sum to `discharge`
+  /// ledger steps: the integer ledger's one conversion into the stats
+  /// doubles, made once per macro call so the order in which reads were
+  /// summed cannot change any bit.
+  void charge_reads(std::uint64_t conversions, std::uint64_t discharge,
+                    ArrayReadStats& stats) const;
+
+  /// One column read with its normals drawn from `rng` (cell mismatch
+  /// only when sigma_cell > 0 and exact_count > 0): read() plus the
+  /// stats. Returns the count estimate code * counts_per_code.
   [[nodiscard]] double read_count(int exact_count, int active_rows, Rng& rng,
                                   ArrayReadStats& stats) const;
-
-  /// read_count() with a drifted ADC transfer applied to the estimate —
-  /// the fault-injection overload. Same draws, same stats; only the
-  /// returned count estimate is transformed. Kept as a separate overload
-  /// so the fault-off call path is literally the function above.
-  [[nodiscard]] double read_count(int exact_count, int active_rows, Rng& rng,
-                                  ArrayReadStats& stats,
-                                  const AdcDrift& drift) const;
 
   /// Ideal (noise-free, but still ADC-quantized) variant.
   [[nodiscard]] double read_count_ideal(int exact_count,
@@ -89,10 +133,9 @@ class CimArrayModel {
   /// Charge digital accumulation energy for `ops` shift-adds.
   void charge_shift_adds(std::uint64_t ops, ArrayReadStats& stats) const;
 
-  /// Constants of the read_count() chain, hoisted for inlined fast
-  /// paths (CimMacro::mvm_packed). Derived HERE, next to read_count, so
-  /// a physics change to the chain cannot miss them — any drift between
-  /// the two is pinned by the packed-vs-legacy bit-identity suite
+  /// Constants of the read() chain, shared with the vectorized read
+  /// chain (macro/packed_kernels.*), which mirrors read() lane by lane.
+  /// Any drift between the two is pinned by the bit-identity suites
   /// (`ctest -L macro`).
   struct ReadChainConsts {
     double sigma_cell = 0.0;     // bitline cell mismatch (1 sigma)
@@ -106,10 +149,23 @@ class CimArrayModel {
     int levels = 0;
     double counts_per_code = 0.0;
     double adc_energy_pj = 0.0;
-    double cv = 0.0;        // c_bl_ff * v_precharge (legacy product order)
     double bl_range = 0.0;  // v_precharge - v_floor
   };
-  [[nodiscard]] ReadChainConsts read_chain_consts() const;
+  [[nodiscard]] const ReadChainConsts& read_chain_consts() const {
+    return chain_;
+  }
+
+  /// x86 maxsd / minsd: (a > b ? a : b) and (a < b ? a : b). Written out
+  /// so the scalar read() and the AVX2 lanes agree even on signed zeros.
+  static double max_x86(double a, double b) { return a > b ? a : b; }
+  static double min_x86(double a, double b) { return a < b ? a : b; }
+
+  /// Round a non-negative double below 2^51 to the nearest integer, ties
+  /// to even — by adding 2^52 and reading the mantissa, the same bits an
+  /// AVX2 lane gets.
+  static std::uint64_t ledger_steps(double x) {
+    return std::bit_cast<std::uint64_t>(x + 0x1p52) & ((1ull << 52) - 1);
+  }
 
   [[nodiscard]] int group_size() const { return group_size_; }
   [[nodiscard]] double counts_per_code() const { return counts_per_code_; }
@@ -122,6 +178,7 @@ class CimArrayModel {
   ArrayEnergyParams energy_;
   int group_size_;
   double counts_per_code_;
+  ReadChainConsts chain_;
 };
 
 }  // namespace yoloc

@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -19,14 +18,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
-
-// Marsaglia polar method: a candidate is accepted when 0 < s < 1, and an
-// accepted (u, v, s) yields the pair (u * f, v * f), f = sqrt(-2 ln s / s).
-// normal() and fill_normal() both go through these two helpers, so the
-// repository has one polar implementation.
-bool polar_accepts(double s) { return (s < 1.0) & (s != 0.0); }
-
-double polar_factor(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
 }  // namespace
 
@@ -66,72 +57,25 @@ int Rng::uniform_int(int lo, int hi) {
   return lo + static_cast<int>((*this)() % span);
 }
 
-double Rng::polar_candidate(double& u, double& v) {
-  // Same arithmetic as uniform(-1.0, 1.0): lo + (hi - lo) * uniform().
-  u = -1.0 + 2.0 * uniform();
-  v = -1.0 + 2.0 * uniform();
-  return u * u + v * v;
-}
-
 double Rng::normal() {
   if (have_cached_normal_) {
     have_cached_normal_ = false;
     return cached_normal_;
   }
+  // Marsaglia polar method: u, v uniform in [-1, 1) (as uniform(-1.0,
+  // 1.0) computes them), accepted when 0 < s = u^2 + v^2 < 1.
   double u = 0.0;
   double v = 0.0;
   double s = 0.0;
   do {
-    s = polar_candidate(u, v);
-  } while (!polar_accepts(s));
-  const double factor = polar_factor(s);
+    u = -1.0 + 2.0 * uniform();
+    v = -1.0 + 2.0 * uniform();
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  const double factor = std::sqrt(-2.0 * std::log(s) / s);
   cached_normal_ = v * factor;
   have_cached_normal_ = true;
   return u * factor;
-}
-
-void Rng::fill_normal(double* out, std::size_t n) {
-  std::size_t i = 0;
-  if (n > 0 && have_cached_normal_) {
-    out[i++] = cached_normal_;
-    have_cached_normal_ = false;
-  }
-  constexpr std::size_t kBlock = 64;  // polar pairs per block
-  double us[kBlock] = {};
-  double vs[kBlock] = {};
-  double ss[kBlock] = {};
-  while (i < n) {
-    const std::size_t pairs = std::min((n - i + 1) / 2, kBlock);
-    // Each candidate yields at most one pair, so a round of `pairs -
-    // accepted` candidates can never overshoot: the last candidate drawn
-    // is always the pairs-th accepted one, exactly where sequential
-    // normal() calls would leave the stream. Rejected candidates are
-    // overwritten by the next one (branchless compaction).
-    std::size_t accepted = 0;
-    while (accepted < pairs) {
-      const std::size_t round = pairs - accepted;
-      for (std::size_t c = 0; c < round; ++c) {
-        const double s = polar_candidate(us[accepted], vs[accepted]);
-        ss[accepted] = s;
-        accepted += polar_accepts(s) ? 1u : 0u;
-      }
-    }
-    const std::size_t full = std::min(pairs, (n - i) / 2);
-    for (std::size_t a = 0; a < full; ++a) {
-      const double factor = polar_factor(ss[a]);
-      out[i + 2 * a] = us[a] * factor;
-      out[i + 2 * a + 1] = vs[a] * factor;
-    }
-    i += 2 * full;
-    if (full < pairs) {
-      // Odd tail: the last pair's second value stays cached, as after a
-      // normal() call that returned its first.
-      const double factor = polar_factor(ss[full]);
-      out[i++] = us[full] * factor;
-      cached_normal_ = vs[full] * factor;
-      have_cached_normal_ = true;
-    }
-  }
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -1,9 +1,10 @@
 #pragma once
 // Deterministic random number generation.
 //
-// Every stochastic component in the repository (dataset synthesis, weight
-// init, cell-current variation, ADC noise) draws from an explicitly seeded
-// Rng so that experiments are bit-reproducible across runs. The engine is
+// Every sequential stochastic component in the repository (dataset
+// synthesis, weight init, test data) draws from an explicitly seeded Rng
+// so that experiments are bit-reproducible across runs. The macro's
+// analog read noise is keyed instead (common/keyed_noise.hpp). The engine is
 // xoshiro256** (public-domain algorithm by Blackman & Vigna), which is
 // fast, has 256 bits of state and passes BigCrush.
 
@@ -36,12 +37,6 @@ class Rng {
   int uniform_int(int lo, int hi);
   /// Standard normal via Marsaglia polar method.
   double normal();
-  /// Fills out[0, n) with standard normals: bit-identical to n successive
-  /// normal() calls, including the cached second value of a polar pair
-  /// (consumed on entry, left cached on exit) and the raw stream position
-  /// afterwards. Candidates are drawn in blocks with a branchless accept
-  /// count, so bulk consumers skip the per-draw rejection loop.
-  void fill_normal(double* out, std::size_t n);
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
   /// Bernoulli draw.
@@ -61,10 +56,6 @@ class Rng {
   Rng fork();
 
  private:
-  /// One polar-method candidate: u, v uniform in [-1, 1); returns
-  /// s = u^2 + v^2. Shared by normal() and fill_normal().
-  double polar_candidate(double& u, double& v);
-
   std::array<std::uint64_t, 4> state_{};
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;

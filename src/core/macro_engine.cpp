@@ -30,8 +30,8 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
               "macro engine: session must carry run stats");
   YOLOC_CHECK(session.scratch != nullptr,
               "macro engine: session must carry a scratch arena");
-  YOLOC_CHECK(mode_ != Mode::kAnalog || session.rng != nullptr,
-              "macro engine: analog mode needs a session noise rng");
+  YOLOC_CHECK(mode_ != Mode::kAnalog || session.noise != nullptr,
+              "macro engine: analog mode needs a session noise key");
   MacroRunStats& stats = *session.stats;
   const PackedRomWeights& packed = packed_.find(w, m, k);
 
@@ -46,9 +46,12 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
     return;
   }
 
-  // Analog: per column only the activation vector moves. The (k-tile,
-  // column) loop order fixes the RNG draw sequence; partial sums
-  // accumulate digitally (the shift-add backend).
+  // Analog: per column only the activation vector moves. Every read's
+  // noise is keyed by this call's number and its (tile, column, row,
+  // read), so no loop order matters to it; partial sums accumulate
+  // digitally (the shift-add backend).
+  ReadNoiseKey key{.seed = session.noise->seed,
+                   .call = session.noise->calls++};
   MvmScratch& scratch = *session.scratch;
   std::vector<std::uint8_t>& x_chunk = scratch.x_chunk;
   std::vector<std::int32_t>& y_partial = scratch.y_partial;
@@ -56,14 +59,15 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   y_partial.resize(static_cast<std::size_t>(m));
   for (int tile = 0; tile < packed.tile_count(); ++tile) {
     const PackedRomWeights::Tile& t = packed.tile(tile);
+    key.tile = static_cast<std::uint32_t>(tile);
     for (int col = 0; col < p; ++col) {
+      key.column = static_cast<std::uint32_t>(col);
       for (int i = 0; i < t.k_size; ++i) {
         x_chunk[static_cast<std::size_t>(i)] =
             x[static_cast<std::size_t>(t.k0 + i) * p + col];
       }
-      macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(),
-                         *session.rng, stats, scratch.read_counts,
-                         scratch.read_normals);
+      macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(), key,
+                         stats);
       for (int j = 0; j < m; ++j) {
         y[static_cast<std::size_t>(j) * p + col] +=
             y_partial[static_cast<std::size_t>(j)];

@@ -14,23 +14,24 @@
 // bit-plane layout once (a DeploymentPlan packs every quantized layer at
 // construction — the software analogue of committing the ROM mask at
 // tape-out), and mvm_batch only looks that packing up. After packing the
-// engine is immutable and reentrant: the noise RNG stream, the run
-// statistics and the scratch buffers travel in the caller's MvmSession,
-// so any number of requests can execute through one engine concurrently,
-// each with its own session. A session is REQUIRED (stats and scratch
-// always, rng in analog mode): quantized layers reach the engine through
+// engine is immutable and reentrant: the noise key, the run statistics
+// and the scratch buffers travel in the caller's MvmSession, so any
+// number of requests can execute through one engine concurrently, each
+// with its own session. A session is REQUIRED (stats and scratch always,
+// noise in analog mode): quantized layers reach the engine through
 // an ExecutionContext's MvmBinding (src/runtime/), which wires a session
 // per request.
 //
-// Analog mode drives CimMacro::mvm_packed per (k-tile, column);
-// exact-cost mode makes one CimMacro::mvm_packed_exact_cost_tile call per
-// k-tile, which reads the k x p activations and accumulates the m x p
-// outputs in place (an int8 GEMM over all columns, on AVX2 vpmaddwd where
-// the CPU has it and on the plain body otherwise). Both are bit-identical
-// to tiling the same MVM over per-call CimMacro::mvm / mvm_exact_cost —
-// outputs, every MacroRunStats sum and the RNG draw order; the tests and
-// the macro bench keep that per-call tiler as an oracle
-// (tests/reference_macro_engine.hpp).
+// Analog mode drives CimMacro::mvm_packed per (k-tile, column), keying
+// each call's noise by (session seed, the session's call count, tile,
+// column); each mvm_batch call advances the count by one. Exact-cost mode
+// makes one CimMacro::mvm_packed_exact_cost_tile call per k-tile, which
+// reads the k x p activations and accumulates the m x p outputs in place
+// (an int8 GEMM over all columns, on AVX2 vpmaddwd where the CPU has it
+// and on the plain body otherwise). Both are bit-identical to the
+// per-call tiler the tests and the macro bench keep as an oracle
+// (tests/reference_macro_engine.hpp): outputs and every MacroRunStats
+// field.
 
 #include "macro/cim_macro.hpp"
 #include "macro/packed_weights.hpp"
@@ -56,7 +57,8 @@ class MacroMvmEngine final : public MvmEngine {
   const PackedRomWeights& pack(const std::int8_t* w, int m, int k);
 
   /// Requires session.stats and session.scratch; kAnalog additionally
-  /// requires session.rng. `w` must have been packed (pack()).
+  /// requires session.noise, whose call count it advances by one. `w`
+  /// must have been packed (pack()).
   void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
                  int p, std::int32_t* y, MvmSession& session) const override;
   [[nodiscard]] std::string name() const override;

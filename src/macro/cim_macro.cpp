@@ -37,20 +37,18 @@ CimMacro::CimMacro(MacroConfig config)
                   0,
               "cim macro: rows must divide evenly into activation groups");
 
-  // Analog read chain constants for the packed path, derived by
-  // CimArrayModel next to the canonical read_count(); sqrt_count_
-  // pre-tabulates sqrt of the integer ON-cell count.
-  read_ = array_.read_chain_consts();
+  // The noisy chain's per-count cell mismatch sigma, formed exactly as
+  // CimArrayModel::read() forms it.
+  const CimArrayModel::ReadChainConsts& rc = array_.read_chain_consts();
   for (int c = 0; c <= 128; ++c) {
-    sqrt_count_[static_cast<std::size_t>(c)] =
-        std::sqrt(static_cast<double>(c));
+    cell_sd_[static_cast<std::size_t>(c)] =
+        rc.sigma_cell * std::sqrt(static_cast<double>(c));
   }
 
-  // Noise-free transfer tables: with both noise sources at zero every
-  // draw in read_count is scaled by 0.0, so the estimate collapses to a
-  // pure function of the exact count. Tabulating it through the real
-  // bitline/ADC models keeps the table bit-identical to the legacy path.
-  noise_free_ = read_.sigma_cell == 0.0 && read_.noise_sigma_v == 0.0;
+  // Noise-free transfer tables: with both noise sources at zero the
+  // estimate is a pure function of the exact count, tabulated through the
+  // real bitline/ADC models.
+  noise_free_ = rc.sigma_cell == 0.0 && rc.noise_sigma_v == 0.0;
   if (config_.faults.any()) {
     faults_ = std::make_shared<FaultModel>(
         config_.faults, static_cast<std::uint64_t>(config_.kind),
@@ -61,7 +59,7 @@ CimMacro::CimMacro(MacroConfig config)
         array_.bitline().voltage_for_count(static_cast<double>(c));
     const int code = array_.adc().quantize_ideal(v);
     ideal_estimate_[static_cast<std::size_t>(c)] =
-        code * read_.counts_per_code;
+        code * rc.counts_per_code;
     ideal_precharge_pj_[static_cast<std::size_t>(c)] =
         array_.bitline().precharge_energy_pj(static_cast<double>(c));
   }
@@ -69,21 +67,6 @@ CimMacro::CimMacro(MacroConfig config)
 
 double CimMacro::single_pass_latency_ns() const {
   return config_.geometry.input_bits * config_.geometry.clock_ns;
-}
-
-void CimMacro::charge_op_costs(int m, int k, const std::uint8_t* x,
-                               MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  // Wordline pulses: one per active row per input cycle with bit set; the
-  // pulse is shared by every column of the subarray, so it is charged
-  // once per row-cycle (not per output).
-  std::uint64_t pulses = 0;
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) ++pulses;
-    }
-  }
-  charge_op_costs(m, k, pulses, stats);
 }
 
 void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
@@ -106,107 +89,6 @@ void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
   stats.macs += static_cast<std::uint64_t>(m) * k;
 }
 
-void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                   std::int32_t* y, Rng& rng, MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  YOLOC_CHECK(m >= 1, "cim macro: m >= 1");
-
-  // Input bit-planes.
-  RowMask xbits[8];
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) xbits[t].set(i);
-    }
-  }
-
-  // Fault overlay (nullptr in the common fault-off case: the hot loop
-  // then only pays this one pointer test per call). Coordinates are
-  // local tile coordinates — see macro/fault_model.hpp for why that
-  // keeps this path bit-identical to the packed path under faults.
-  const FaultModel* faults =
-      faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
-  const bool transients = faults != nullptr && faults->has_transients();
-
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  for (int j = 0; j < m; ++j) {
-    // Weight bit-planes for output j: ROM columns store the raw
-    // two's-complement bit pattern.
-    RowMask wbits[8];
-    for (int i = 0; i < k; ++i) {
-      const std::uint8_t wv = static_cast<std::uint8_t>(
-          w[static_cast<std::size_t>(j) * k + i]);
-      for (int b = 0; b < g.weight_bits; ++b) {
-        if ((wv >> b) & 1u) wbits[b].set(i);
-      }
-    }
-    if (faults != nullptr) {
-      for (int b = 0; b < g.weight_bits; ++b) {
-        const FaultModel::PlaneFaults pf = faults->plane(j, b);
-        wbits[b].or_with(pf.force_one);
-        wbits[b].and_not(pf.force_zero);
-      }
-    }
-
-    double acc = 0.0;
-    for (int b = 0; b < g.weight_bits; ++b) {
-      const double bit_weight =
-          (b == g.weight_bits - 1) ? -static_cast<double>(1 << b)
-                                   : static_cast<double>(1 << b);
-      AdcDrift drift;
-      if (faults != nullptr) drift = faults->adc_drift(j, b);
-      for (int t = 0; t < g.input_bits; ++t) {
-        RowMask wb = wbits[b];
-        if (transients) wb.xor_with(faults->transient_flips(j, b, t));
-        for (int grp = 0; grp < groups; ++grp) {
-          const int lo = grp * g.rows_per_activation;
-          const int hi = std::min(k, lo + g.rows_per_activation);
-          const int exact = wb.count_and(xbits[t], lo, hi);
-          // The drift overload multiplies/offsets AFTER the canonical
-          // chain; taking the base overload when fault-off keeps that
-          // path's instruction stream (and FP rounding) untouched.
-          const double est =
-              faults != nullptr
-                  ? array_.read_count(exact, hi - lo, rng, stats.array,
-                                      drift)
-                  : array_.read_count(exact, hi - lo, rng, stats.array);
-          acc += est * bit_weight * static_cast<double>(1 << t);
-        }
-      }
-    }
-    y[j] = static_cast<std::int32_t>(std::llround(acc));
-  }
-  charge_op_costs(m, k, x, stats);
-}
-
-void CimMacro::mvm_exact_cost(const std::int8_t* w, int m, int k,
-                              const std::uint8_t* x, std::int32_t* y,
-                              MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  for (int j = 0; j < m; ++j) {
-    std::int64_t acc = 0;
-    for (int i = 0; i < k; ++i) {
-      acc += static_cast<std::int64_t>(w[static_cast<std::size_t>(j) * k + i]) *
-             x[i];
-    }
-    y[j] = static_cast<std::int32_t>(acc);
-  }
-  // Pay the analog read energy at the average activity level without
-  // drawing noise samples (cost-only path).
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  const std::uint64_t conversions =
-      static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-  stats.array.adc_conversions += conversions;
-  stats.array.adc_energy_pj +=
-      static_cast<double>(conversions) * config_.adc.energy_pj;
-  // Average discharge ~ quarter of the group (random data assumption).
-  stats.array.precharge_energy_pj +=
-      static_cast<double>(conversions) *
-      array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  charge_op_costs(m, k, x, stats);
-}
-
 void CimMacro::check_packed_tile(const PackedRomWeights& packed,
                                  int tile_index) const {
   const auto& g = config_.geometry;
@@ -220,24 +102,25 @@ void CimMacro::check_packed_tile(const PackedRomWeights& packed,
 }
 
 void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
-                          const std::uint8_t* x, std::int32_t* y, Rng& rng,
-                          MacroRunStats& stats,
-                          std::vector<std::uint8_t>& read_counts,
-                          std::vector<double>& read_normals) const {
+                          const std::uint8_t* x, std::int32_t* y,
+                          const ReadNoiseKey& key,
+                          MacroRunStats& stats) const {
   check_packed_tile(packed, tile_index);
   YOLOC_CHECK(packed.has_planes(),
               "cim macro: analog packed path needs weight bit-planes "
               "(packing was built boundaries-only for exact-cost)");
+  YOLOC_CHECK(key.tile == static_cast<std::uint32_t>(tile_index) &&
+                  tile_index < (1 << keyed::kReadIndexBits),
+              "cim macro: noise key names another tile, or the tile index "
+              "exceeds the key's 16 bits");
   const PackedRomWeights::Tile& tile = packed.tile(tile_index);
   const int m = packed.m();
   const int k = tile.k_size;
-  const int groups = tile.groups;
   const int weight_bits = packed.weight_bits();
   const int input_bits = packed.input_bits();
 
-  // Activation bit-planes: ONE scan of x builds both the planes and the
-  // wordline pulse count (the legacy path scans x a second time inside
-  // charge_op_costs).
+  // Activation bit-planes: one scan of x builds both the planes and the
+  // wordline pulse count.
   RowMask xbits[8];
   for (int i = 0; i < k; ++i) {
     const unsigned v = x[i];
@@ -253,129 +136,51 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
     pulses += static_cast<std::uint64_t>(xbits[t].count());
   }
 
-  const double* bcw = packed.bit_cycle_weight();
-  const CimArrayModel::ReadChainConsts& rc = read_;
-
-  // Fault overlay — same local-coordinate pattern as the legacy path
-  // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
-  // stats stay bit-identical between the two paths under faults.
+  // Fault overlay in local tile coordinates (macro/fault_model.hpp).
   const FaultModel* faults =
       faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
 
-  // The popcount-heavy loops run on hardware POPCNT when the CPU has it
-  // (macro/packed_kernels.hpp); both variants are bit-identical.
+  // The read loops run on the variant picked for this CPU
+  // (macro/packed_kernels.hpp); every variant is bit-identical.
   const detail::PackedKernels& kernels = detail::packed_kernels();
   const detail::PackedCountArgs count_args{tile.wbits.data(),
                                            xbits,
                                            tile.group_masks.data(),
                                            weight_bits,
                                            input_bits,
-                                           groups,
+                                           tile.groups,
                                            faults};
 
-  // Energy accumulators chained from the current stats values so the
-  // add sequence (and therefore the floating-point rounding) is
-  // identical to the legacy per-read += updates.
-  std::uint64_t conversions = stats.array.adc_conversions;
-  double adc_energy = stats.array.adc_energy_pj;
-  double precharge_energy = stats.array.precharge_energy_pj;
-
   if (noise_free_) {
-    // Draw-free fast path (the session RNG is intentionally not
-    // advanced).
+    // Draw-free fast path: a table lookup per read, its energy chained
+    // read by read into the stats.
     detail::NoiseFreeRows rows{
         .m = m,
-        .bit_cycle_weight = bcw,
+        .bit_cycle_weight = packed.bit_cycle_weight(),
         .ideal_estimate = ideal_estimate_.data(),
         .ideal_precharge_pj = ideal_precharge_pj_.data(),
-        .adc_energy_pj = rc.adc_energy_pj,
+        .adc_energy_pj = array_.read_chain_consts().adc_energy_pj,
         .y = y,
-        .conversions = conversions,
-        .adc_energy = adc_energy,
-        .precharge_energy = precharge_energy};
+        .conversions = stats.array.adc_conversions,
+        .adc_energy = stats.array.adc_energy_pj,
+        .precharge_energy = stats.array.precharge_energy_pj};
     kernels.noise_free_rows(count_args, rows);
-    conversions = rows.conversions;
-    adc_energy = rows.adc_energy;
-    precharge_energy = rows.precharge_energy;
+    stats.array.adc_conversions = rows.conversions;
+    stats.array.adc_energy_pj = rows.adc_energy;
+    stats.array.precharge_energy_pj = rows.precharge_energy;
   } else {
-    // Three passes per output row, so the noise draws come from one
-    // bulk fill instead of one out-of-line Rng::normal call each:
-    //   1. count: every (b, t, grp) exact ON-cell count, fault overlays
-    //      included, and the number of draws the row needs (one per read
-    //      for ADC noise, one more per read with exact > 0 for cell
-    //      mismatch when sigma_cell > 0);
-    //   2. fill:  exactly that many standard normals, bit-identical to
-    //      the sequential normal() calls the legacy chain makes;
-    //   3. chain: the inlined CimArrayModel::read_count, consuming the
-    //      normals in the legacy (j, b, t, grp) draw order.
-    const int reads = weight_bits * input_bits * groups;
-    if (read_counts.size() < static_cast<std::size_t>(reads)) {
-      read_counts.resize(static_cast<std::size_t>(reads));
-    }
-    if (read_normals.size() < 2 * static_cast<std::size_t>(reads)) {
-      read_normals.resize(2 * static_cast<std::size_t>(reads));
-    }
-    std::uint8_t* counts = read_counts.data();
-    const double* z = read_normals.data();
-    const bool cell_noise = rc.sigma_cell > 0.0;
-    for (int j = 0; j < m; ++j) {
-      const int nonzero = kernels.count_row(count_args, j, counts);
-      rng.fill_normal(read_normals.data(),
-                      static_cast<std::size_t>(reads) +
-                          (cell_noise ? static_cast<std::size_t>(nonzero)
-                                      : 0u));
-
-      // Inlined CimArrayModel::read_count — identical operations in
-      // identical order. Each draw is written as the legacy
-      // Rng::normal(0.0, sd) computes it, 0.0 + sd * n.
-      std::size_t d = 0;
-      int r = 0;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        AdcDrift drift;
-        if (faults != nullptr) drift = faults->adc_drift(j, b);
-        for (int t = 0; t < input_bits; ++t) {
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = counts[r++];
-            double effective = exact;
-            if (cell_noise && exact > 0) {
-              const double sd =
-                  rc.sigma_cell * sqrt_count_[static_cast<std::size_t>(exact)];
-              effective += 0.0 + sd * z[d++];
-              if (effective < 0.0) effective = 0.0;
-            }
-            const double v =
-                std::max(rc.v_precharge - effective * rc.delta_v, rc.v_floor);
-            const double noisy = v + (0.0 + rc.noise_sigma_v * z[d++]);
-            const double clamped = std::clamp(noisy, rc.v_lo, rc.v_hi);
-            // lround of a non-negative argument: truncate, then round
-            // half away from zero (q - whole is exact for q >= 0).
-            const double q = (rc.v_hi - clamped) / rc.lsb;
-            const int whole = static_cast<int>(q);
-            int code = whole + (q - whole >= 0.5 ? 1 : 0);
-            code = std::clamp(code, 0, rc.levels - 1);
-            double est = code * rc.counts_per_code;
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
-            }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            const double dv =
-                std::min(effective * rc.delta_v, rc.bl_range);
-            precharge_energy += rc.cv * dv * 1e-3;
-          }
-        }
-      }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
-    }
+    // Keyed noisy reads; the call's discharge ledger converts into the
+    // stats doubles once.
+    detail::NoisyRows rows{.m = m,
+                           .array = &array_,
+                           .cell_sd = cell_sd_.data(),
+                           .key = key,
+                           .y = y};
+    kernels.noisy_rows(count_args, rows);
+    array_.charge_reads(static_cast<std::uint64_t>(m) * weight_bits *
+                            input_bits * tile.groups,
+                        rows.discharge, stats.array);
   }
-
-  stats.array.adc_conversions = conversions;
-  stats.array.adc_energy_pj = adc_energy;
-  stats.array.precharge_energy_pj = precharge_energy;
   charge_op_costs(m, k, pulses, stats);
 }
 
@@ -403,8 +208,7 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   const std::int8_t* wt = w + tile.k0;  // row j at wt + j * packed.k()
   const std::uint8_t* xt = x + static_cast<std::size_t>(tile.k0) * ld;
 
-  // Cost terms every column of the tile pays alike: the same products
-  // mvm_exact_cost forms per call, formed once.
+  // Cost terms every column of the tile pays alike, formed once.
   const std::uint64_t conversions = static_cast<std::uint64_t>(m) *
                                     g.weight_bits * g.input_bits *
                                     tile.groups;
@@ -435,8 +239,8 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
     args.pulses = pulses.data();
     kernels.gemm_pulses(args);
     // The stats doubles advance once per column, in column order, with
-    // the legacy per-call operands, so every sum rounds exactly as p
-    // separate mvm_exact_cost calls would.
+    // the per-column operands, so every sum rounds exactly as p separate
+    // single-column calls would (the test oracle makes those calls).
     for (int c = 0; c < cols; ++c) {
       stats.array.adc_conversions += conversions;
       stats.array.adc_energy_pj += adc_pj;

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/macro_engine.hpp"
 
 namespace yoloc {
 
@@ -25,8 +26,13 @@ MacroSpecSummary summarize_macro(const CimMacro& macro, Rng& rng, int samples,
   s.standby_power_uw = cfg.standby_power_uw;
   s.density_ratio = s.density_mb_per_mm2 / reference_density_mb_per_mm2;
 
-  // Measure MAC energy efficiency on random full-row dot products.
+  // Measure MAC energy efficiency on random full-row dot products, each
+  // run through an analog engine the way a deployed layer runs (a fresh
+  // engine per sample: an engine's packing is frozen).
   MacroRunStats stats;
+  MvmScratch scratch;
+  AnalogNoise noise{rng(), 0};
+  MvmSession session{&noise, &stats, &scratch};
   const int k = g.rows;
   const int m = g.weights_per_row();
   std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
@@ -35,7 +41,9 @@ MacroSpecSummary summarize_macro(const CimMacro& macro, Rng& rng, int samples,
   for (int iter = 0; iter < samples; ++iter) {
     for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+    engine.pack(w.data(), m, k);
+    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
   }
   const double ops = 2.0 * static_cast<double>(stats.macs);
   s.mac_eff_tops_per_w = tops_per_watt(ops, stats.energy_pj());

@@ -1,6 +1,6 @@
 #pragma once
-// Internal to macro/: the popcount-heavy loops of CimMacro::mvm_packed,
-// and the MAC loop of CimMacro::mvm_packed_exact_cost_tile (below).
+// Internal to macro/: the read loops of CimMacro::mvm_packed, and the MAC
+// loop of CimMacro::mvm_packed_exact_cost_tile (below).
 //
 // Every ADC read of the bit-serial macro digitizes an ON-cell count,
 // popcount(weight plane & input plane & group mask) — two 64-bit
@@ -8,23 +8,35 @@
 // instruction, so std::popcount there is an out-of-line libgcc call.
 // Each loop below is therefore written once, as an always-inline body,
 // and compiled twice: as a plain function (the build's baseline ISA) and
-// inside a [[gnu::target("popcnt")]] wrapper. packed_kernels() picks one
-// per process from the CPU's feature bits. Integer popcount is exact and
-// no floating-point operation changes, so both variants are
-// bit-identical: same counts, outputs, MacroRunStats and RNG draw order.
+// inside a [[gnu::target("popcnt")]] wrapper.
+//
+// The noisy read chain has a third body, compiled for AVX2 (and POPCNT)
+// on every x86-64 GCC/Clang build: it runs four output rows per vector,
+// drawing each read's keyed normals (common/keyed_noise.hpp) and running
+// CimArrayModel::read() lane by lane with the same operations in the
+// same order and no FMA. Codes are summed as integers per row and the
+// bitline discharge goes into an integer ledger, so no sum depends on
+// the order in which lanes or rows were visited.
+//
+// packed_kernels() picks one table per process from the CPU's feature
+// bits: AVX2, else POPCNT, else plain. Integer popcount is exact and the
+// AVX2 lanes mirror the scalar read, so every table is bit-identical:
+// same counts, outputs and MacroRunStats.
 //
 // The separate POPCNT variant exists only on x86-64 GCC/Clang builds
 // whose baseline lacks the instruction. Where the baseline already has
 // it (__POPCNT__, e.g. -DYOLOC_NATIVE=ON on a POPCNT host) or on other
 // ISAs and compilers, only the plain body is built.
 //
-// Exposed (rather than kept file-local) so tests can run both variants
-// side by side — on a POPCNT host nothing else runs the plain body — and
-// so benches and the HTTP /plan endpoint can report which one runs.
+// Exposed (rather than kept file-local) so tests can run every variant
+// side by side — on an AVX2 host nothing else runs the plain bodies —
+// and so benches and the HTTP /plan endpoint can report which one runs.
 
 #include <cstddef>
 #include <cstdint>
 
+#include "circuit/cim_array.hpp"
+#include "common/keyed_noise.hpp"
 #include "macro/fault_model.hpp"
 #include "macro/packed_weights.hpp"
 
@@ -43,8 +55,8 @@ struct PackedCountArgs {
 
 /// The noise-free row loop's tables, output and energy accumulators.
 /// The accumulators are in/out: they continue from the caller's running
-/// stats, so the add sequence (and its rounding) matches the legacy
-/// per-read updates.
+/// stats, so the add sequence (and its rounding) matches per-read
+/// updates (the test oracle makes those).
 struct NoiseFreeRows {
   int m = 0;
   const double* bit_cycle_weight = nullptr;    // [b * input_bits + t]
@@ -57,25 +69,55 @@ struct NoiseFreeRows {
   double precharge_energy = 0.0;
 };
 
+/// The noisy read chain of one mvm_packed call: every read (j, b, t, grp)
+/// of every output row j < m, read index r = (b * input_bits + t) *
+/// groups + grp, normals read_normals(key, j, r), outcome
+/// array->read(count, z.cell, z.adc).
+struct NoisyRows {
+  int m = 0;
+  const CimArrayModel* array = nullptr;
+  /// sigma_cell * sqrt(c) for c = 0..128, as read() forms it.
+  const double* cell_sd = nullptr;
+  ReadNoiseKey key;
+  std::int32_t* y = nullptr;  // m outputs (see finish_noisy_row)
+  /// Out: the discharge ledger steps of every read, summed.
+  std::uint64_t discharge = 0;
+};
+
+/// Row j's output from its per-weight-bit code sums, sums[b] = sum over
+/// (t, grp) of code << t: y = counts_per_code * sum over b of bit weight
+/// * sums[b], in integers. Under faults each weight bit's summed estimate
+/// takes the column's ADC drift, which is affine, so it applies to the
+/// sum: (counts_per_code * sums[b]) * gain + offset * groups *
+/// (2^input_bits - 1), then the bits are shift-added in double and
+/// rounded half away from zero. Shared by every noisy body; the test
+/// oracle restates it.
+std::int32_t finish_noisy_row(const std::int64_t* sums,
+                              const PackedCountArgs& args,
+                              std::int64_t counts_per_code, int j);
+
 struct PackedKernels {
-  /// Noisy pass 1 for output row j: writes the weight_bits * input_bits
-  /// * groups exact ON-cell counts in (b, t, grp) order, fault overlays
-  /// applied, and returns how many of them are non-zero.
-  int (*count_row)(const PackedCountArgs& args, int j, std::uint8_t* counts);
   /// The noise-free path over all m rows: table-lookup ADC estimates,
   /// shift-add into y, energy accumulation.
   void (*noise_free_rows)(const PackedCountArgs& args, NoiseFreeRows& rows);
+  /// The noisy path over all m rows (NoisyRows).
+  void (*noisy_rows)(const PackedCountArgs& args, NoisyRows& rows);
   /// "hw" when the variant's popcount is an instruction, else "portable".
   const char* popcount;
+  /// "avx2" for the 4-row vector read chain, else "portable".
+  const char* chain;
 };
 
-/// The plain body, compiled for the build's baseline ISA.
+/// The plain bodies, compiled for the build's baseline ISA.
 const PackedKernels& plain_packed_kernels();
 /// The POPCNT variant, or nullptr when this build has none (see above)
 /// or the CPU lacks the instruction.
 const PackedKernels* popcnt_packed_kernels();
-/// The variant mvm_packed runs: POPCNT when available, else the plain
-/// body. Chosen once per process.
+/// The AVX2 read chain (with the POPCNT noise-free body), or nullptr
+/// when this build has none or the CPU lacks AVX2.
+const PackedKernels* avx2_packed_kernels();
+/// The variant mvm_packed runs: AVX2, else POPCNT, else the plain
+/// bodies. Chosen once per process.
 const PackedKernels& packed_kernels();
 
 // The exact-cost tile's MAC loop and pulse count

@@ -19,7 +19,7 @@
 //                               mode).
 //
 // Execution model: engines are immutable and reentrant. All mutable
-// per-request state (the analog-noise RNG stream, run statistics, scratch
+// per-request state (the keyed analog-noise state, run statistics, scratch
 // buffers) travels in an MvmSession supplied by the caller. A quantized
 // layer finds its engine and session in exactly one place: the slot for
 // its EngineKind in the thread-local MvmBinding that the runtime's
@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/keyed_noise.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -59,23 +60,20 @@ struct MvmScratch {
   // partial sums.
   std::vector<std::uint8_t> x_chunk;
   std::vector<std::int32_t> y_partial;
-  // Noisy packed analog read chain (CimMacro::mvm_packed): one output
-  // row's exact ON-cell counts and its standard-normal noise draws.
-  std::vector<std::uint8_t> read_counts;
-  std::vector<double> read_normals;
   Tensor xT;  // transposed linear input
 };
 
 class LayerTraceSink;  // defined below, after EngineKind
 
 /// Mutable per-request state threaded through an engine call. Engines that
-/// model analog noise require `rng`, and engines that meter activity
+/// model analog noise require `noise` (its seed keys every draw, and each
+/// call advances its call count), and engines that meter activity
 /// require `stats`; `scratch` is always required (quantized layers stage
 /// their activations and accumulator in it). `trace` is an optional
 /// observer for per-layer span timing — null (the default) costs the hot
 /// loop nothing.
 struct MvmSession {
-  Rng* rng = nullptr;
+  AnalogNoise* noise = nullptr;
   MacroRunStats* stats = nullptr;
   MvmScratch* scratch = nullptr;
   LayerTraceSink* trace = nullptr;

@@ -159,10 +159,10 @@ Tensor DeploymentPlan::execute(const Tensor& images,
   YOLOC_CHECK(ctx.plan_ == this, "deployment plan: foreign context");
   MvmBinding binding;
   binding.slot(EngineKind::kRom) = {
-      &rom_engine_, {&ctx.rom_rng_, &ctx.rom_stats_, &ctx.scratch_,
+      &rom_engine_, {&ctx.rom_noise_, &ctx.rom_stats_, &ctx.scratch_,
                      ctx.trace_}};
   binding.slot(EngineKind::kSram) = {
-      &sram_engine_, {&ctx.sram_rng_, &ctx.sram_stats_, &ctx.scratch_,
+      &sram_engine_, {&ctx.sram_noise_, &ctx.sram_stats_, &ctx.scratch_,
                       ctx.trace_}};
   MvmBinding::Scope scope(binding);
   // Layer::forward is non-const to serve the training substrate; the

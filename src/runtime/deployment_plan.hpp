@@ -11,8 +11,8 @@
 // models and the two reentrant MvmEngines, each of which holds the packed
 // weight bit-planes of its layers (packed for every quantized layer at
 // construction — the software analogue of committing the ROM mask at
-// tape-out). It owns NO mutable per-request state — noise RNG
-// streams, run statistics and scratch buffers live in ExecutionContext —
+// tape-out). It owns NO mutable per-request state — keyed noise
+// state, run statistics and scratch buffers live in ExecutionContext —
 // so any number of contexts can execute one plan concurrently (the
 // throughput model of mixed ROM+SRAM chips such as YOCO and multi-core
 // PCM inference parts, scaled to host threads).

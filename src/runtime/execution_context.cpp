@@ -5,7 +5,7 @@
 namespace yoloc {
 
 namespace {
-// Keeps the two macros' noise streams decorrelated when both derive from
+// Keeps the two macros' noise keys apart when both derive from
 // one request seed (mirrors the historical framework seeding).
 constexpr std::uint64_t kSramSeedSalt = 0x5A5A;
 }  // namespace
@@ -13,16 +13,16 @@ constexpr std::uint64_t kSramSeedSalt = 0x5A5A;
 ExecutionContext::ExecutionContext(const DeploymentPlan& plan,
                                    std::uint64_t noise_seed)
     : plan_(&plan),
-      rom_rng_(noise_seed),
-      sram_rng_(noise_seed ^ kSramSeedSalt) {}
+      rom_noise_{noise_seed, 0},
+      sram_noise_{noise_seed ^ kSramSeedSalt, 0} {}
 
 Tensor ExecutionContext::infer(const Tensor& images) {
   return plan_->execute(images, *this);
 }
 
 void ExecutionContext::reseed(std::uint64_t noise_seed) {
-  rom_rng_ = Rng(noise_seed);
-  sram_rng_ = Rng(noise_seed ^ kSramSeedSalt);
+  rom_noise_ = {noise_seed, 0};
+  sram_noise_ = {noise_seed ^ kSramSeedSalt, 0};
 }
 
 void ExecutionContext::reset_stats() {

@@ -3,7 +3,8 @@
 //
 // An ExecutionContext is cheap to construct and holds exactly what one
 // in-flight request needs while executing a shared DeploymentPlan:
-//   * independent noise RNG streams for the ROM and SRAM engines,
+//   * the keyed noise state (seed + MVM call count) of the ROM and SRAM
+//     engines,
 //   * per-request MacroRunStats for both macros,
 //   * scratch buffers (im2col matrix, quantized activations, int32
 //     accumulator, macro tiling chunks) reused across layers and calls so
@@ -28,7 +29,7 @@ class ExecutionContext {
   explicit ExecutionContext(const DeploymentPlan& plan,
                             std::uint64_t noise_seed = 2024);
 
-  // Holds scratch + RNG streams; handed out by pointer into MvmSessions
+  // Holds scratch + noise state; handed out by pointer into MvmSessions
   // while executing, so keep it pinned.
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -37,7 +38,8 @@ class ExecutionContext {
   /// accumulate across calls until reset_stats().
   Tensor infer(const Tensor& images);
 
-  /// Restart the noise streams from `noise_seed` (stats are untouched).
+  /// Restart the noise from `noise_seed`: new seeds, call counts back to
+  /// zero (stats are untouched).
   void reseed(std::uint64_t noise_seed);
 
   /// Activity of the ROM / SRAM macros since the last reset.
@@ -60,11 +62,11 @@ class ExecutionContext {
   [[nodiscard]] LayerTraceSink* layer_trace() const { return trace_; }
 
  private:
-  friend class DeploymentPlan;  // wires rng/stats/scratch into the binding
+  friend class DeploymentPlan;  // wires noise/stats/scratch into the binding
 
   const DeploymentPlan* plan_;
-  Rng rom_rng_;
-  Rng sram_rng_;
+  AnalogNoise rom_noise_;
+  AnalogNoise sram_noise_;
   MacroRunStats rom_stats_;
   MacroRunStats sram_stats_;
   MvmScratch scratch_;

@@ -470,11 +470,11 @@ PlanArtifactInfo inspect_plan_file(const std::string& path) {
 std::vector<std::uint8_t> serialize_plan(const DeploymentPlan& plan) {
   // Version-adaptive: plans using no v2 feature serialize as version 1,
   // byte-identical to pre-fault-framework artifacts (pinned by the serde
-  // golden fixture).
-  const bool v2 = plan.options().rom_macro.faults.any() ||
-                  plan.options().sram_macro.faults.any() ||
-                  !plan.canaries().empty();
-  const std::uint32_t version = v2 ? 2 : 1;
+  // golden fixture); canaries mark their keyed-noise goldens with v3.
+  const bool faults = plan.options().rom_macro.faults.any() ||
+                      plan.options().sram_macro.faults.any();
+  const std::uint32_t version =
+      !plan.canaries().empty() ? 3 : (faults ? 2 : 1);
 
   ByteWriter options;
   write_options(options, plan, version);
@@ -573,6 +573,12 @@ std::unique_ptr<DeploymentPlan> deserialize_plan(const std::uint8_t* data,
   CanarySuite canaries;
   if (const Entry* e = find_optional(kSectionCanary); e != nullptr) {
     YOLOC_CHECK(version >= 2, "plan: CANARY section in a version-1 artifact");
+    YOLOC_CHECK(version >= 3 ||
+                    opts.options.mode != MacroMvmEngine::Mode::kAnalog,
+                "plan: its analog CANARY goldens were recorded under the "
+                "sequential noise stream of format version 2, which keyed "
+                "noise replaced; re-record the canaries (record_canaries) "
+                "and save the plan again");
     ByteReader canary_r = checked_reader(*e);
     canaries = read_canaries(canary_r);
     canary_r.expect_exhausted("plan canary section");

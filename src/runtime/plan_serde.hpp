@@ -12,7 +12,7 @@
 // File layout (all integers little-endian, see common/binio.hpp):
 //
 //   magic   "YOLOCPLN"                      8 bytes
-//   version u32                             format revision (1 or 2)
+//   version u32                             format revision (1, 2 or 3)
 //   nsec    u32                             section count
 //   table   nsec x { id u32, offset u64, size u64, crc32 u32 }
 //   payloads                                section bytes at their offsets
@@ -26,14 +26,22 @@
 //   2 GRAPH    the lowered layer tree, preorder: LayerKind tag + per-kind
 //              payload (quantized weights, scales, biases, calibrated
 //              activation ranges, container topology).
-//   3 CANARY   (version 2, optional) canary probes: per probe the noise
-//              seed, the fixed input tensor and the golden logits a
-//              healthy deployment produces for it.
+//   3 CANARY   (version 2 or 3, optional) canary probes: per probe the
+//              noise seed, the fixed input tensor and the golden logits
+//              a healthy deployment produces for it.
+//
+// Version 3 has version 2's layout. The number records the analog noise
+// scheme the CANARY goldens were recorded under: version 3 goldens come
+// from the keyed counter-based draws (common/keyed_noise.hpp), version 2
+// goldens from the sequential polar stream those draws replaced. An
+// analog-mode version 2 plan with canaries would fail every probe, so
+// the loader rejects it and asks for the canaries to be re-recorded;
+// exact-cost goldens draw no noise and load at either version.
 //
 // The writer is version-adaptive: a plan with no fault config and no
 // canaries serializes as version 1, byte-identical to pre-fault-framework
-// artifacts; only plans using the new features pay the version bump.
-// The loader accepts both versions.
+// artifacts; a fault config alone makes version 2; any CANARY section
+// makes version 3. The loader accepts all three.
 //
 // Every section carries a CRC-32; load refuses bad magic, unknown
 // versions, out-of-bounds section tables, checksum mismatches and
@@ -53,7 +61,7 @@ namespace yoloc {
 /// Newest format revision serialize_plan can write; the loader accepts
 /// [kPlanFormatMinVersion, kPlanFormatVersion]. The writer emits the
 /// OLDEST version that can represent the plan (see header comment).
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 inline constexpr std::uint32_t kPlanFormatMinVersion = 1;
 /// Canonical artifact extension.
 inline constexpr const char* kPlanFileExtension = ".yolocplan";

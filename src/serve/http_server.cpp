@@ -1357,6 +1357,8 @@ std::string HttpServer::plan_json() {
   // bits: two hosts serving one plan can differ here, and in throughput.
   out += ",\"kernels\":{\"popcount\":\"";
   out += detail::packed_kernels().popcount;
+  out += "\",\"chain\":\"";
+  out += detail::packed_kernels().chain;
   out += "\",\"gemm\":\"";
   out += detail::exact_tile_kernels().gemm;
   out += "\"}";

@@ -163,7 +163,7 @@ TEST(Rng, NormalScalesMeanAndStddev) {
 
 TEST(Rng, NormalMatchesReferencePolarMethod) {
   // Textbook Marsaglia polar method over uniform(-1, 1): pins the stream
-  // normal() produces (and therefore every seeded analog result).
+  // normal() produces (and therefore every seeded synthetic dataset).
   Rng rng(29);
   Rng ref(29);
   for (int i = 0; i < 500; ++i) {
@@ -180,47 +180,6 @@ TEST(Rng, NormalMatchesReferencePolarMethod) {
     EXPECT_EQ(rng.normal(), v * factor) << "pair " << i;
   }
   EXPECT_EQ(rng(), ref());
-}
-
-/// fill_normal(n) on `bulk` must reproduce n normal() calls on `seq`
-/// exactly: the values, the raw stream position (the next operator()
-/// output catches any over-draw) and the cached pair half (the next
-/// normal()).
-void expect_fill_matches_sequential(Rng& bulk, Rng& seq, std::size_t n) {
-  std::vector<double> got(n + 1, -7.0);
-  bulk.fill_normal(got.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got[i], seq.normal()) << "n=" << n << " i=" << i;
-  }
-  EXPECT_EQ(got[n], -7.0) << "fill_normal wrote past n=" << n;
-  EXPECT_EQ(bulk(), seq()) << "raw stream position after n=" << n;
-  EXPECT_EQ(bulk.normal(), seq.normal()) << "cached half after n=" << n;
-}
-
-TEST(Rng, FillNormalMatchesSequentialNormal) {
-  // Sizes: empty, single, one pair, odd, and several 64-pair blocks.
-  const std::size_t sizes[] = {0, 1, 2, 3, 7, 127, 128, 129, 255, 513};
-  for (const std::size_t n : sizes) {
-    for (const bool cached : {false, true}) {
-      Rng bulk(1000 + n);
-      Rng seq(1000 + n);
-      if (cached) {  // enter with the second half of a pair cached
-        (void)bulk.normal();
-        (void)seq.normal();
-      }
-      SCOPED_TRACE(cached ? "entered with a cached half" : "no cache");
-      expect_fill_matches_sequential(bulk, seq, n);
-    }
-  }
-}
-
-TEST(Rng, FillNormalInterleavesWithNormal) {
-  Rng bulk(77);
-  Rng seq(77);
-  const std::size_t steps[] = {3, 0, 1, 64, 5, 2, 129, 1, 1, 200};
-  for (const std::size_t n : steps) {
-    expect_fill_matches_sequential(bulk, seq, n);
-  }
 }
 
 TEST(Rng, BernoulliMatchesProbability) {
@@ -312,6 +271,22 @@ TEST(Check, ThrowsWithMessage) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("special-message"),
               std::string::npos);
+  }
+}
+
+TEST(Check, MessageNamesTheSourceFileRelativeToTheRepository) {
+  // Check messages reach clients (HTTP error bodies, yolocplan_inspect),
+  // so a library check names its file from the repository root, never
+  // by the build host's absolute path.
+  Rng rng(1);
+  try {
+    (void)rng.uniform(2.0, 1.0);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/common/rng.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("/src/common/rng.cpp"), std::string::npos) << what;
   }
 }
 

@@ -79,46 +79,41 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
 }
 
 /// One run of `engine` over the (m x k) weights `w` and seeded
-/// activations. `next_draw_out` receives the session RNG's next normal()
-/// after the run.
+/// activations, noise keyed by `seed`.
 std::vector<std::int32_t> run_on(const MvmEngine& engine,
                                  const std::vector<std::int8_t>& w, int m,
                                  int k, int p, std::uint64_t seed,
-                                 MacroRunStats* stats_out,
-                                 double* next_draw_out) {
+                                 MacroRunStats* stats_out) {
   const auto x = random_acts(k, p, seed);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(seed);
+  AnalogNoise noise{seed, 0};
   MacroRunStats stats;
   MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
+  MvmSession session{&noise, &stats, &scratch};
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
   if (stats_out != nullptr) *stats_out = stats;
-  if (next_draw_out != nullptr) *next_draw_out = rng.normal();
   return y;
 }
 
 /// The serving engine (MacroMvmEngine, analog) over a fixed workload.
 std::vector<std::int32_t> run_engine(const MacroConfig& cfg, int m, int k,
                                      int p, std::uint64_t seed,
-                                     MacroRunStats* stats_out = nullptr,
-                                     double* next_draw_out = nullptr) {
+                                     MacroRunStats* stats_out = nullptr) {
   const CimMacro macro(cfg);
   MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
   const auto w = random_weights(m, k, seed);
   (void)engine.pack(w.data(), m, k);
-  return run_on(engine, w, m, k, p, seed, stats_out, next_draw_out);
+  return run_on(engine, w, m, k, p, seed, stats_out);
 }
 
 /// The per-call reference tiler over the same workload.
 std::vector<std::int32_t> run_reference(const MacroConfig& cfg, int m, int k,
                                         int p, std::uint64_t seed,
-                                        MacroRunStats* stats_out,
-                                        double* next_draw_out) {
+                                        MacroRunStats* stats_out) {
   const CimMacro macro(cfg);
   const ReferenceMacroEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
-  return run_on(engine, random_weights(m, k, seed), m, k, p, seed, stats_out,
-                next_draw_out);
+  return run_on(engine, random_weights(m, k, seed), m, k, p, seed,
+                stats_out);
 }
 
 // ------------------------------------------------- fault-model physics
@@ -150,16 +145,10 @@ TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
       SCOPED_TRACE(testing::Message()
                    << (noise_free ? "noise-free" : "noisy") << " k=" << k);
       MacroRunStats stats_legacy, stats_packed;
-      double next_legacy = 0.0;
-      double next_packed = 0.0;
-      const auto legacy =
-          run_reference(cfg, 6, k, 3, 5, &stats_legacy, &next_legacy);
-      const auto packed =
-          run_engine(cfg, 6, k, 3, 5, &stats_packed, &next_packed);
+      const auto legacy = run_reference(cfg, 6, k, 3, 5, &stats_legacy);
+      const auto packed = run_engine(cfg, 6, k, 3, 5, &stats_packed);
       EXPECT_EQ(legacy, packed);
       EXPECT_EQ(stats_legacy, stats_packed);
-      // Same next session draw; a noise-free packed run draws nothing.
-      EXPECT_EQ(next_packed, noise_free ? Rng(5).normal() : next_legacy);
     }
   }
 }
@@ -182,10 +171,10 @@ TEST(FaultModel, SetActiveTogglesAtRuntime) {
   const auto x = random_acts(96, 2, 5);
   const auto run = [&] {
     std::vector<std::int32_t> y(12);
-    Rng rng(5);
+    AnalogNoise noise{5, 0};
     MacroRunStats stats;
     MvmScratch scratch;
-    MvmSession session{&rng, &stats, &scratch};
+    MvmSession session{&noise, &stats, &scratch};
     engine.mvm_batch(w.data(), 6, 96, x.data(), 2, y.data(), session);
     return y;
   };

@@ -219,7 +219,8 @@ TEST(HttpEndpoints, AllFourRoundTripOverLoopback) {
             std::string::npos);
   EXPECT_NE(plan_resp.body.find(
                 std::string("\"kernels\":{\"popcount\":\"") +
-                detail::packed_kernels().popcount + "\",\"gemm\":\"" +
+                detail::packed_kernels().popcount + "\",\"chain\":\"" +
+                detail::packed_kernels().chain + "\",\"gemm\":\"" +
                 detail::exact_tile_kernels().gemm + "\"}"),
             std::string::npos);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/macro_engine.hpp"
 #include "macro/cim_macro.hpp"
 #include "macro/macro_spec.hpp"
 
@@ -34,6 +35,25 @@ std::vector<std::int32_t> exact_mvm(const std::vector<std::int8_t>& w, int m,
   return y;
 }
 
+/// One single-column MVM through a MacroMvmEngine, as a deployed layer
+/// runs it; accumulates into `stats`.
+std::vector<std::int32_t> run_mvm(const CimMacro& macro,
+                                  MacroMvmEngine::Mode mode,
+                                  const std::vector<std::int8_t>& w, int m,
+                                  int k, const std::vector<std::uint8_t>& x,
+                                  MacroRunStats& stats) {
+  MacroMvmEngine engine(macro, mode);
+  engine.pack(w.data(), m, k);
+  AnalogNoise noise{7, 0};
+  MvmScratch scratch;
+  MvmSession session{&noise, &stats, &scratch};
+  std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+  engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+  return y;
+}
+
+constexpr auto kAnalog = MacroMvmEngine::Mode::kAnalog;
+
 TEST(CimMacro, NoiseFreeMvmIsNearExact) {
   const CimMacro macro(quiet_rom());
   Rng rng(1);
@@ -44,9 +64,8 @@ TEST(CimMacro, NoiseFreeMvmIsNearExact) {
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
-  std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+  const auto y = run_mvm(macro, kAnalog, w, m, k, x, stats);
   const auto ref = exact_mvm(w, m, k, x);
 
   // rows_per_activation=32 with a 5-bit ADC leaves ~1 count of rounding
@@ -67,9 +86,8 @@ TEST(CimMacro, SmallValuesExactlyReconstructed) {
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-3, 3));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
-  std::vector<std::int32_t> y(2);
   MacroRunStats stats;
-  macro.mvm(w.data(), 2, k, x.data(), y.data(), rng, stats);
+  const auto y = run_mvm(macro, kAnalog, w, 2, k, x, stats);
   const auto ref = exact_mvm(w, 2, k, x);
   EXPECT_EQ(y[0], ref[0]);
   EXPECT_EQ(y[1], ref[1]);
@@ -92,12 +110,10 @@ TEST(CimMacro, AggressiveGroupingDegradesAccuracy) {
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
-  std::vector<std::int32_t> yp(static_cast<std::size_t>(m));
-  std::vector<std::int32_t> ya(static_cast<std::size_t>(m));
   MacroRunStats sp;
   MacroRunStats sa;
-  macro_p.mvm(w.data(), m, k, x.data(), yp.data(), rng, sp);
-  macro_a.mvm(w.data(), m, k, x.data(), ya.data(), rng, sa);
+  const auto yp = run_mvm(macro_p, kAnalog, w, m, k, x, sp);
+  const auto ya = run_mvm(macro_a, kAnalog, w, m, k, x, sa);
   const auto ref = exact_mvm(w, m, k, x);
 
   double err_p = 0.0;
@@ -113,14 +129,12 @@ TEST(CimMacro, AggressiveGroupingDegradesAccuracy) {
 
 TEST(CimMacro, StatsCountConversions) {
   const CimMacro macro(quiet_rom());
-  Rng rng(4);
   const int m = 2;
   const int k = 64;  // 2 groups of 32
   std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k, 1);
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 1);
-  std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+  (void)run_mvm(macro, kAnalog, w, m, k, x, stats);
   // conversions = m * weight_bits * input_bits * groups = 2*8*8*2.
   EXPECT_EQ(stats.array.adc_conversions, 256u);
   EXPECT_EQ(stats.macro_ops, 1u);
@@ -138,22 +152,29 @@ TEST(CimMacro, ExactCostPathMatchesIntegerMath) {
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   MacroRunStats stats;
-  macro.mvm_exact_cost(w.data(), m, k, x.data(), y.data(), stats);
-  EXPECT_EQ(y, exact_mvm(w, m, k, x));
+  EXPECT_EQ(run_mvm(macro, MacroMvmEngine::Mode::kExactCost, w, m, k, x,
+                    stats),
+            exact_mvm(w, m, k, x));
   EXPECT_GT(stats.energy_pj(), 0.0);
 }
 
-TEST(CimMacro, RejectsOversizedReduction) {
-  const CimMacro macro(quiet_rom());
-  Rng rng(6);
-  std::vector<std::int8_t> w(200, 0);
-  std::vector<std::uint8_t> x(200, 0);
-  std::vector<std::int32_t> y(1);
+TEST(CimMacro, RejectsANoiseKeyForAnotherTile) {
+  // A read's noise is keyed by its tile: a key naming another tile would
+  // silently reuse that tile's draws.
+  const CimMacro macro(default_rom_macro());
+  std::vector<std::int8_t> w(2 * 200, 1);
+  const PackedRomWeights packed(w.data(), 2, 200, macro.config().geometry);
+  ASSERT_EQ(packed.tile_count(), 2);
+  std::vector<std::uint8_t> x(128, 1);
+  std::vector<std::int32_t> y(2);
   MacroRunStats stats;
-  EXPECT_THROW(macro.mvm(w.data(), 1, 200, x.data(), y.data(), rng, stats),
+  ReadNoiseKey key{.seed = 1, .call = 0, .tile = 0, .column = 0};
+  EXPECT_THROW(macro.mvm_packed(packed, 1, x.data(), y.data(), key, stats),
                std::runtime_error);
+  key.tile = 1;
+  EXPECT_NO_THROW(
+      macro.mvm_packed(packed, 1, x.data(), y.data(), key, stats));
 }
 
 TEST(CimMacro, RejectsEmptyOrOversizedActivationGroups) {

@@ -1,26 +1,28 @@
 // Packed-weights coverage: the deploy-time bit-plane packing
 // (macro/packed_weights.*) and MacroMvmEngine, which runs only the packed
 // CimMacro MVM, must be BIT-IDENTICAL to the per-call reference tiler
-// (tests/reference_macro_engine.hpp, over CimMacro::mvm /
-// mvm_exact_cost) — same outputs, every run stat, same RNG draw order —
-// across analog (noisy and noise-free), exact-cost, odd reduction sizes
-// and multi-tile shapes, and — for the tile-wide exact-cost call — p = 1
-// to p > 1024 columns, all-zero weight rows and a pulse window narrower
-// than the activations. The engine's frozen packing table must refuse an
-// unpacked buffer and a packed buffer whose contents changed. The
-// popcount kernels behind the packed path are also run variant by
-// variant (plain body vs hardware POPCNT), so the one a POPCNT host never
-// selects stays covered.
+// (tests/reference_macro_engine.hpp, a plain scalar loop over the keyed
+// draws) — same outputs, every run stat, same noise call count — across
+// analog (noisy and noise-free), exact-cost, odd reduction sizes,
+// multi-tile shapes and random geometries with faults on and off, and —
+// for the tile-wide exact-cost call — p = 1 to p > 1024 columns, all-zero
+// weight rows and a pulse window narrower than the activations. The
+// engine's frozen packing table must refuse an unpacked buffer and a
+// packed buffer whose contents changed. The kernels behind the packed
+// path are also run variant by variant (plain body, hardware POPCNT, the
+// AVX2 read chain), so the ones a host never selects stay covered.
 // `ctest -L macro` selects this suite.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/macro_engine.hpp"
@@ -53,7 +55,7 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
 
 /// Drives the engine and the reference tiler over the (m x k) weights `w`
 /// with identically seeded sessions and checks outputs, stats and the
-/// session RNG position match exactly.
+/// sessions' noise call counts match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
                             MacroMvmEngine::Mode mode,
                             const std::vector<std::int8_t>& w, int m, int k,
@@ -66,15 +68,16 @@ void expect_paths_identical(const MacroConfig& cfg,
 
   std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
   std::vector<std::int32_t> y_packed(static_cast<std::size_t>(m) * p);
-  Rng rng_legacy(seed);
-  Rng rng_packed(seed);
+  AnalogNoise noise_legacy{seed, 0};
+  AnalogNoise noise_packed{seed, 0};
   MacroRunStats stats_legacy, stats_packed;
   MvmScratch scratch_legacy, scratch_packed;
-  MvmSession legacy_session{&rng_legacy, &stats_legacy, &scratch_legacy};
-  MvmSession packed_session{&rng_packed, &stats_packed, &scratch_packed};
+  MvmSession legacy_session{&noise_legacy, &stats_legacy, &scratch_legacy};
+  MvmSession packed_session{&noise_packed, &stats_packed, &scratch_packed};
 
-  // Two back-to-back calls so the second starts from mid-stream RNG
-  // state and non-zero stats (the accumulation-order contract).
+  // Two back-to-back calls so the second draws under the next call
+  // number and starts from non-zero stats (the accumulation-order
+  // contract).
   for (int call = 0; call < 2; ++call) {
     legacy.mvm_batch(w.data(), m, k, x.data(), p, y_legacy.data(),
                      legacy_session);
@@ -86,15 +89,10 @@ void expect_paths_identical(const MacroConfig& cfg,
     EXPECT_EQ(stats_legacy, stats_packed) << "call " << call;
   }
 
-  // No downstream draw changes: the next session draw agrees. The one
-  // documented exception is a noise-free analog config, whose packed
-  // path draws nothing and must leave its RNG untouched.
-  if (mode == MacroMvmEngine::Mode::kAnalog && macro.noise_free()) {
-    EXPECT_EQ(rng_packed.normal(), Rng(seed).normal());
-  } else {
-    EXPECT_EQ(rng_legacy.normal(), rng_packed.normal());
-    EXPECT_EQ(rng_legacy(), rng_packed());
-  }
+  // Each analog call numbers its draws; exact-cost calls draw nothing.
+  const std::uint64_t calls = mode == MacroMvmEngine::Mode::kAnalog ? 2 : 0;
+  EXPECT_EQ(noise_legacy.calls, calls);
+  EXPECT_EQ(noise_packed.calls, calls);
 }
 
 /// Same, over random weights.
@@ -210,12 +208,10 @@ TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
   const CimMacro macro(default_rom_macro());
   std::vector<std::uint8_t> x(128, 1);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
-  Rng rng(1);
   MacroRunStats stats;
-  MvmScratch scratch;
-  EXPECT_THROW(macro.mvm_packed(bounds, 0, x.data(), y.data(), rng, stats,
-                                scratch.read_counts, scratch.read_normals),
-               std::runtime_error);
+  EXPECT_THROW(
+      macro.mvm_packed(bounds, 0, x.data(), y.data(), ReadNoiseKey{}, stats),
+      std::runtime_error);
 }
 
 TEST(PackedWeightsCache, ReturnsSameInstance) {
@@ -290,10 +286,10 @@ TEST(PackedMvm, ChangedPackedBufferTripsContentCheck) {
       MacroMvmEngine engine(macro, mode);
       (void)engine.pack(w.data(), m, k);
       std::vector<std::int32_t> y(static_cast<std::size_t>(m) * 2);
-      Rng rng(50);
+      AnalogNoise noise{50, 0};
       MacroRunStats stats;
       MvmScratch scratch;
-      MvmSession session{&rng, &stats, &scratch};
+      MvmSession session{&noise, &stats, &scratch};
       engine.mvm_batch(w.data(), m, k, x.data(), 2, y.data(), session);
       w[at] = static_cast<std::int8_t>(w[at] ^ 0x5A);
       EXPECT_THROW(
@@ -358,8 +354,8 @@ TEST(PackedMvm, AnalogBitIdenticalNarrowOperands) {
 }
 
 TEST(PackedMvm, AnalogBitIdenticalCellNoiseOnly) {
-  // sigma_cell > 0 with a noiseless ADC: the ADC draws are still made
-  // (scaled by 0.0), so the row draws reads + nonzero-count normals.
+  // sigma_cell > 0 with a noiseless ADC: the ADC normal is still drawn
+  // and scaled by 0.0.
   MacroConfig cfg = default_rom_macro();
   cfg.adc.noise_sigma_v = 0.0;
   ASSERT_GT(cfg.bitline.sigma_cell, 0.0);
@@ -368,7 +364,7 @@ TEST(PackedMvm, AnalogBitIdenticalCellNoiseOnly) {
 }
 
 TEST(PackedMvm, AnalogBitIdenticalAdcNoiseOnly) {
-  // sigma_cell == 0 with ADC noise: exactly one draw per read.
+  // sigma_cell == 0 with ADC noise: the cell normal is scaled by 0.0.
   MacroConfig cfg = default_rom_macro();
   cfg.bitline.sigma_cell = 0.0;
   ASSERT_GT(cfg.adc.noise_sigma_v, 0.0);
@@ -378,7 +374,7 @@ TEST(PackedMvm, AnalogBitIdenticalAdcNoiseOnly) {
 
 TEST(PackedMvm, AnalogBitIdenticalManyGroupsPerRow) {
   // rows_per_activation 1 and 4: 128 and 32 groups per tile, so one
-  // output row fills thousands of normals (many fill_normal blocks).
+  // output row makes thousands of reads (read indices up to 8191).
   for (const int rpa : {1, 4}) {
     MacroConfig cfg = default_rom_macro();
     cfg.geometry.rows_per_activation = rpa;
@@ -473,19 +469,13 @@ RowMask random_mask(Rng& rng, int bits) {
   return mask;
 }
 
-// The legacy CimMacro::mvm read loop for output row j: range-clamped
-// counts with the fault overlays applied in the legacy order, plus the
-// noise-free table lookup, shift-add and energy chain (continued in
-// `nf`'s accumulators). Both kernel variants must reproduce it exactly.
-struct ReferenceRow {
-  std::vector<std::uint8_t> counts;
-  int nonzero = 0;
-  std::int32_t y = 0;
-};
-
-ReferenceRow reference_row(const detail::PackedCountArgs& a, int j, int k,
-                           int rows_per_activation, detail::NoiseFreeRows& nf) {
-  ReferenceRow ref;
+// The noise-free read loop for output row j as a per-call macro runs it:
+// range-clamped counts with the fault overlays applied, then the table
+// lookup, shift-add and energy chain (continued in `nf`'s accumulators).
+// Every kernel variant must reproduce it exactly.
+std::int32_t reference_noise_free_row(const detail::PackedCountArgs& a, int j,
+                                      int k, int rows_per_activation,
+                                      detail::NoiseFreeRows& nf) {
   const FaultModel* faults = a.faults;
   double acc = 0.0;
   for (int b = 0; b < a.weight_bits; ++b) {
@@ -506,8 +496,6 @@ ReferenceRow reference_row(const detail::PackedCountArgs& a, int j, int k,
         const int lo = grp * rows_per_activation;
         const int hi = std::min(k, lo + rows_per_activation);
         const int exact = wbt.count_and(a.xbits[t], lo, hi);
-        ref.counts.push_back(static_cast<std::uint8_t>(exact));
-        ref.nonzero += exact != 0 ? 1 : 0;
         double est = nf.ideal_estimate[exact];
         if (faults != nullptr) est = est * drift.gain + drift.offset_counts;
         acc += est * nf.bit_cycle_weight[b * a.input_bits + t];
@@ -517,57 +505,79 @@ ReferenceRow reference_row(const detail::PackedCountArgs& a, int j, int k,
       }
     }
   }
-  ref.y = static_cast<std::int32_t>(std::llround(acc));
-  return ref;
+  return static_cast<std::int32_t>(std::llround(acc));
 }
 
-TEST(PackedKernels, PlainAndPopcntVariantsMatchLegacyCounts) {
-  const detail::PackedKernels& plain = detail::plain_packed_kernels();
-  const detail::PackedKernels* hw = detail::popcnt_packed_kernels();
-  std::printf("[ kernels  ] mvm_packed runs the %s popcount variant; "
-              "separate POPCNT variant: %s\n",
-              detail::packed_kernels().popcount,
-              hw != nullptr ? "available" : "not built or CPU lacks POPCNT");
-  std::vector<const detail::PackedKernels*> variants{&plain};
-  if (hw != nullptr) variants.push_back(hw);
+/// Every kernel table this build and CPU can run, with a label.
+std::vector<std::pair<const detail::PackedKernels*, const char*>>
+kernel_variants() {
+  std::vector<std::pair<const detail::PackedKernels*, const char*>> v{
+      {&detail::plain_packed_kernels(), "plain"}};
+  if (const auto* hw = detail::popcnt_packed_kernels()) {
+    v.push_back({hw, "popcnt"});
+  }
+  if (const auto* avx2 = detail::avx2_packed_kernels()) {
+    v.push_back({avx2, "avx2"});
+  }
+  return v;
+}
+
+/// One random kernel input: planes, activations, group masks and an
+/// optional fault model.
+struct KernelCase {
+  std::vector<RowMask> wbits;
+  std::vector<RowMask> xbits;
+  std::vector<RowMask> group_masks;
+  std::unique_ptr<FaultModel> faults;
+  detail::PackedCountArgs args;
+};
+
+KernelCase random_kernel_case(Rng& rng, int m, int k, int rpa,
+                              int weight_bits, int input_bits, bool faulted) {
+  KernelCase c;
+  // Weight planes get random bits above k too (stuck-at-1 overlays can
+  // set them); the group masks must keep them out of every count.
+  c.wbits.resize(static_cast<std::size_t>(m) * weight_bits);
+  for (auto& mask : c.wbits) mask = random_mask(rng, 128);
+  c.xbits.resize(static_cast<std::size_t>(input_bits));
+  for (auto& mask : c.xbits) mask = random_mask(rng, k);
+  const int groups = (k + rpa - 1) / rpa;
+  c.group_masks.resize(static_cast<std::size_t>(groups));
+  for (int i = 0; i < k; ++i) {
+    c.group_masks[static_cast<std::size_t>(i / rpa)].set(i);
+  }
+  if (faulted) {
+    FaultModelConfig fc;
+    fc.seed = 17;
+    fc.stuck_at_zero_rate = 0.05;
+    fc.stuck_at_one_rate = 0.05;
+    fc.transient_flip_rate = 0.02;
+    fc.adc_offset_max = 1.5;
+    fc.adc_gain_max = 0.05;
+    c.faults = std::make_unique<FaultModel>(fc, /*salt=*/0, /*rows=*/128);
+  }
+  c.args = {c.wbits.data(), c.xbits.data(), c.group_masks.data(), weight_bits,
+            input_bits,     groups,         c.faults.get()};
+  return c;
+}
+
+TEST(PackedKernels, VariantsMatchLegacyNoiseFreeRows) {
+  const auto variants = kernel_variants();
+  std::printf("[ kernels  ] mvm_packed runs the %s popcount / %s read-chain "
+              "variant; %zu variant(s) built and supported here\n",
+              detail::packed_kernels().popcount, detail::packed_kernels().chain,
+              variants.size());
 
   const int m = 5;
   const int k = 123;  // not a multiple of 64: the upper lane is partial
-  const int weight_bits = 8;
-  const int input_bits = 8;
   for (const int rpa : {1, 7, 32, 128}) {
     for (const bool faulted : {false, true}) {
       SCOPED_TRACE(::testing::Message()
                    << "rows_per_activation=" << rpa << " faulted=" << faulted);
       Rng rng(900 + static_cast<std::uint64_t>(rpa) * 2 + (faulted ? 1 : 0));
-      // Weight planes get random bits above k too (stuck-at-1 overlays
-      // can set them); the group masks must keep them out of every count.
-      std::vector<RowMask> wbits(static_cast<std::size_t>(m) * weight_bits);
-      for (auto& mask : wbits) mask = random_mask(rng, 128);
-      std::vector<RowMask> xbits(input_bits);
-      for (auto& mask : xbits) mask = random_mask(rng, k);
-      const int groups = (k + rpa - 1) / rpa;
-      std::vector<RowMask> group_masks(static_cast<std::size_t>(groups));
-      for (int i = 0; i < k; ++i) {
-        group_masks[static_cast<std::size_t>(i / rpa)].set(i);
-      }
-      std::unique_ptr<FaultModel> faults;
-      if (faulted) {
-        FaultModelConfig fc;
-        fc.seed = 17;
-        fc.stuck_at_zero_rate = 0.05;
-        fc.stuck_at_one_rate = 0.05;
-        fc.transient_flip_rate = 0.02;
-        fc.adc_offset_max = 1.5;
-        fc.adc_gain_max = 0.05;
-        faults = std::make_unique<FaultModel>(fc, /*salt=*/0, /*rows=*/128);
-      }
-      const detail::PackedCountArgs args{
-          wbits.data(), xbits.data(), group_masks.data(), weight_bits,
-          input_bits,   groups,       faults.get()};
+      const KernelCase c = random_kernel_case(rng, m, k, rpa, 8, 8, faulted);
 
-      std::vector<double> bcw(static_cast<std::size_t>(weight_bits) *
-                              input_bits);
+      std::vector<double> bcw(64);
       for (auto& v : bcw) v = rng.uniform(-128.0, 128.0);
       std::vector<double> estimate(129);
       std::vector<double> precharge(129);
@@ -583,33 +593,148 @@ TEST(PackedKernels, PlainAndPopcntVariantsMatchLegacyCounts) {
                                          .adc_energy = 0.5,
                                          .precharge_energy = 0.25};
 
-      const int reads = weight_bits * input_bits * groups;
       detail::NoiseFreeRows expected = tables;
       std::vector<std::int32_t> y_ref(static_cast<std::size_t>(m));
       for (int j = 0; j < m; ++j) {
-        const ReferenceRow ref = reference_row(args, j, k, rpa, expected);
-        ASSERT_EQ(ref.counts.size(), static_cast<std::size_t>(reads));
-        y_ref[static_cast<std::size_t>(j)] = ref.y;
-        for (const detail::PackedKernels* v : variants) {
-          SCOPED_TRACE(v == hw ? "popcnt variant" : "plain variant");
-          std::vector<std::uint8_t> counts(static_cast<std::size_t>(reads),
-                                           0xFF);
-          EXPECT_EQ(v->count_row(args, j, counts.data()), ref.nonzero);
-          EXPECT_EQ(counts, ref.counts) << "row " << j;
-        }
+        y_ref[static_cast<std::size_t>(j)] =
+            reference_noise_free_row(c.args, j, k, rpa, expected);
       }
-      for (const detail::PackedKernels* v : variants) {
-        SCOPED_TRACE(v == hw ? "popcnt variant" : "plain variant");
+      for (const auto& [v, label] : variants) {
+        SCOPED_TRACE(label);
         std::vector<std::int32_t> y(static_cast<std::size_t>(m));
         detail::NoiseFreeRows rows = tables;
         rows.y = y.data();
-        v->noise_free_rows(args, rows);
+        v->noise_free_rows(c.args, rows);
         EXPECT_EQ(y, y_ref);
         EXPECT_EQ(rows.conversions, expected.conversions);
         EXPECT_EQ(rows.adc_energy, expected.adc_energy);
         EXPECT_EQ(rows.precharge_energy, expected.precharge_energy);
       }
     }
+  }
+}
+
+TEST(PackedKernels, NoisyVariantsMatchScalarKeyedReads) {
+  // Every noisy body against reads made one at a time: range-clamped
+  // counts, read_normals(key, j, r) and CimArrayModel::read(), codes
+  // summed per weight bit, the row finished as the engine finishes it.
+  // m runs 1..9 so the AVX2 body sees full, partial and single-lane row
+  // blocks.
+  const auto variants = kernel_variants();
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    const CimMacro macro(cfg);
+    const CimArrayModel& array = macro.array_model();
+    std::array<double, 129> cell_sd{};
+    for (int c = 0; c <= 128; ++c) {
+      cell_sd[static_cast<std::size_t>(c)] =
+          array.read_chain_consts().sigma_cell *
+          std::sqrt(static_cast<double>(c));
+    }
+    const auto cpc = static_cast<std::int64_t>(array.counts_per_code());
+    for (int trial = 0; trial < 12; ++trial) {
+      Rng rng(700 + static_cast<std::uint64_t>(trial) +
+              (cfg.kind == MacroKind::kRom ? 0 : 100));
+      const int m = 1 + trial % 9;
+      const int k = rng.uniform_int(1, 128);
+      const int rpa = std::vector<int>{1, 5, 16, 32}[trial % 4];
+      const int weight_bits = rng.uniform_int(1, 8);
+      const int input_bits = rng.uniform_int(1, 8);
+      const bool faulted = trial % 3 == 0;
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " m=" << m << " k=" << k
+                   << " rpa=" << rpa << " bits=" << weight_bits << "x"
+                   << input_bits << " faulted=" << faulted);
+      const KernelCase c = random_kernel_case(rng, m, k, rpa, weight_bits,
+                                              input_bits, faulted);
+      const ReadNoiseKey key{.seed = rng(),
+                             .call = rng(),
+                             .tile = static_cast<std::uint32_t>(trial),
+                             .column = static_cast<std::uint32_t>(rng())};
+
+      std::vector<std::int32_t> y_ref(static_cast<std::size_t>(m));
+      std::uint64_t discharge_ref = 0;
+      for (int j = 0; j < m; ++j) {
+        std::int64_t sums[8] = {};
+        std::uint32_t r = 0;
+        for (int b = 0; b < weight_bits; ++b) {
+          RowMask wb = c.wbits[static_cast<std::size_t>(j) * weight_bits + b];
+          if (faulted) {
+            const FaultModel::PlaneFaults pf = c.faults->plane(j, b);
+            wb.or_with(pf.force_one);
+            wb.and_not(pf.force_zero);
+          }
+          for (int t = 0; t < input_bits; ++t) {
+            RowMask wbt = wb;
+            if (faulted) wbt.xor_with(c.faults->transient_flips(j, b, t));
+            for (int grp = 0; grp < c.args.groups; ++grp, ++r) {
+              const int lo = grp * rpa;
+              const int exact =
+                  wbt.count_and(c.xbits[static_cast<std::size_t>(t)], lo,
+                                std::min(k, lo + rpa));
+              const NormalPair z =
+                  read_normals(key, static_cast<std::uint32_t>(j), r);
+              const CimArrayModel::ReadOutcome out =
+                  array.read(exact, z.cell, z.adc);
+              sums[b] += static_cast<std::int64_t>(out.code) << t;
+              discharge_ref += out.discharge;
+            }
+          }
+        }
+        y_ref[static_cast<std::size_t>(j)] =
+            detail::finish_noisy_row(sums, c.args, cpc, j);
+      }
+      for (const auto& [v, label] : variants) {
+        SCOPED_TRACE(label);
+        std::vector<std::int32_t> y(static_cast<std::size_t>(m), -1);
+        detail::NoisyRows rows{.m = m,
+                               .array = &array,
+                               .cell_sd = cell_sd.data(),
+                               .key = key,
+                               .y = y.data()};
+        v->noisy_rows(c.args, rows);
+        EXPECT_EQ(y, y_ref);
+        EXPECT_EQ(rows.discharge, discharge_ref);
+      }
+    }
+  }
+}
+
+TEST(PackedMvm, KeyedChainMatchesOracleOverRandomGeometries) {
+  // The engine (the read-chain variant this CPU selects) against the
+  // scalar oracle over random subarray heights, activation groups,
+  // operand widths and shapes, faults on and off.
+  Rng rng(2026);
+  for (int trial = 0; trial < 24; ++trial) {
+    MacroConfig cfg =
+        trial % 2 == 0 ? default_rom_macro() : default_sram_macro();
+    MacroGeometry& g = cfg.geometry;
+    g.rows = std::vector<int>{16, 32, 64, 128}[static_cast<std::size_t>(
+        rng.uniform_int(0, 3))];
+    g.rows_per_activation = std::min(
+        g.rows, std::vector<int>{1, 2, 4, 8, 16, 32}[static_cast<std::size_t>(
+                    rng.uniform_int(0, 5))]);
+    g.weight_bits = rng.uniform_int(1, 8);
+    g.input_bits = rng.uniform_int(1, 8);
+    g.cols = g.weight_bits * 32;
+    const bool faulted = trial % 3 == 1;
+    if (faulted) {
+      cfg.faults.seed = static_cast<std::uint64_t>(trial);
+      cfg.faults.stuck_at_zero_rate = 0.02;
+      cfg.faults.stuck_at_one_rate = 0.02;
+      cfg.faults.transient_flip_rate = 0.01;
+      cfg.faults.adc_offset_max = 1.0;
+      cfg.faults.adc_gain_max = 0.05;
+    }
+    const int m = rng.uniform_int(1, 13);
+    const int k = rng.uniform_int(1, 3 * g.rows);
+    const int p = rng.uniform_int(1, 3);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " rows=" << g.rows
+                 << " rpa=" << g.rows_per_activation << " bits="
+                 << g.weight_bits << "x" << g.input_bits << " m=" << m
+                 << " k=" << k << " p=" << p << " faulted=" << faulted);
+    expect_paths_identical(cfg, MacroMvmEngine::Mode::kAnalog, m, k, p,
+                           3000 + static_cast<std::uint64_t>(trial));
   }
 }
 

@@ -226,6 +226,88 @@ TEST(PlanSerde, LoadPathNeedsNoCalibrationImages) {
   EXPECT_EQ(out.shape(), (std::vector<int>{1, 5}));
 }
 
+// ------------------------------------------------------ format versions
+
+/// The header's version field, which follows the 8-byte magic. The
+/// header is not under a section CRC, so a test can restamp it.
+std::uint32_t header_version(const std::vector<std::uint8_t>& bytes) {
+  return static_cast<std::uint32_t>(bytes[8]) |
+         static_cast<std::uint32_t>(bytes[9]) << 8 |
+         static_cast<std::uint32_t>(bytes[10]) << 16 |
+         static_cast<std::uint32_t>(bytes[11]) << 24;
+}
+
+void stamp_version(std::vector<std::uint8_t>& bytes, std::uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(version >> (8 * i));
+  }
+}
+
+TEST(PlanSerde, CanaryPlansWriteVersion3AndRoundTrip) {
+  for (const auto mode :
+       {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto plan = make_plan(mode, Residency::kMixed);
+    EXPECT_EQ(header_version(serialize_plan(*plan)), 1u);
+    record_canaries(*plan, 2, {1, 3, 8, 8});
+    const std::vector<std::uint8_t> bytes = serialize_plan(*plan);
+    EXPECT_EQ(header_version(bytes), 3u);
+    const auto loaded = deserialize_plan(bytes.data(), bytes.size());
+    ASSERT_EQ(loaded->canaries().probes.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const CanaryProbe& a = plan->canaries().probes[i];
+      const CanaryProbe& b = loaded->canaries().probes[i];
+      EXPECT_EQ(a.seed, b.seed);
+      EXPECT_TRUE(bit_identical(a.golden, b.golden));
+      // The loaded plan reproduces its goldens under the keyed noise.
+      ExecutionContext ctx(*loaded, b.seed);
+      EXPECT_TRUE(bit_identical(ctx.infer(b.input), b.golden));
+    }
+  }
+}
+
+TEST(PlanSerde, RejectsVersion2AnalogCanaryPlanAskingToReRecord) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog, Residency::kMixed);
+  record_canaries(*plan, 2, {1, 3, 8, 8});
+  std::vector<std::uint8_t> bytes = serialize_plan(*plan);
+  stamp_version(bytes, 2);
+  try {
+    (void)deserialize_plan(bytes.data(), bytes.size());
+    ADD_FAILURE() << "a v2 plan with analog canaries must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("re-record the canaries"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanSerde, LoadsVersion2ExactCostCanaryAndFaultOnlyPlans) {
+  // Exact-cost goldens draw no noise: a v2 canary plan still serves them.
+  auto exact = make_plan(MacroMvmEngine::Mode::kExactCost, Residency::kMixed);
+  record_canaries(*exact, 2, {1, 3, 8, 8});
+  std::vector<std::uint8_t> bytes = serialize_plan(*exact);
+  stamp_version(bytes, 2);
+  const auto loaded = deserialize_plan(bytes.data(), bytes.size());
+  EXPECT_EQ(loaded->canaries().probes.size(), 2u);
+
+  // A fault config without canaries still writes, and loads, as v2.
+  LayerPtr net = make_model(21, Residency::kMixed);
+  Rng data_rng(33);
+  Tensor calib = Tensor::rand_uniform({8, 3, 8, 8}, data_rng, 0.0f, 1.0f);
+  DeploymentOptions options;
+  options.mode = MacroMvmEngine::Mode::kAnalog;
+  options.rom_macro.faults.seed = 3;
+  options.rom_macro.faults.stuck_at_zero_rate = 0.01;
+  options.rom_macro.faults.start_active = false;
+  const DeploymentPlan faulted(std::move(net), calib, std::move(options));
+  const std::vector<std::uint8_t> faulted_bytes = serialize_plan(faulted);
+  EXPECT_EQ(header_version(faulted_bytes), 2u);
+  const auto faulted_loaded =
+      deserialize_plan(faulted_bytes.data(), faulted_bytes.size());
+  EXPECT_EQ(faulted_loaded->options(), faulted.options());
+}
+
 // ------------------------------------------------------------ negative
 
 TEST(PlanSerde, RejectsBadMagic) {

@@ -179,19 +179,19 @@ TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
     const Tensor via_packed = ctx.infer(xs[0]);
 
     // Reference engines over the same macros; sessions seeded exactly
-    // like ExecutionContext wires them (the SRAM stream is salted with
+    // like ExecutionContext wires them (the SRAM seed is salted with
     // 0x5A5A).
     const ReferenceMacroEngine legacy_rom(plan->rom_macro(), mode);
     const ReferenceMacroEngine legacy_sram(plan->sram_macro(), mode);
-    Rng rom_rng(seed);
-    Rng sram_rng(seed ^ 0x5A5A);
+    AnalogNoise rom_noise{seed, 0};
+    AnalogNoise sram_noise{seed ^ 0x5A5A, 0};
     MacroRunStats rom_stats, sram_stats;
     MvmScratch scratch;
     MvmBinding binding;
     binding.slot(EngineKind::kRom) = {&legacy_rom,
-                                      {&rom_rng, &rom_stats, &scratch}};
+                                      {&rom_noise, &rom_stats, &scratch}};
     binding.slot(EngineKind::kSram) = {&legacy_sram,
-                                       {&sram_rng, &sram_stats, &scratch}};
+                                       {&sram_noise, &sram_stats, &scratch}};
     Tensor via_legacy;
     {
       MvmBinding::Scope scope(binding);

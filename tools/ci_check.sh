@@ -3,7 +3,7 @@
 #
 #   tools/ci_check.sh <source-dir> [build-dir]
 #
-# Four gates, in order:
+# Five gates, in order:
 #   1. tier-1   — the plain test suite in <build-dir> (configured +
 #                 built here if the directory is missing);
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
@@ -14,17 +14,24 @@
 #                 GEMM write through raw pointers into the session's
 #                 MvmScratch buffers and the caller's outputs);
 #   4. native   — a -march=native build (<build-dir>-native) running the
-#                 packed-vs-legacy and quantized-conv bit-identity
+#                 packed-vs-oracle and quantized-conv bit-identity
 #                 labels: macro | fault,
 #                 so the contract holds under the ISA deployments are
-#                 told to build with (FMA and wider vectors included).
+#                 told to build with (FMA and wider vectors included);
+#   5. perfbench — the serving benchmark (perfbench/run.py, which builds
+#                 its own trees under .bench_build/) on analog_closed and
+#                 rebranch_batch, 3 s each with tracing on: the gate
+#                 fails unless the benchmark builds against this tree and
+#                 its last line (the JSON result) reads "correct": true.
 #
 # The exact-cost tile's GEMM has two bodies on x86-64 GCC/Clang: the
 # plain gemm_s8u8_accumulate and an AVX2 vpmaddwd variant, both built in
 # every one of these trees (-march=native included) and picked at
 # runtime. test_int_gemm (macro label) runs each against the other, so
 # the asan and native gates cover the plain body even on an AVX2 host,
-# where serving never selects it. The POPCNT pair is different: a native
+# where serving never selects it. The noisy read chain likewise has a
+# plain and an AVX2 body in every tree; test_packed_weights runs both
+# against scalar keyed reads. The POPCNT pair is different: a native
 # build on a POPCNT host compiles only its one (hardware) body.
 #
 # Every gate runs even after an earlier one fails, so a single pass
@@ -86,11 +93,44 @@ run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
 run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
 run_gate native "${build}-native" "-DYOLOC_NATIVE=ON" -L "macro|fault"
 
+# run_perfbench WORKLOAD: one short perfbench run; PASS only when it
+# exits 0 and its last stdout line reports "correct": true.
+run_perfbench() {
+  local workload="$1" log out
+  log="$(mktemp -t yoloc_ci_perfbench.XXXXXX)"
+  out="$(mktemp -t yoloc_ci_perfbench_out.XXXXXX)"
+  echo "== gate: perfbench ${workload} =="
+  local ok=1
+  if ! (cd "$src" && python3 perfbench/run.py --workload "$workload" \
+          --seed 1 --seconds 3 --trace 1) >"$out" 2>"$log"; then
+    ok=0
+  elif ! tail -n 1 "$out" | grep -Eq '"correct": ?true'; then
+    ok=0
+  fi
+  if [ "$ok" = 1 ]; then
+    echo "  correct: true"
+    gate_results+=("PASS")
+  else
+    echo "-- perfbench ${workload} FAILED; result and log tails:"
+    tail -n 1 "$out" | cut -c1-400 | sed 's/^/  /'
+    tail -n 20 "$log" | sed 's/^/  /'
+    echo "-- full log: $log"
+    gate_results+=("FAIL")
+  fi
+  gate_names+=("perfbench:${workload}")
+  [ "$ok" = 1 ] && rm -f "$log"
+  rm -f "$out"
+  return 0
+}
+
+run_perfbench analog_closed
+run_perfbench rebranch_batch
+
 echo
 echo "== ci_check summary =="
 status=0
 for i in "${!gate_names[@]}"; do
-  printf '  %-8s %s\n' "${gate_names[$i]}" "${gate_results[$i]}"
+  printf '  %-24s %s\n' "${gate_names[$i]}" "${gate_results[$i]}"
   [ "${gate_results[$i]}" = "PASS" ] || status=1
 done
 exit "$status"
