@@ -134,6 +134,17 @@ class JsonParser {
     if (!eat('"')) return false;
     out.clear();
     while (pos_ < s_.size()) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte with one append (base64 payloads are one long run).
+      std::size_t end = pos_;
+      while (end < s_.size()) {
+        const unsigned char b = static_cast<unsigned char>(s_[end]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++end;
+      }
+      out.append(s_, pos_, end - pos_);
+      pos_ = end;
+      if (pos_ == s_.size()) break;
       const unsigned char c = static_cast<unsigned char>(s_[pos_]);
       if (c == '"') {
         ++pos_;
@@ -193,9 +204,7 @@ class JsonParser {
         }
         continue;
       }
-      if (c < 0x20) return false;  // raw control characters are invalid
-      out += static_cast<char>(c);
-      ++pos_;
+      return false;  // raw control characters are invalid
     }
     return false;  // unterminated
   }
@@ -422,16 +431,13 @@ struct HttpServer::Connection {
   ServeClock::time_point deadline = ServeClock::time_point::max();
 };
 
-struct HttpServer::HandlerJob {
-  std::uint64_t generation = 0;
-  ParsedRequest request;
-};
-
+/// One settled /infer request, pushed by its scheduler callback.
 struct HttpServer::Completion {
   std::uint64_t generation = 0;
-  int status = 500;
-  std::string body;
-  bool retry_after = false;
+  int images = 0;
+  ServeClock::time_point start{};
+  Tensor output;
+  std::exception_ptr error;  ///< null when served
 };
 
 // ----------------------------------------------------------- lifecycle
@@ -442,8 +448,6 @@ HttpServer::HttpServer(Scheduler& scheduler, const DeploymentPlan& plan,
       plan_(plan),
       options_(std::move(options)),
       plan_path_(std::move(plan_path)) {
-  YOLOC_CHECK(options_.handler_threads >= 1,
-              "http: handler_threads must be >= 1");
   YOLOC_CHECK(options_.max_connections >= 1,
               "http: max_connections must be >= 1");
 
@@ -487,10 +491,6 @@ HttpServer::HttpServer(Scheduler& scheduler, const DeploymentPlan& plan,
   wake_read_fd_ = pipe_fds[0];
   wake_write_fd_ = pipe_fds[1];
 
-  handler_threads_.reserve(static_cast<std::size_t>(options_.handler_threads));
-  for (int i = 0; i < options_.handler_threads; ++i) {
-    handler_threads_.emplace_back([this] { handler_loop(); });
-  }
   loop_thread_ = std::thread([this] { loop(); });
 }
 
@@ -518,14 +518,6 @@ void HttpServer::drain() {
     draining_.store(true, std::memory_order_release);
     wake();
     if (loop_thread_.joinable()) loop_thread_.join();
-    {
-      std::lock_guard lock(handler_mutex_);
-      handler_stop_ = true;
-    }
-    handler_cv_.notify_all();
-    for (auto& t : handler_threads_) {
-      if (t.joinable()) t.join();
-    }
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -565,7 +557,7 @@ void HttpServer::loop() {
       }
       std::erase_if(connections_,
                     [](const auto& c) { return c->fd < 0; });
-      if (connections_.empty() && inflight_handlers_ == 0) break;
+      if (connections_.empty() && inflight_infers_ == 0) break;
     }
 
     fds.clear();
@@ -600,7 +592,14 @@ void HttpServer::loop() {
       timeout_ms = static_cast<int>(std::clamp<long long>(wait, 0, 1000));
     }
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready < 0 && errno != EINTR) break;  // unrecoverable
+    if (ready < 0 && errno != EINTR) {
+      // Unrecoverable for the sockets: drop them all and drain. The loop
+      // still runs until every submitted /infer has reported — each
+      // callback points at this server.
+      for (auto& c : connections_) close_connection(*c);
+      draining_.store(true, std::memory_order_release);
+      continue;
+    }
 
     if (fds[wake_slot].revents & POLLIN) {
       char buf[256];
@@ -926,7 +925,7 @@ bool HttpServer::try_parse_and_route(Connection& c) {
     c.body_needed = 0;
     c.keep_alive = req.keep_alive;
     route(c, std::move(req));
-    // route() either parked the connection on the handler pool
+    // route() either parked the connection on a submitted /infer
     // (kHandling) or queued + flushed a response. When the flush
     // completed and re-armed the parser, report progress so the
     // caller's loop takes another pass over pipelined bytes.
@@ -958,14 +957,7 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
                      "application/json", !c.keep_alive);
       return;
     }
-    c.state = Connection::State::kHandling;
-    c.deadline = ServeClock::time_point::max();
-    ++inflight_handlers_;
-    {
-      std::lock_guard lock(handler_mutex_);
-      handler_queue_.push_back(HandlerJob{c.generation, std::move(req)});
-    }
-    handler_cv_.notify_one();
+    run_infer(c, req);
     return;
   }
 
@@ -979,7 +971,7 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
   if (req.path == "/healthz") {
     if (draining()) {
       queue_response(c, 503, "{\"status\":\"draining\"}", "application/json",
-                     !c.keep_alive, /*retry_after=*/true);
+                     !c.keep_alive);
     } else if (scheduler_.worker_count() >= 1 &&
                plan_.quantized_layer_count() >= 1) {
       const ResilienceSnapshot res = scheduler_.resilience_snapshot();
@@ -1002,7 +994,7 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
       }
     } else {
       queue_response(c, 503, "{\"status\":\"unavailable\"}",
-                     "application/json", !c.keep_alive, /*retry_after=*/true);
+                     "application/json", !c.keep_alive);
     }
     return;
   }
@@ -1018,8 +1010,7 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
 
 void HttpServer::queue_response(Connection& c, int status,
                                 const std::string& body,
-                                const char* content_type, bool close_after,
-                                bool retry_after) {
+                                const char* content_type, bool close_after) {
   if (c.fd < 0) return;
   const bool close = close_after || draining();
   std::string head;
@@ -1032,7 +1023,7 @@ void HttpServer::queue_response(Connection& c, int status,
   head += content_type;
   head += "\r\nContent-Length: ";
   head += std::to_string(body.size());
-  if (retry_after || status == 429 || status == 503) {
+  if (status == 429 || status == 503) {
     head += "\r\nRetry-After: ";
     head += std::to_string(options_.retry_after_s);
   }
@@ -1066,8 +1057,8 @@ void HttpServer::drain_completions() {
     std::lock_guard lock(completion_mutex_);
     ready.swap(completions_);
   }
-  for (Completion& done : ready) {
-    --inflight_handlers_;
+  for (const Completion& done : ready) {
+    --inflight_infers_;
     Connection* conn = nullptr;
     for (auto& c : connections_) {
       if (c->generation == done.generation && c->fd >= 0) {
@@ -1076,8 +1067,7 @@ void HttpServer::drain_completions() {
       }
     }
     if (conn == nullptr) continue;  // client went away mid-inference
-    queue_response(*conn, done.status, done.body, "application/json",
-                   !conn->keep_alive, done.retry_after);
+    respond_infer(*conn, done);
     // A keep-alive client may have pipelined the next request behind
     // the /infer body; no further socket event will arrive for it.
     while (try_parse_and_route(*conn)) {
@@ -1085,32 +1075,13 @@ void HttpServer::drain_completions() {
   }
 }
 
-// ------------------------------------------------------- handler pool
+// -------------------------------------------------------------- /infer
 
-void HttpServer::handler_loop() {
-  for (;;) {
-    HandlerJob job;
-    {
-      std::unique_lock lock(handler_mutex_);
-      handler_cv_.wait(lock,
-                       [&] { return handler_stop_ || !handler_queue_.empty(); });
-      if (handler_queue_.empty()) return;  // stop requested and drained
-      job = std::move(handler_queue_.front());
-      handler_queue_.pop_front();
-    }
-    Completion done = run_infer(job);
-    done.generation = job.generation;
-    {
-      std::lock_guard lock(completion_mutex_);
-      completions_.push_back(std::move(done));
-    }
-    wake();
-  }
-}
-
-HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
-  Completion out;
-  const ParsedRequest& req = job.request;
+void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
+  const auto bad_request = [&](const std::string& message) {
+    queue_response(c, 400, error_body("bad_request", message),
+                   "application/json", !c.keep_alive);
+  };
 
   // ---- decode the tensor + scheduling hints
   std::vector<int> shape;
@@ -1128,10 +1099,7 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
     const auto shape_it = query.find("shape");
     if (shape_it == query.end() ||
         !parse_shape_csv(shape_it->second, shape)) {
-      out.status = 400;
-      out.body = error_body(
-          "bad_request", "octet-stream mode requires ?shape=N,C,H,W");
-      return out;
+      return bad_request("octet-stream mode requires ?shape=N,C,H,W");
     }
     payload.assign(req.body.begin(), req.body.end());
     const auto prio_it = query.find("priority");
@@ -1141,9 +1109,7 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
       char* end = nullptr;
       deadline_ms = std::strtod(dl_it->second.c_str(), &end);
       if (end == nullptr || *end != '\0') {
-        out.status = 400;
-        out.body = error_body("bad_request", "malformed deadline_ms");
-        return out;
+        return bad_request("malformed deadline_ms");
       }
       have_deadline = true;
     }
@@ -1151,51 +1117,37 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
     JsonValue root;
     if (!JsonParser(req.body).parse(root) ||
         root.kind != JsonValue::Kind::kObject) {
-      out.status = 400;
-      out.body = error_body("bad_request", "body is not a JSON object");
-      return out;
+      return bad_request("body is not a JSON object");
     }
     const JsonValue* shape_v = root.find("shape");
     const JsonValue* data_v = root.find("data_b64");
     if (shape_v == nullptr || shape_v->kind != JsonValue::Kind::kArray ||
         data_v == nullptr || data_v->kind != JsonValue::Kind::kString) {
-      out.status = 400;
-      out.body = error_body("bad_request",
-                            "required fields: shape (array), data_b64");
-      return out;
+      return bad_request("required fields: shape (array), data_b64");
     }
     for (const JsonValue& extent : shape_v->array) {
       if (extent.kind != JsonValue::Kind::kNumber || extent.number < 1 ||
           extent.number > (1 << 24) ||
           extent.number != static_cast<double>(
                                static_cast<int>(extent.number))) {
-        out.status = 400;
-        out.body = error_body("bad_request", "shape extents must be "
-                                             "positive integers");
-        return out;
+        return bad_request("shape extents must be positive integers");
       }
       shape.push_back(static_cast<int>(extent.number));
     }
     if (!base64_decode(data_v->string, payload)) {
-      out.status = 400;
-      out.body = error_body("bad_request", "data_b64 is not valid base64");
-      return out;
+      return bad_request("data_b64 is not valid base64");
     }
     const JsonValue* prio_v = root.find("priority");
     if (prio_v != nullptr) {
       if (prio_v->kind != JsonValue::Kind::kString) {
-        out.status = 400;
-        out.body = error_body("bad_request", "priority must be a string");
-        return out;
+        return bad_request("priority must be a string");
       }
       priority_name_text = prio_v->string;
     }
     const JsonValue* dl_v = root.find("deadline_ms");
     if (dl_v != nullptr) {
       if (dl_v->kind != JsonValue::Kind::kNumber) {
-        out.status = 400;
-        out.body = error_body("bad_request", "deadline_ms must be a number");
-        return out;
+        return bad_request("deadline_ms must be a number");
       }
       deadline_ms = dl_v->number;
       have_deadline = true;
@@ -1204,9 +1156,7 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
 
   if (shape.size() != 4 ||
       std::any_of(shape.begin(), shape.end(), [](int e) { return e < 1; })) {
-    out.status = 400;
-    out.body = error_body("bad_request", "shape must be rank-4 NCHW");
-    return out;
+    return bad_request("shape must be rank-4 NCHW");
   }
   // Overflow-safe element count: extents are each <= 2^24, so the raw
   // rank-4 product can reach 2^96 and wrap a size_t into a tiny value
@@ -1218,45 +1168,32 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
   for (const int e : shape) {
     const auto extent = static_cast<std::size_t>(e);
     if (elements > max_elements / extent) {
-      out.status = 400;
-      out.body = error_body(
-          "bad_request",
-          "shape describes more than " + std::to_string(max_elements) +
-              " elements (body cap " +
-              std::to_string(options_.max_body_bytes) + " bytes)");
-      return out;
+      return bad_request("shape describes more than " +
+                         std::to_string(max_elements) + " elements (body cap " +
+                         std::to_string(options_.max_body_bytes) + " bytes)");
     }
     elements *= extent;
   }
   if (elements * sizeof(float) != payload.size()) {
-    out.status = 400;
-    out.body = error_body(
-        "bad_request",
-        "payload is " + std::to_string(payload.size()) + " bytes, shape needs " +
-            std::to_string(elements * sizeof(float)));
-    return out;
+    return bad_request("payload is " + std::to_string(payload.size()) +
+                       " bytes, shape needs " +
+                       std::to_string(elements * sizeof(float)));
   }
 
   SubmitOptions submit;
   if (!priority_name_text.empty() &&
       !parse_priority(priority_name_text, submit.priority)) {
-    out.status = 400;
-    out.body = error_body(
-        "bad_request",
-        "priority must be interactive | batch | best_effort");
-    return out;
+    return bad_request("priority must be interactive | batch | best_effort");
   }
   if (have_deadline) {
     // The double->int64 cast below is UB for non-finite or out-of-range
     // values (query-string strtod can yield inf on overflow). 9e12 ms is
     // ~285 years, and 9e12 * 1e6 stays inside int64.
     if (!std::isfinite(deadline_ms) || std::fabs(deadline_ms) > 9e12) {
-      out.status = 400;
-      out.body = error_body("bad_request", "deadline_ms out of range");
-      return out;
+      return bad_request("deadline_ms out of range");
     }
     // deadline_ms <= 0 submits an already-dead deadline: the scheduler
-    // refuses it, which maps to 503 below — the documented contract for
+    // refuses it, which maps to 503 — the documented contract for
     // "cannot be served in time".
     submit.deadline = std::chrono::nanoseconds(
         static_cast<std::int64_t>(deadline_ms * 1e6));
@@ -1268,13 +1205,41 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
   Tensor input(shape);
   std::memcpy(input.data(), payload.data(), payload.size());
 
-  // ---- submit + wait (the only blocking section)
+  // ---- submit; the connection parks until the completion comes back
+  c.state = Connection::State::kHandling;
+  c.deadline = ServeClock::time_point::max();
+  ++inflight_infers_;
+  const std::uint64_t generation = c.generation;
+  const int images = shape[0];
   const auto start = ServeClock::now();
   try {
-    Tensor result = scheduler_.submit(std::move(input), submit).get();
-    const double latency_ms =
-        static_cast<double>(ns_between(start, ServeClock::now())) / 1e6;
+    scheduler_.submit(
+        std::move(input), submit,
+        [this, generation, images, start](Tensor output,
+                                          std::exception_ptr error) {
+          std::lock_guard lock(completion_mutex_);
+          completions_.push_back(Completion{generation, images, start,
+                                            std::move(output),
+                                            std::move(error)});
+          // Wake under the lock: once the loop can take this completion
+          // it may finish a drain and destroy the server, so nothing may
+          // touch `this` after the unlock.
+          wake();
+        });
+  } catch (...) {
+    // submit() refused synchronously (bad input reaching the model
+    // contract, or a scheduler already shut down): no callback will run.
+    --inflight_infers_;
+    respond_infer(c, Completion{generation, images, start, Tensor{},
+                                std::current_exception()});
+  }
+}
 
+void HttpServer::respond_infer(Connection& c, const Completion& done) {
+  if (!done.error) {
+    const double latency_ms =
+        static_cast<double>(ns_between(done.start, ServeClock::now())) / 1e6;
+    const Tensor& result = done.output;
     std::string body;
     body.reserve(result.size() * 2 + 128);
     body += "{\"shape\":[";
@@ -1287,41 +1252,46 @@ HttpServer::Completion HttpServer::run_infer(const HandlerJob& job) {
     body += base64_encode(result.data(), result.size() * sizeof(float));
     char tail[96];
     std::snprintf(tail, sizeof(tail), "\",\"latency_ms\":%.3f,\"images\":%d}",
-                  latency_ms, shape[0]);
+                  latency_ms, done.images);
     body += tail;
-    out.status = 200;
-    out.body = std::move(body);
+    queue_response(c, 200, body, "application/json", !c.keep_alive);
+    return;
+  }
+  int status = 503;
+  std::string body;
+  std::string execution_error;
+  try {
+    std::rethrow_exception(done.error);
   } catch (const QueueDepthError& e) {
-    out.status = 429;
-    out.retry_after = true;
-    out.body = error_body("queue_full", e.what());
+    status = 429;
+    body = error_body("queue_full", e.what());
   } catch (const InfeasibleDeadlineError& e) {
-    out.status = 503;
-    out.retry_after = true;
-    out.body = error_body("deadline_infeasible", e.what());
+    body = error_body("deadline_infeasible", e.what());
   } catch (const DeadlineExpiredError& e) {
-    out.status = 503;
-    out.retry_after = true;
-    out.body = error_body("deadline_expired", e.what());
+    body = error_body("deadline_expired", e.what());
   } catch (const ShedError& e) {
-    out.status = 503;
-    out.retry_after = true;
-    out.body = error_body("shed", e.what());
+    body = error_body("shed", e.what());
   } catch (const AdmissionError& e) {
-    out.status = 503;
-    out.retry_after = true;
-    out.body = error_body("admission", e.what());
+    body = error_body("admission", e.what());
   } catch (const WorkerHungError& e) {
     // The batch was abandoned on a hung worker; the request is safe to
     // retry — a healthy worker will pick it up.
-    out.status = 503;
-    out.retry_after = true;
-    out.body = error_body("worker_hung", e.what());
+    body = error_body("worker_hung", e.what());
   } catch (const std::exception& e) {
-    out.status = 500;
-    out.body = error_body("execution", e.what());
+    execution_error = e.what();
+  } catch (...) {
+    execution_error = "non-standard exception";
   }
-  return out;
+  if (body.empty()) {
+    // Execution failures can carry library internals (check expressions,
+    // source paths): the client gets a fixed message, the log the text.
+    std::replace(execution_error.begin(), execution_error.end(), '\n', ' ');
+    std::fprintf(stderr, "http: /infer execution failed: %s\n",
+                 execution_error.c_str());
+    status = 500;
+    body = error_body("execution", "inference failed; see the server log");
+  }
+  queue_response(c, status, body, "application/json", !c.keep_alive);
 }
 
 // -------------------------------------------------------------- /plan

@@ -2,14 +2,14 @@
 // HTTP/1.1 serving front-end over the scheduler — the network edge of
 // the serving stack (no external dependencies; poll(2)-based reactor).
 //
-// Architecture: one event-loop thread owns every socket (accept, read,
-// parse, write, timeouts) with non-blocking I/O under poll(2); a small
-// pool of handler threads carries the only blocking work — waiting on
-// the scheduler future of an inference request — and hands finished
-// response bytes back to the loop through a self-pipe-notified
-// completion queue. GET endpoints are served inline on the loop (they
-// are snapshot reads); POST /infer rides the handler pool so a slow
-// forward pass never stalls connection handling.
+// Architecture: one event-loop thread — the server's only thread — owns
+// every socket (accept, read, parse, write, timeouts) with non-blocking
+// I/O under poll(2) and serves GET endpoints inline (snapshot reads).
+// POST /infer is decoded on the loop too and submitted to the scheduler
+// with a callback that only pushes the outcome onto a self-pipe-notified
+// completion queue; the loop builds the response from it. Nothing blocks
+// on a forward pass, and a parsed /infer request is in the scheduler's
+// priority lanes (admission, deadline, /metrics) at once.
 //
 // Endpoints (every path is documented in docs/serving.md; the
 // `docs`-labeled CTest fails when one is missing):
@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -77,10 +76,6 @@ struct HttpServerOptions {
   /// A connection that cannot absorb its response bytes within this is
   /// closed.
   std::chrono::milliseconds write_timeout{5000};
-  /// Threads blocking on inference futures — bounds concurrently
-  /// *waiting* HTTP requests, not scheduler concurrency (the scheduler
-  /// has its own worker pool and queue).
-  int handler_threads = 4;
   /// Retry-After hint [s] on 429/503 responses.
   int retry_after_s = 1;
 };
@@ -134,11 +129,9 @@ class HttpServer {
  private:
   struct Connection;
   struct ParsedRequest;
-  struct HandlerJob;
   struct Completion;
 
   void loop();
-  void handler_loop();
   void wake();
 
   // Loop-side helpers (all called on the loop thread).
@@ -151,14 +144,16 @@ class HttpServer {
   void flush_out(Connection& c);
   bool try_parse_and_route(Connection& c);
   void route(Connection& c, ParsedRequest req);
+  /// Decode + validate one /infer body and submit it (400 on bad input);
+  /// the response is queued once its completion reaches the loop.
+  void run_infer(Connection& c, const ParsedRequest& req);
+  /// Queue the response for a settled /infer request.
+  void respond_infer(Connection& c, const Completion& done);
+  /// 429 and 503 responses carry Retry-After.
   void queue_response(Connection& c, int status, const std::string& body,
-                      const char* content_type, bool close_after,
-                      bool retry_after = false);
+                      const char* content_type, bool close_after);
   void drain_completions();
   void close_connection(Connection& c);
-
-  // Handler-side: execute one /infer request, return the response.
-  Completion run_infer(const HandlerJob& job);
 
   std::string plan_json();  // built lazily, cached (plans are immutable)
 
@@ -174,14 +169,9 @@ class HttpServer {
 
   std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t next_generation_ = 1;
-  /// /infer requests handed to the pool whose completions have not been
-  /// queued back yet (loop-thread view; gates drain completion).
-  int inflight_handlers_ = 0;
-
-  std::mutex handler_mutex_;
-  std::condition_variable handler_cv_;
-  std::deque<HandlerJob> handler_queue_;
-  bool handler_stop_ = false;
+  /// Submitted /infer requests whose completion the loop has not taken
+  /// yet; each holds a callback that points at this server (gates drain).
+  int inflight_infers_ = 0;
 
   std::mutex completion_mutex_;
   std::deque<Completion> completions_;
@@ -196,7 +186,6 @@ class HttpServer {
   std::atomic<bool> stopped_{false};
   std::mutex drain_mutex_;  // serializes drain() callers
   std::thread loop_thread_;
-  std::vector<std::thread> handler_threads_;
 };
 
 }  // namespace yoloc

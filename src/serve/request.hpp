@@ -12,7 +12,8 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <future>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -134,11 +135,19 @@ class DeadlineExpiredError : public std::runtime_error {
       : std::runtime_error("deadline expired: " + what) {}
 };
 
+/// Settles one request: `output` when it was served, otherwise `error`
+/// (non-null) and an empty tensor. See Scheduler::submit for when and on
+/// which thread it runs.
+using ServeCallback =
+    std::function<void(Tensor output, std::exception_ptr error)>;
+
 /// Internal queue entry. Owned by RequestQueue / Scheduler; callers only
-/// ever see the future side of `promise`.
+/// ever see the outcome, through `on_done`.
 struct ServeRequest {
   Tensor input;
-  std::promise<Tensor> promise;
+  ServeCallback on_done;
+  /// Settle with `error` (the callback gets an empty tensor).
+  void fail(std::exception_ptr error) { on_done(Tensor{}, std::move(error)); }
   /// Admission-order id; also the per-request noise-stream offset that
   /// backs the max_microbatch = 1 determinism contract.
   std::uint64_t id = 0;

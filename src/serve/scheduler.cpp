@@ -136,8 +136,8 @@ void Scheduler::shutdown() {
       continue;
     }
     // The worker is wedged inside the fault hook. Graceful shutdown must
-    // not wait forever on a hung worker: settle its batch (the drain's
-    // futures resolve with WorkerHungError) and detach the thread — it
+    // not wait forever on a hung worker: settle its batch (its requests
+    // fail with WorkerHungError) and detach the thread — it
     // exits on its own the moment the hook releases it.
     std::shared_ptr<InFlightBatch> ifb;
     {
@@ -155,15 +155,18 @@ void Scheduler::shutdown() {
   {
     std::lock_guard lock(mutex_);
     residual = queue_.take_all();
+    // In flight until settled, so wait_idle() cannot return first.
+    in_flight_ += static_cast<int>(residual.size());
   }
   if (!residual.empty()) {
     for (ServeRequest& r : residual) {
       metrics_.record_rejected(r.priority);
-      r.promise.set_exception(std::make_exception_ptr(WorkerHungError(
+      r.fail(std::make_exception_ptr(WorkerHungError(
           "request " + std::to_string(r.id) +
           " unserved at shutdown (no healthy worker drained it)")));
     }
     std::lock_guard lock(mutex_);
+    in_flight_ -= static_cast<int>(residual.size());
     if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
   }
 }
@@ -174,6 +177,21 @@ void Scheduler::trip_breaker(int w) {
 }
 
 std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
+  auto promise = std::make_shared<std::promise<Tensor>>();
+  std::future<Tensor> future = promise->get_future();
+  submit(std::move(images), options,
+         [promise](Tensor output, std::exception_ptr error) {
+           if (error) {
+             promise->set_exception(std::move(error));
+           } else {
+             promise->set_value(std::move(output));
+           }
+         });
+  return future;
+}
+
+void Scheduler::submit(Tensor images, SubmitOptions options,
+                       ServeCallback on_done) {
   YOLOC_CHECK(images.rank() == 4 && images.shape()[0] >= 1,
               "scheduler: rank-4 NCHW request required");
   const int cls = static_cast<int>(options.priority);
@@ -183,7 +201,7 @@ std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
   ServeRequest req;
   req.input = std::move(images);
   req.priority = options.priority;
-  std::future<Tensor> future = req.promise.get_future();
+  req.on_done = std::move(on_done);
   const auto now = ServeClock::now();
   req.submit_time = now;
   const auto relative_deadline = options.deadline.count() != 0
@@ -272,7 +290,7 @@ std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
   }
   if (rejection) {
     metrics_.record_rejected(options.priority);
-    req.promise.set_exception(rejection);
+    req.fail(rejection);
   } else if (has_reservations_ ||
              resilience_.healthy_workers() < worker_count()) {
     // notify_one could wake a worker whose lane mask excludes this
@@ -284,7 +302,6 @@ std::future<Tensor> Scheduler::submit(Tensor images, SubmitOptions options) {
     work_cv_.notify_one();
   }
   if (!newly_expired.empty()) cancel_expired(std::move(newly_expired));
-  return future;
 }
 
 Tensor Scheduler::infer(const Tensor& images) {
@@ -368,7 +385,7 @@ void Scheduler::cancel_expired(std::vector<ServeRequest> expired) {
   const auto now = ServeClock::now();
   for (ServeRequest& r : expired) {
     metrics_.record_expired(r.priority, ns_between(r.submit_time, now));
-    r.promise.set_exception(std::make_exception_ptr(DeadlineExpiredError(
+    r.fail(std::make_exception_ptr(DeadlineExpiredError(
         "request " + std::to_string(r.id) + " (" +
         priority_name(r.priority) + ") canceled while queued")));
   }
@@ -422,8 +439,8 @@ void Scheduler::worker_loop(int worker_index) {
         // of their mask — cancellation is cheap and lane-agnostic.
         expired = queue_.take_expired(now);
         if (!expired.empty()) {
-          // Count canceled requests as in-flight until their futures
-          // resolve, so wait_idle() cannot return with promises pending.
+          // Count canceled requests as in-flight until their callbacks
+          // ran, so wait_idle() cannot return with one still pending.
           in_flight_ += static_cast<int>(expired.size());
           break;
         }
@@ -573,6 +590,7 @@ void Scheduler::worker_loop(int worker_index) {
     } catch (...) {
       error = std::current_exception();
     }
+    const bool failed = error != nullptr;
     const auto exec_end = ServeClock::now();
     if (batch_traced) {
       ctx.set_layer_trace(nullptr);
@@ -583,12 +601,16 @@ void Scheduler::worker_loop(int worker_index) {
                 std::max(total_images, 0));
     }
 
-    // Fulfill promises BEFORE the completion accounting below: wait_idle()
-    // promises that every accepted request has completed, so futures must
-    // be ready by the time in_flight_ reaches zero.
+    // Settle requests BEFORE the completion accounting below: wait_idle()
+    // promises that every accepted request has completed, so callbacks
+    // must have run by the time in_flight_ reaches zero.
     const auto fulfill = [&] {
-      if (error) {
-        for (ServeRequest& r : batch) r.promise.set_exception(error);
+      if (failed) {
+        // The first request takes the worker's own reference: exception_ptr
+        // counts in libstdc++, which ThreadSanitizer does not see, so a
+        // later release here would look like a race with the reader.
+        for (std::size_t i = 1; i < batch.size(); ++i) batch[i].fail(error);
+        batch.front().fail(std::move(error));
         return;
       }
       int row = 0;
@@ -596,15 +618,15 @@ void Scheduler::worker_loop(int worker_index) {
         const int rows = r.input.shape()[0];
         // Scatter failures (e.g. bad_alloc slicing a fused batch) fail
         // the affected request instead of escaping the worker thread.
+        Tensor part;
+        std::exception_ptr scatter_error;
         try {
-          if (batch.size() == 1) {
-            r.promise.set_value(std::move(output));
-          } else {
-            r.promise.set_value(slice_rows(output, row, rows));
-          }
+          part = batch.size() == 1 ? std::move(output)
+                                   : slice_rows(output, row, rows);
         } catch (...) {
-          r.promise.set_exception(std::current_exception());
+          scatter_error = std::current_exception();
         }
+        r.on_done(std::move(part), std::move(scatter_error));
         row += rows;
       }
     };
@@ -622,7 +644,7 @@ void Scheduler::worker_loop(int worker_index) {
     }
     if (already_settled) {
       // The watchdog declared us hung and already failed the batch's
-      // promises and ran its accounting. We were merely slow, not dead —
+      // requests and ran its accounting. We were merely slow, not dead —
       // coming back IS the respawn: clear the quarantine and rejoin.
       {
         std::lock_guard lock(mutex_);
@@ -635,8 +657,8 @@ void Scheduler::worker_loop(int worker_index) {
     // Telemetry: one observation per batch into this worker's slot.
     const auto done = ServeClock::now();
     if (batch_traced) {
-      // Epilogue: scatter/fulfill work between the forward pass ending
-      // and the last future of the batch becoming ready.
+      // Epilogue: scatter/settle work between the forward pass ending
+      // and the batch's last callback returning.
       emit_span(kSpanEpilogue, batch.front().id,
                 trace_ns_since_epoch(exec_end), trace_ns_since_epoch(done),
                 static_cast<std::int32_t>(batch.size()), 0);
@@ -650,8 +672,8 @@ void Scheduler::worker_loop(int worker_index) {
     obs.priority = batch.front().priority;
     obs.requests = static_cast<int>(batch.size());
     obs.images = std::max(total_images, 0);
-    obs.failed = error != nullptr;
-    if (!error) {
+    obs.failed = failed;
+    if (!failed) {
       obs.queue_wait_ns.reserve(batch.size());
       obs.e2e_ns.reserve(batch.size());
       for (const ServeRequest& r : batch) {
@@ -680,7 +702,7 @@ void Scheduler::worker_loop(int worker_index) {
       // A failed batch merges zeros: its partial activity produced no
       // output.
       finish_batch_locked(batch_id, batch.size(),
-                          error ? BatchStats{}
+                          failed ? BatchStats{}
                                 : BatchStats{ctx.rom_stats(), ctx.sram_stats()});
     }
   }
@@ -744,7 +766,7 @@ void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
     priority = ifb->requests->front().priority;
     for (ServeRequest& r : *ifb->requests) {
       images += r.input.shape()[0];
-      r.promise.set_exception(std::make_exception_ptr(WorkerHungError(
+      r.fail(std::make_exception_ptr(WorkerHungError(
           "request " + std::to_string(r.id) + " abandoned on worker " +
           std::to_string(ifb->worker) + "; retry on a healthy worker")));
     }

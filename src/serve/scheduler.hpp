@@ -17,7 +17,7 @@
 // Admission control refuses work that cannot be served: lanes have an
 // optional depth cap, and a deadline tighter than the rolling per-image
 // service estimate is refused up front. A queued request whose deadline
-// passes is canceled — its future fails with DeadlineExpiredError and
+// passes is canceled — it fails with DeadlineExpiredError and
 // no worker ever executes it. Expiry is harvested at every scheduling
 // point (batch formation and each submission); since an idle worker
 // drains a non-empty queue immediately, a request can only sit past
@@ -127,12 +127,23 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Enqueue one request (rank-4 NCHW, any leading batch extent >= 1).
-  /// The returned future yields the model output for exactly that
-  /// input — or throws AdmissionError (refused at admission),
-  /// DeadlineExpiredError (canceled while queued), or the execution
-  /// error. Admission rejections resolve the future immediately and do
-  /// NOT consume a request id.
+  /// Enqueue one request (rank-4 NCHW, any leading batch extent >= 1)
+  /// and settle it exactly once through `on_done`: with the model output
+  /// for exactly that input, or with AdmissionError (refused at
+  /// admission), DeadlineExpiredError (canceled while queued),
+  /// WorkerHungError (watchdog, or unserved at shutdown) or the execution
+  /// error. Rejections settle inline and do NOT consume a request id;
+  /// accepted requests settle before wait_idle() returns.
+  ///
+  /// Callback contract: `on_done` runs on a worker or watchdog thread, or
+  /// inline in submit() (rejection, expiry) or shutdown(), possibly
+  /// under scheduler-internal locks. It must not block, throw, or call
+  /// back into this Scheduler. If submit() throws (bad input, or after
+  /// shutdown), `on_done` never runs.
+  void submit(Tensor images, SubmitOptions options, ServeCallback on_done);
+
+  /// The same, with the outcome delivered through a future (a thin
+  /// adapter over the callback form).
   std::future<Tensor> submit(Tensor images, SubmitOptions options = {});
 
   /// Synchronous convenience: split `images` (rank-4 NCHW) into
@@ -141,8 +152,7 @@ class Scheduler {
   Tensor infer(const Tensor& images);
 
   /// Block until every accepted request has resolved (served, failed,
-  /// or expired) — futures fulfilled AND metrics/stats accounting
-  /// settled.
+  /// or expired) — callbacks run AND metrics/stats accounting settled.
   void wait_idle();
 
   /// Stop admission, serve everything still queued (highest priority
@@ -213,7 +223,7 @@ class Scheduler {
 
   /// One batch (or canary probe) in flight on one worker. The settle
   /// protocol: exactly ONE of {the worker, the watchdog, shutdown}
-  /// settles the batch's promises — whoever flips `settled` under `m`
+  /// settles the batch's requests — whoever flips `settled` under `m`
   /// wins; the others skip fulfillment AND its accounting. The requests
   /// pointer targets the worker's stack-local batch, valid until the
   /// worker observes `settled` and moves on (which it can only do after

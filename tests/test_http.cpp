@@ -307,6 +307,38 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
   }
 }
 
+TEST(HttpInfer, ExecutionFailureAnswers500WithoutInternals) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  SchedulerOptions sched;
+  sched.workers = 1;
+  Scheduler scheduler(*plan, sched);
+  HttpServer server(scheduler, *plan);
+  HttpClient client("127.0.0.1", server.port());
+
+  // A well-formed tensor the model cannot take (5 channels, not 3) fails
+  // a library check inside the forward pass. The client learns that it
+  // failed, not the check expression or the source path behind it.
+  const auto expect_opaque_500 = [](const HttpResponse& resp) {
+    EXPECT_EQ(resp.status, 500) << resp.body;
+    EXPECT_NE(resp.body.find("\"kind\":\"execution\""), std::string::npos)
+        << resp.body;
+    EXPECT_EQ(resp.body.find("YOLOC_CHECK"), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find("src/"), std::string::npos) << resp.body;
+  };
+  expect_opaque_500(
+      client.post("/infer", infer_body(make_input(12, {1, 5, 8, 8}))));
+  EXPECT_EQ(
+      client.post("/infer", infer_body(make_input(13, {1, 3, 8, 8}))).status,
+      200);
+
+  // submit() throwing on the loop thread (here: after the scheduler shut
+  // down) maps to the same response instead of escaping the loop.
+  scheduler.shutdown();
+  expect_opaque_500(
+      client.post("/infer", infer_body(make_input(14, {1, 3, 8, 8}))));
+  EXPECT_EQ(client.get("/metrics").status, 200);
+}
+
 // ------------------------------------------- admission status mapping
 
 TEST(HttpAdmission, QueueFullMapsTo429WithRetryAfter) {
@@ -384,6 +416,83 @@ TEST(HttpAdmission, DeadDeadlineMapsTo503WithRetryAfter) {
   EXPECT_EQ(client.get("/healthz").status, 200);
 }
 
+TEST(HttpAdmission, LanesApplyToRequestsInFlightOverTheWire) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  HangOnce gate;  // holds the first batch request on the only worker
+  const auto hold = gate.hook();
+  // Interactive requests served so far, sampled as each batch is picked.
+  std::mutex picks_mutex;
+  std::vector<std::uint64_t> interactive_served_at_pick;
+  const Scheduler* observed = nullptr;
+  SchedulerOptions sched;
+  sched.workers = 1;
+  sched.max_microbatch = 1;
+  sched.worker_fault_hook = [&](int worker) {
+    const std::uint64_t served =
+        observed->metrics_snapshot()
+            .classes[static_cast<std::size_t>(Priority::kInteractive)]
+            .served_requests;
+    {
+      std::lock_guard lock(picks_mutex);
+      interactive_served_at_pick.push_back(served);
+    }
+    hold(worker);
+  };
+  Scheduler scheduler(*plan, sched);
+  observed = &scheduler;  // before any submit, so before any pick
+  HttpServer server(scheduler, *plan);
+
+  const auto post = [&](unsigned seed, const char* priority) {
+    return std::async(std::launch::async, [&, seed, priority] {
+      HttpClient c("127.0.0.1", server.port(), milliseconds(30000));
+      return c.post("/infer",
+                    infer_body(make_input(seed, {1, 3, 8, 8}), priority));
+    });
+  };
+  const auto wait_received = [&](std::uint64_t n) {
+    for (int spin = 0; spin < 500 && server.stats().requests < n; ++spin) {
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    ASSERT_EQ(server.stats().requests, n);
+  };
+
+  // Five batch requests on five connections — the first one held on the
+  // worker, four queued — then one interactive request.
+  std::vector<std::future<HttpResponse>> responses;
+  responses.push_back(post(90, "batch"));
+  gate.wait_hung();
+  for (unsigned i = 1; i < 5; ++i) responses.push_back(post(90 + i, "batch"));
+  wait_received(5);
+  responses.push_back(post(99, "interactive"));
+  wait_received(6);
+
+  // Parsed means submitted: the interactive request is in the
+  // scheduler's lanes (admission, deadline, /metrics) while the worker
+  // is still held, not parked in front of them.
+  const auto lane = [&](Priority p) {
+    return scheduler.metrics_snapshot()
+        .classes[static_cast<std::size_t>(p)];
+  };
+  for (int spin = 0;
+       spin < 400 && lane(Priority::kInteractive).submitted < 1; ++spin) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  EXPECT_EQ(lane(Priority::kInteractive).submitted, 1u);
+  EXPECT_EQ(lane(Priority::kBatch).submitted, 5u);
+
+  gate.release_and_wait_exit();
+  for (auto& f : responses) EXPECT_EQ(f.get().status, 200);
+  scheduler.wait_idle();
+
+  // Picks: the held batch, then the interactive request, then the four
+  // queued batch requests — so from the third pick on, the interactive
+  // one has been served.
+  std::lock_guard lock(picks_mutex);
+  ASSERT_EQ(interactive_served_at_pick.size(), 6u);
+  EXPECT_EQ(interactive_served_at_pick[1], 0u);
+  EXPECT_EQ(interactive_served_at_pick[2], 1u);
+}
+
 // -------------------------------------------------- connection hygiene
 
 TEST(HttpHygiene, MalformedRequestsAreRejectedWithoutCrashing) {
@@ -430,19 +539,10 @@ TEST(HttpHygiene, MalformedRequestsAreRejectedWithoutCrashing) {
   EXPECT_EQ(
       status_of(raw_exchange(
           port,
-          "POST /infer HTTP/1.1\r\nContent-Length: 37\r\n\r\n"
+          "POST /infer HTTP/1.1\r\nContent-Length: 37\r\n"
+          "Connection: close\r\n\r\n"
           "{\"shape\":[1,3,8,8],\"data_b64\":\"AAAA\"}")),
       400);
-  // Bad base64 payload.
-  HttpClient client("127.0.0.1", port);
-  HttpResponse bad64 = client.post(
-      "/infer", "{\"shape\":[1,1,1,1],\"data_b64\":\"!!!not-base64!!!\"}");
-  EXPECT_EQ(bad64.status, 400);
-  // Unknown priority name.
-  HttpResponse badprio = client.post(
-      "/infer",
-      "{\"shape\":[1,1,1,1],\"data_b64\":\"AAAAAA==\",\"priority\":\"vip\"}");
-  EXPECT_EQ(badprio.status, 400);
   // Conflicting duplicates of a singleton header are a request-smuggling
   // vector behind a proxy that honors the other copy: rejected outright.
   EXPECT_EQ(status_of(raw_exchange(
@@ -450,23 +550,90 @@ TEST(HttpHygiene, MalformedRequestsAreRejectedWithoutCrashing) {
                 "POST /infer HTTP/1.1\r\nContent-Length: 2\r\n"
                 "Content-Length: 0\r\n\r\n{}")),
             400);
-  // A shape whose element product wraps a 64-bit size_t back to 0 (the
-  // extents pass the per-extent cap; 3 * 2^64 ≡ 0) paired with an empty
-  // payload must be rejected, not allocated tiny and indexed huge.
-  HttpResponse wrapped = client.post(
-      "/infer",
-      "{\"shape\":[4194304,3,2097152,2097152],\"data_b64\":\"\"}");
-  EXPECT_EQ(wrapped.status, 400) << wrapped.body;
-  // deadline_ms outside int64 nanoseconds range: 400, not UB at the cast.
-  HttpResponse huge_dl = client.post(
-      "/infer",
-      "{\"shape\":[1,1,1,1],\"data_b64\":\"AAAAAA==\",\"deadline_ms\":1e308}");
-  EXPECT_EQ(huge_dl.status, 400) << huge_dl.body;
-  // JSON number overflow (strtod -> inf) must fail the parse.
-  HttpResponse inf_dl = client.post(
-      "/infer",
-      "{\"shape\":[1,1,1,1],\"data_b64\":\"AAAAAA==\",\"deadline_ms\":1e999}");
-  EXPECT_EQ(inf_dl.status, 400) << inf_dl.body;
+
+  HttpClient client("127.0.0.1", port);
+  // JSON /infer bodies: each is answered with `status`, and the response
+  // body contains `says`. The string edge cases pin the parser's
+  // run-at-once copy: escapes at a string's start or end, control bytes
+  // inside a run, and \u escapes between plain runs.
+  // 4x4 images keep every body under this server's 1 KiB cap.
+  const Tensor image = make_input(12, {1, 3, 4, 4});
+  const std::string data = base64_encode(image.data(),
+                                         image.size() * sizeof(float));
+  const auto u_escape = [](char ch) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(ch));
+    return std::string(buf);
+  };
+  const std::string shape = R"("shape":[1,3,4,4])";
+  const std::string not_json = "body is not a JSON object";
+  const std::string bad_priority = "priority must be";
+  struct BodyCase {
+    const char* what;
+    std::string body;
+    int status;
+    std::string says;
+  };
+  const BodyCase cases[] = {
+      {"bad base64",
+       R"({"shape":[1,1,1,1],"data_b64":"!!!not-base64!!!"})", 400,
+       "not valid base64"},
+      {"unknown priority",
+       R"({"shape":[1,1,1,1],"data_b64":"AAAAAA==","priority":"vip"})", 400,
+       bad_priority},
+      // A shape whose element product wraps a 64-bit size_t back to 0
+      // (the extents pass the per-extent cap; 3 * 2^64 ≡ 0) paired with
+      // an empty payload: rejected, not allocated tiny and indexed huge.
+      {"size_t-wrapping shape",
+       R"({"shape":[4194304,3,2097152,2097152],"data_b64":""})", 400,
+       "elements"},
+      // deadline_ms outside int64 nanoseconds range: 400, not UB at the
+      // cast.
+      {"deadline out of range",
+       R"({"shape":[1,1,1,1],"data_b64":"AAAAAA==","deadline_ms":1e308})",
+       400, "out of range"},
+      // JSON number overflow (strtod -> inf) must fail the parse.
+      {"number overflow",
+       R"({"shape":[1,1,1,1],"data_b64":"AAAAAA==","deadline_ms":1e999})",
+       400, not_json},
+      {"escapes at a string's start and end",
+       "{" + shape + R"(,"priority":"\u0062atc\u0068","data_b64":")" + data +
+           "\"}",
+       200, "\"latency_ms\":"},
+      {"escapes at both ends of a long run",
+       "{" + shape + R"(,"data_b64":")" + u_escape(data.front()) +
+           data.substr(1, data.size() - 2) + u_escape(data.back()) + "\"}",
+       200, "\"latency_ms\":"},
+      {"\\u escape between plain runs of a key",
+       R"({"sh\u0061pe":[1,3,4,4],"data_b64":")" + data + "\"}", 200,
+       "\"latency_ms\":"},
+      {"escaped backslash right before the closing quote",
+       "{" + shape + R"(,"priority":"batch\\","data_b64":")" + data + "\"}",
+       400, bad_priority},
+      {"escaped quote at a string's start",
+       "{" + shape + R"(,"priority":"\"batch","data_b64":")" + data + "\"}",
+       400, bad_priority},
+      {"raw control byte inside a short run",
+       "{" + shape + ",\"priority\":\"bat\x01" "ch\",\"data_b64\":\"" +
+           data + "\"}",
+       400, not_json},
+      {"raw control byte inside a long run",
+       "{" + shape + R"(,"data_b64":")" + data.substr(0, 100) + "\t" +
+           data.substr(100) + "\"}",
+       400, not_json},
+      {"unpaired surrogate escape",
+       "{" + shape + R"(,"priority":"\ud800batch","data_b64":")" + data +
+           "\"}",
+       400, not_json},
+      {"body ends inside an escape", "{" + shape + R"(,"data_b64":"AAAA\)",
+       400, not_json},
+  };
+  for (const BodyCase& c : cases) {
+    const HttpResponse resp = client.post("/infer", c.body);
+    EXPECT_EQ(resp.status, c.status) << c.what << ": " << resp.body;
+    EXPECT_NE(resp.body.find(c.says), std::string::npos)
+        << c.what << ": " << resp.body;
+  }
   // Same overflow via the octet-stream query string.
   HttpResponse inf_q = client.request(
       "POST", "/infer?shape=1,1,1,1&deadline_ms=1e999", std::string(4, '\0'),
@@ -571,8 +738,8 @@ TEST(HttpDrain, FinishesInFlightThenRefusesNewConnections) {
                                kPriorities[i]));
     }));
   }
-  // Wait until the server has received all of them (they are either
-  // queued in the scheduler or waiting on a handler thread).
+  // Wait until the server has received all of them (each is queued in
+  // the scheduler or executing).
   for (int spin = 0; spin < 200 && server->stats().requests <
                                        static_cast<std::uint64_t>(kInFlight);
        ++spin) {
@@ -605,7 +772,7 @@ TEST(HttpResilience, HungWorkerMapsTo503AndDrainStaysPrompt) {
   auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
 
   // Wedge the only worker inside the TEST-ONLY fault hook on its first
-  // batch; the watchdog is what must unblock the HTTP handler.
+  // batch; the watchdog is what must settle the HTTP request.
   std::mutex hang_mutex;
   std::condition_variable hang_cv;
   bool hang_armed = true;
@@ -661,8 +828,8 @@ TEST(HttpResilience, HungWorkerMapsTo503AndDrainStaysPrompt) {
   EXPECT_NE(health.find("\"healthy_workers\":0"), std::string::npos) << health;
 
   // Drain while the worker is STILL wedged in the hook: it must return
-  // promptly — the watchdog already resolved the only in-flight request,
-  // so no handler thread is left waiting on the scheduler.
+  // promptly — the watchdog already settled the only in-flight request,
+  // so the loop has no completion left to wait for.
   const auto start = std::chrono::steady_clock::now();
   server->drain();
   EXPECT_LT(std::chrono::steady_clock::now() - start,

@@ -784,6 +784,122 @@ TEST(SchedulerShutdownRace, HealthyWorkerStillDrainsPastHungPeer) {
   }
 }
 
+// ------------------------------------------------- completion callback
+
+/// Records every call of one request's completion callback.
+struct Outcome {
+  std::atomic<int> calls{0};
+  bool served = false;
+  std::exception_ptr error;
+
+  ServeCallback callback() {
+    return [this](Tensor output, std::exception_ptr e) {
+      served = e == nullptr && output.size() > 0;
+      error = std::move(e);
+      calls.fetch_add(1);
+    };
+  }
+  template <class E>
+  [[nodiscard]] bool failed_with() const {
+    if (!error) return false;
+    try {
+      std::rethrow_exception(error);
+    } catch (const E&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+  }
+};
+
+TEST(SchedulerCallback, RunsExactlyOncePerOutcome) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  const auto input = [](unsigned seed) {
+    return make_input(seed, {1, 3, 8, 8});
+  };
+  Outcome served, queue_full, dead, expired, served_late, failed;
+  {
+    HangOnce gate;
+    SchedulerOptions options;
+    options.workers = 1;
+    options.max_microbatch = 1;
+    options.max_queue_depth = 1;
+    options.worker_fault_hook = gate.hook();
+    Scheduler scheduler(*plan, options);
+
+    scheduler.submit(input(1), {Priority::kBatch}, served.callback());
+    gate.wait_hung();  // the worker holds `served`
+    // Fills the interactive lane (depth cap 1) and outlives its deadline.
+    scheduler.submit(input(2), {Priority::kInteractive, milliseconds(100)},
+                     expired.callback());
+
+    // Rejections settle inline, before submit() returns.
+    scheduler.submit(input(3), {Priority::kInteractive},
+                     queue_full.callback());
+    EXPECT_EQ(queue_full.calls.load(), 1);
+    EXPECT_TRUE(queue_full.failed_with<QueueDepthError>());
+    scheduler.submit(input(4), {Priority::kBatch, -milliseconds(1)},
+                     dead.callback());
+    EXPECT_EQ(dead.calls.load(), 1);
+    EXPECT_TRUE(dead.failed_with<DeadlineExpiredError>());
+
+    // Every submission is a scheduling point: this one harvests the
+    // request whose deadline passed while it sat in the queue.
+    std::this_thread::sleep_for(milliseconds(150));
+    scheduler.submit(input(5), {Priority::kBatch}, served_late.callback());
+    EXPECT_EQ(expired.calls.load(), 1);
+    EXPECT_TRUE(expired.failed_with<DeadlineExpiredError>());
+    EXPECT_EQ(served.calls.load(), 0);
+
+    gate.release_and_wait_exit();
+    // 5 channels: the forward pass throws on the worker.
+    scheduler.submit(make_input(6, {1, 5, 8, 8}), {}, failed.callback());
+    scheduler.wait_idle();
+    EXPECT_EQ(served.calls.load(), 1);
+    EXPECT_TRUE(served.served);
+    EXPECT_EQ(served_late.calls.load(), 1);
+    EXPECT_TRUE(served_late.served);
+    EXPECT_EQ(failed.calls.load(), 1);
+    EXPECT_TRUE(failed.failed_with<std::runtime_error>());
+  }
+
+  // Failed at shutdown: the batch on a wedged worker is abandoned and the
+  // request queued behind it is left unserved. A wait_idle() racing the
+  // shutdown returns only after both callbacks ran.
+  Outcome abandoned, residual;
+  {
+    HangOnce hang;
+    SchedulerOptions options;
+    options.workers = 1;
+    options.max_microbatch = 1;
+    options.worker_fault_hook = hang.hook();
+    Scheduler scheduler(*plan, options);
+    scheduler.submit(input(7), {}, abandoned.callback());
+    hang.wait_hung();
+    scheduler.submit(input(8), {}, residual.callback());
+
+    std::atomic<int> calls_at_idle{-1};
+    std::thread waiter([&] {
+      scheduler.wait_idle();
+      calls_at_idle.store(abandoned.calls.load() + residual.calls.load());
+    });
+    scheduler.shutdown();
+    waiter.join();
+    EXPECT_EQ(calls_at_idle.load(), 2);
+    EXPECT_EQ(abandoned.calls.load(), 1);
+    EXPECT_TRUE(abandoned.failed_with<WorkerHungError>());
+    EXPECT_EQ(residual.calls.load(), 1);
+    EXPECT_TRUE(residual.failed_with<WorkerHungError>());
+    hang.release_and_wait_exit();
+  }
+
+  // Nothing settles twice, not even on the way out of the destructors.
+  for (const Outcome* o : {&served, &queue_full, &dead, &expired,
+                           &served_late, &failed, &abandoned, &residual}) {
+    EXPECT_EQ(o->calls.load(), 1);
+  }
+}
+
 // ------------------------------------------- weighted-fair scheduling
 
 TEST(SchedulerWeighted, BestEffortBoundedUnderInteractiveFlood) {

@@ -42,20 +42,10 @@
 # Sanitizer and native builds are configured with the repo's own
 # YOLOC_TSAN / YOLOC_ASAN / YOLOC_NATIVE options (separate build trees;
 # the sanitizers are mutually exclusive) and are incremental — rerunning the gate only rebuilds what
-# changed.
+# changed. Everything runs from main(), called on the last line, so bash
+# has parsed the whole file first: editing it mid-run cannot break a run.
 
 set -uo pipefail
-
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-  echo "usage: ci_check.sh <source-dir> [build-dir]" >&2
-  exit 2
-fi
-src="$1"
-build="${2:-$src/build}"
-jobs="$(nproc 2>/dev/null || echo 4)"
-
-declare -a gate_names=()
-declare -a gate_results=()
 
 # run_gate NAME BUILD_DIR CMAKE_EXTRA_ARGS CTEST_ARGS...
 run_gate() {
@@ -88,11 +78,6 @@ run_gate() {
   return 0
 }
 
-run_gate tier-1 "$build" ""
-run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
-run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
-run_gate native "${build}-native" "-DYOLOC_NATIVE=ON" -L "macro|fault"
-
 # run_perfbench WORKLOAD: one short perfbench run; PASS only when it
 # exits 0 and its last stdout line reports "correct": true.
 run_perfbench() {
@@ -123,14 +108,32 @@ run_perfbench() {
   return 0
 }
 
-run_perfbench analog_closed
-run_perfbench rebranch_batch
+main() {
+  if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: ci_check.sh <source-dir> [build-dir]" >&2
+    exit 2
+  fi
+  src="$1"  # src, build, jobs and the gate_* arrays are read by the helpers
+  build="${2:-$src/build}"
+  jobs="$(nproc 2>/dev/null || echo 4)"
+  gate_names=()
+  gate_results=()
 
-echo
-echo "== ci_check summary =="
-status=0
-for i in "${!gate_names[@]}"; do
-  printf '  %-24s %s\n' "${gate_names[$i]}" "${gate_results[$i]}"
-  [ "${gate_results[$i]}" = "PASS" ] || status=1
-done
-exit "$status"
+  run_gate tier-1 "$build" ""
+  run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
+  run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
+  run_gate native "${build}-native" "-DYOLOC_NATIVE=ON" -L "macro|fault"
+  run_perfbench analog_closed
+  run_perfbench rebranch_batch
+
+  echo
+  echo "== ci_check summary =="
+  local status=0 i
+  for i in "${!gate_names[@]}"; do
+    printf '  %-24s %s\n' "${gate_names[$i]}" "${gate_results[$i]}"
+    [ "${gate_results[$i]}" = "PASS" ] || status=1
+  done
+  exit "$status"
+}
+
+main "$@"

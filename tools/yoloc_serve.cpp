@@ -45,7 +45,6 @@ int usage() {
       "  --max-queue-depth N     admission cap per lane; 0 = unlimited\n"
       "  --default-deadline-ms X deadline for requests without one\n"
       "  --weighted              DWRR lane weights 8:3:1 instead of strict\n"
-      "  --handler-threads N     HTTP handler pool size (default 4)\n"
       "  --max-connections N     concurrent connection cap (default 256)\n"
       "  --read-timeout-ms N     per-connection read deadline\n"
       "  --write-timeout-ms N    per-connection write deadline\n"
@@ -110,8 +109,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--default-deadline-ms") {
       sched.default_deadline = std::chrono::nanoseconds(
           static_cast<std::int64_t>(std::atof(value) * 1e6));
-    } else if (arg == "--handler-threads") {
-      http.handler_threads = std::atoi(value);
     } else if (arg == "--max-connections") {
       http.max_connections = std::atoi(value);
     } else if (arg == "--read-timeout-ms") {
@@ -201,11 +198,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("yoloc_serve: %s on %s:%d (%d workers, %d handler threads, "
-                "%d quantized layers)\n",
+    std::printf("yoloc_serve: %s on %s:%d (%d workers, %d quantized layers)\n",
                 plan_path.c_str(), http.bind_address.c_str(), server.port(),
-                scheduler.worker_count(), http.handler_threads,
-                plan->quantized_layer_count());
+                scheduler.worker_count(), plan->quantized_layer_count());
     std::fflush(stdout);
 
     std::signal(SIGTERM, on_signal);
