@@ -364,7 +364,8 @@ int main(int argc, char** argv) {
           "\"metrics\":%s}\n",
           mode_name, priority_mix ? "priority" : "fifo", workers, r.seconds,
           static_cast<double>(r.snapshot.served_images) / r.seconds,
-          probe_class.queue_wait.p99_ms, bulk_class.queue_wait.p99_ms,
+          probe_class.queue_wait.quantile_ms(0.99),
+          bulk_class.queue_wait.quantile_ms(0.99),
           r.snapshot.to_json().c_str());
       std::fflush(stdout);
     }
@@ -392,8 +393,8 @@ int main(int argc, char** argv) {
           r.seconds,
           static_cast<double>(r.snapshot.served_images) / r.seconds,
           static_cast<unsigned long long>(be.served_requests),
-          static_cast<unsigned long long>(be.queue_depth), be.e2e.p99_ms,
-          inter.queue_wait.p99_ms);
+          static_cast<unsigned long long>(be.queue_depth), be.e2e.quantile_ms(0.99),
+          inter.queue_wait.quantile_ms(0.99));
       std::fflush(stdout);
     }
   }
@@ -416,7 +417,7 @@ int main(int argc, char** argv) {
         mode_name, slo_ms, r.seconds,
         static_cast<double>(r.snapshot.served_images) / r.seconds,
         r.snapshot.avg_batch_occupancy, r.snapshot.max_batch_occupancy,
-        batch_class.e2e.p99_ms);
+        batch_class.e2e.quantile_ms(0.99));
     std::fflush(stdout);
   }
   return 0;

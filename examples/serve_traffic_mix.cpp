@@ -79,8 +79,8 @@ void print_class_digest(const ClassSnapshot& c, const char* name) {
       "  %-12s served %5llu req / %5llu img   queue-wait p50 %7.3f ms  "
       "p95 %7.3f ms  p99 %7.3f ms   expired %llu  rejected %llu\n",
       name, static_cast<unsigned long long>(c.served_requests),
-      static_cast<unsigned long long>(c.served_images), c.queue_wait.p50_ms,
-      c.queue_wait.p95_ms, c.queue_wait.p99_ms,
+      static_cast<unsigned long long>(c.served_images), c.queue_wait.quantile_ms(0.50),
+      c.queue_wait.quantile_ms(0.95), c.queue_wait.quantile_ms(0.99),
       static_cast<unsigned long long>(c.expired_requests),
       static_cast<unsigned long long>(c.rejected_requests));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "common/binio.hpp"
@@ -454,16 +455,25 @@ PlanArtifactInfo inspect_plan(const std::uint8_t* data, std::size_t size) {
   return info;
 }
 
-PlanArtifactInfo inspect_plan_file(const std::string& path) {
+std::vector<std::uint8_t> read_plan_file(const std::string& path) {
+  // tellg() on a directory reports 2^63-1 instead of failing, so anything
+  // but a regular file is refused before it is sized.
+  std::error_code ec;
+  YOLOC_CHECK(std::filesystem::is_regular_file(path, ec),
+              "plan: '" + path + "' is missing or not a regular file");
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  YOLOC_CHECK(in.good(), "inspect_plan: cannot open '" + path + "'");
+  YOLOC_CHECK(in.good(), "plan: cannot open '" + path + "'");
   const std::streamsize size = in.tellg();
-  YOLOC_CHECK(size > 0, "inspect_plan: empty artifact '" + path + "'");
+  YOLOC_CHECK(size > 0, "plan: empty artifact '" + path + "'");
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   in.seekg(0);
   in.read(reinterpret_cast<char*>(bytes.data()), size);
-  YOLOC_CHECK(in.gcount() == size,
-              "inspect_plan: short read on '" + path + "'");
+  YOLOC_CHECK(in.gcount() == size, "plan: short read on '" + path + "'");
+  return bytes;
+}
+
+PlanArtifactInfo inspect_plan_file(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_plan_file(path);
   return inspect_plan(bytes.data(), bytes.size());
 }
 
@@ -497,67 +507,38 @@ std::vector<std::uint8_t> serialize_plan(const DeploymentPlan& plan) {
 
 std::unique_ptr<DeploymentPlan> deserialize_plan(const std::uint8_t* data,
                                                  std::size_t size) {
-  YOLOC_CHECK(data != nullptr && size >= sizeof(kMagic) + 8,
-              "plan: truncated header");
-  YOLOC_CHECK(std::memcmp(data, kMagic, sizeof(kMagic)) == 0,
-              "plan: bad magic (not a .yolocplan artifact)");
-  ByteReader header(data, size);
-  std::uint8_t magic_skip[sizeof(kMagic)];
-  header.bytes(magic_skip, sizeof(kMagic));
-  const std::uint32_t version = header.u32();
-  YOLOC_CHECK(version >= kPlanFormatMinVersion &&
-                  version <= kPlanFormatVersion,
-              "plan: unsupported format version");
-  const std::uint32_t nsec = header.u32();
-  YOLOC_CHECK(nsec >= 1 && nsec <= 64, "plan: bad section count");
-  YOLOC_CHECK(size - header.offset() >= nsec * kTableEntryBytes,
-              "plan: truncated section table");
-
-  struct Entry {
-    std::uint32_t id;
-    std::uint64_t offset;
-    std::uint64_t size;
-    std::uint32_t crc;
-  };
+  const PlanArtifactInfo info = inspect_plan(data, size);
+  const std::uint32_t version = info.version;
+  // Stricter than the inspector: payloads sit after the table, and
+  // artifacts are canonical, so nothing may trail the last declared
+  // section (catches concatenation/append corruption the CRCs cannot see).
   const std::uint64_t payload_start =
-      sizeof(kMagic) + 8 + static_cast<std::uint64_t>(nsec) * kTableEntryBytes;
-  std::vector<Entry> entries;
+      sizeof(kMagic) + 8 + info.sections.size() * kTableEntryBytes;
   std::uint64_t payload_end = payload_start;
-  for (std::uint32_t i = 0; i < nsec; ++i) {
-    Entry e;
-    e.id = header.u32();
-    e.offset = header.u64();
-    e.size = header.u64();
-    e.crc = header.u32();
-    YOLOC_CHECK(e.offset >= payload_start && e.offset <= size &&
-                    e.size <= size - e.offset,
-                "plan: section out of bounds");
-    payload_end = std::max(payload_end, e.offset + e.size);
-    entries.push_back(e);
+  for (const PlanSectionInfo& s : info.sections) {
+    YOLOC_CHECK(s.offset >= payload_start, "plan: section out of bounds");
+    payload_end = std::max(payload_end, s.offset + s.size);
   }
-  // Artifacts are canonical: nothing may trail the last declared section
-  // (catches concatenation/append corruption the CRCs cannot see).
   YOLOC_CHECK(payload_end == size, "plan: trailing bytes after sections");
 
-  auto find_optional = [&](std::uint32_t id) -> const Entry* {
-    const Entry* found = nullptr;
-    for (const Entry& e : entries) {
-      if (e.id != id) continue;
+  auto find_optional = [&](std::uint32_t id) -> const PlanSectionInfo* {
+    const PlanSectionInfo* found = nullptr;
+    for (const PlanSectionInfo& s : info.sections) {
+      if (s.id != id) continue;
       YOLOC_CHECK(found == nullptr, "plan: duplicate section");
-      found = &e;
+      found = &s;
     }
     return found;
   };
-  auto find = [&](std::uint32_t id) -> const Entry& {
-    const Entry* found = find_optional(id);
+  auto find = [&](std::uint32_t id) -> const PlanSectionInfo& {
+    const PlanSectionInfo* found = find_optional(id);
     YOLOC_CHECK(found != nullptr, "plan: missing required section");
     return *found;
   };
 
-  auto checked_reader = [&](const Entry& e) {
-    YOLOC_CHECK(crc32(data + e.offset, e.size) == e.crc,
-                "plan: section CRC mismatch (corrupt artifact)");
-    return ByteReader(data + e.offset, e.size);
+  auto checked_reader = [&](const PlanSectionInfo& s) {
+    YOLOC_CHECK(s.crc_ok, "plan: section CRC mismatch (corrupt artifact)");
+    return ByteReader(data + s.offset, s.size);
   };
 
   ByteReader options_r = checked_reader(find(kSectionOptions));
@@ -571,7 +552,8 @@ std::unique_ptr<DeploymentPlan> deserialize_plan(const std::uint8_t* data,
   image.quantized_layers = opts.quantized_layers;
 
   CanarySuite canaries;
-  if (const Entry* e = find_optional(kSectionCanary); e != nullptr) {
+  if (const PlanSectionInfo* e = find_optional(kSectionCanary);
+      e != nullptr) {
     YOLOC_CHECK(version >= 2, "plan: CANARY section in a version-1 artifact");
     YOLOC_CHECK(version >= 3 ||
                     opts.options.mode != MacroMvmEngine::Mode::kAnalog,
@@ -601,14 +583,7 @@ void save_plan(const DeploymentPlan& plan, const std::string& path) {
 }
 
 std::unique_ptr<DeploymentPlan> load_plan(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  YOLOC_CHECK(in.good(), "load_plan: cannot open '" + path + "'");
-  const std::streamsize size = in.tellg();
-  YOLOC_CHECK(size > 0, "load_plan: empty artifact '" + path + "'");
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  YOLOC_CHECK(in.gcount() == size, "load_plan: short read on '" + path + "'");
+  const std::vector<std::uint8_t> bytes = read_plan_file(path);
   return deserialize_plan(bytes.data(), bytes.size());
 }
 

@@ -96,6 +96,11 @@ const char* plan_section_name(std::uint32_t id);
 PlanArtifactInfo inspect_plan(const std::uint8_t* data, std::size_t size);
 PlanArtifactInfo inspect_plan_file(const std::string& path);
 
+/// The one whole-file read behind load_plan and inspect_plan_file.
+/// Throws std::runtime_error naming `path` when it is missing, not a
+/// regular file (a directory, a pipe), empty or short.
+std::vector<std::uint8_t> read_plan_file(const std::string& path);
+
 /// In-memory encode/decode (the file functions wrap these; tests use
 /// them to exercise corruption paths without touching the filesystem).
 std::vector<std::uint8_t> serialize_plan(const DeploymentPlan& plan);

@@ -972,8 +972,10 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
     if (draining()) {
       queue_response(c, 503, "{\"status\":\"draining\"}", "application/json",
                      !c.keep_alive);
-    } else if (scheduler_.worker_count() >= 1 &&
-               plan_.quantized_layer_count() >= 1) {
+    } else if (!scheduler_.accepting()) {
+      queue_response(c, 503, "{\"status\":\"unavailable\"}",
+                     "application/json", !c.keep_alive);
+    } else {
       const ResilienceSnapshot res = scheduler_.resilience_snapshot();
       if (res.degraded) {
         // Still ready — interactive traffic is served through the
@@ -992,9 +994,6 @@ void HttpServer::route(Connection& c, ParsedRequest req) {
                            std::to_string(scheduler_.worker_count()) + "}",
                        "application/json", !c.keep_alive);
       }
-    } else {
-      queue_response(c, 503, "{\"status\":\"unavailable\"}",
-                     "application/json", !c.keep_alive);
     }
     return;
   }

@@ -16,7 +16,8 @@
 //   POST /infer    rank-4 NCHW tensor in (JSON `data_b64` or raw f32
 //                  body), logits + latency out as JSON
 //   GET  /metrics  Prometheus text exposition of the live scheduler
-//   GET  /healthz  readiness: plan loaded + worker pool up, 503 on drain
+//   GET  /healthz  readiness: 200 while the scheduler accepts work, 503
+//                  on drain or once the scheduler has shut down
 //   GET  /plan     loaded .yolocplan summary: options, packed-weight
 //                  footprint, section table with CRC verdicts
 //
@@ -115,9 +116,9 @@ class HttpServer {
 
   /// Graceful shutdown: stop accepting, serve everything already
   /// received (queued lanes drain by priority inside the scheduler),
-  /// flush responses, stop threads. Blocks until fully stopped.
-  /// Idempotent and thread/signal-safe to *initiate* (the blocking wait
-  /// happens in the calling thread).
+  /// flush responses, stop the loop thread. Blocks until fully stopped:
+  /// it takes a mutex and joins, so call it from a thread, never from a
+  /// signal handler. Idempotent; concurrent callers serialize.
   void drain();
 
   [[nodiscard]] bool draining() const {

@@ -41,17 +41,6 @@ double bucket_hi(int b) {
 constexpr double kNsPerMs = 1e6;
 constexpr std::uint64_t kNsPerSecondU64 = 1000000000ull;
 
-LatencySummary summarize(const LatencyHistogram& h) {
-  LatencySummary s;
-  s.count = h.count();
-  s.p50_ms = h.quantile_ns(0.50) / kNsPerMs;
-  s.p95_ms = h.quantile_ns(0.95) / kNsPerMs;
-  s.p99_ms = h.quantile_ns(0.99) / kNsPerMs;
-  s.mean_ms = h.mean_ns() / kNsPerMs;
-  s.max_ms = static_cast<double>(h.max_ns()) / kNsPerMs;
-  return s;
-}
-
 }  // namespace
 
 void LatencyHistogram::record(std::uint64_t ns) {
@@ -103,13 +92,15 @@ double LatencyHistogram::quantile_ns(double q) const {
 namespace {
 
 void append_latency_json(std::string& out, const char* key,
-                         const LatencySummary& s) {
+                         const LatencyHistogram& h) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "\"%s\":{\"count\":%llu,\"p50_ms\":%.4f,\"p95_ms\":%.4f,"
                 "\"p99_ms\":%.4f,\"mean_ms\":%.4f,\"max_ms\":%.4f}",
-                key, static_cast<unsigned long long>(s.count), s.p50_ms,
-                s.p95_ms, s.p99_ms, s.mean_ms, s.max_ms);
+                key, static_cast<unsigned long long>(h.count()),
+                h.quantile_ms(0.50), h.quantile_ms(0.95), h.quantile_ms(0.99),
+                h.mean_ns() / kNsPerMs,
+                static_cast<double>(h.max_ns()) / kNsPerMs);
   out += buf;
 }
 
@@ -335,13 +326,13 @@ std::string MetricsSnapshot::to_prometheus() const {
   static constexpr LaneHistogram kHistograms[] = {
       {"yoloc_serve_queue_wait_seconds",
        "Submit to batch pickup, served requests only.",
-       &ClassSnapshot::queue_wait_hist},
+       &ClassSnapshot::queue_wait},
       {"yoloc_serve_e2e_latency_seconds",
        "Submit to future fulfilled, served requests only.",
-       &ClassSnapshot::e2e_hist},
+       &ClassSnapshot::e2e},
       {"yoloc_serve_expired_wait_seconds",
        "Submit to cancellation for requests that expired while queued.",
-       &ClassSnapshot::expired_wait_hist},
+       &ClassSnapshot::expired_wait},
   };
   for (const LaneHistogram& hist : kHistograms) {
     append_prom_header(out, hist.name, "histogram", hist.help);
@@ -578,8 +569,6 @@ MetricsSnapshot MetricsRegistry::snapshot(
   snap.uptime_s = static_cast<double>(uptime_ns) / 1e9;
   snap.workers = worker_slots();
 
-  std::array<LatencyHistogram, kPriorityClassCount> queue_wait{};
-  std::array<LatencyHistogram, kPriorityClassCount> e2e{};
   std::uint64_t batched_requests = 0;
   for (const auto& worker : workers_) {
     std::lock_guard lock(worker->mutex);
@@ -589,8 +578,8 @@ MetricsSnapshot MetricsRegistry::snapshot(
       dst.served_requests += src.served_requests;
       dst.served_images += src.served_images;
       dst.failed_requests += src.failed_requests;
-      queue_wait[static_cast<std::size_t>(c)].merge(src.queue_wait);
-      e2e[static_cast<std::size_t>(c)].merge(src.e2e);
+      dst.queue_wait.merge(src.queue_wait);
+      dst.e2e.merge(src.e2e);
     }
     snap.batches += worker->batches;
     batched_requests += worker->batched_requests;
@@ -604,19 +593,12 @@ MetricsSnapshot MetricsRegistry::snapshot(
       dst.submitted = ingress_.submitted[static_cast<std::size_t>(c)];
       dst.rejected_requests = ingress_.rejected[static_cast<std::size_t>(c)];
       dst.expired_requests = ingress_.expired[static_cast<std::size_t>(c)];
-      dst.expired_wait =
-          summarize(ingress_.expired_wait[static_cast<std::size_t>(c)]);
-      dst.expired_wait_hist =
-          ingress_.expired_wait[static_cast<std::size_t>(c)];
+      dst.expired_wait = ingress_.expired_wait[static_cast<std::size_t>(c)];
     }
   }
   for (int c = 0; c < kPriorityClassCount; ++c) {
     ClassSnapshot& dst = snap.classes[static_cast<std::size_t>(c)];
     dst.queue_depth = queue_depths[static_cast<std::size_t>(c)];
-    dst.queue_wait = summarize(queue_wait[static_cast<std::size_t>(c)]);
-    dst.e2e = summarize(e2e[static_cast<std::size_t>(c)]);
-    dst.queue_wait_hist = queue_wait[static_cast<std::size_t>(c)];
-    dst.e2e_hist = e2e[static_cast<std::size_t>(c)];
     snap.served_requests += dst.served_requests;
     snap.served_images += dst.served_images;
   }

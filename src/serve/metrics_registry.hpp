@@ -53,6 +53,9 @@ class LatencyHistogram {
   /// q in [0, 1]; linear interpolation inside the containing bucket,
   /// clamped to the observed maximum. Returns 0 when empty.
   [[nodiscard]] double quantile_ns(double q) const;
+  [[nodiscard]] double quantile_ms(double q) const {
+    return quantile_ns(q) / 1e6;
+  }
 
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
@@ -72,16 +75,6 @@ class LatencyHistogram {
 /// serving layer (HTTP bodies, metrics JSON, trace export).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Quantile digest of one histogram, in milliseconds (JSON-friendly).
-struct LatencySummary {
-  std::uint64_t count = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double mean_ms = 0.0;
-  double max_ms = 0.0;
-};
-
 /// Per-priority-class slice of a snapshot.
 struct ClassSnapshot {
   std::uint64_t submitted = 0;
@@ -91,14 +84,11 @@ struct ClassSnapshot {
   std::uint64_t expired_requests = 0;  // deadline passed while queued
   std::uint64_t rejected_requests = 0; // refused at admission
   std::uint64_t queue_depth = 0;       // gauge at snapshot time
-  LatencySummary queue_wait;    // submit -> batch pickup (served only)
-  LatencySummary e2e;           // submit -> future fulfilled (served only)
-  LatencySummary expired_wait;  // submit -> cancellation (expired only)
-  // The merged histograms behind the three summaries above; carried so
-  // the Prometheus exposition can emit real cumulative buckets.
-  LatencyHistogram queue_wait_hist;
-  LatencyHistogram e2e_hist;
-  LatencyHistogram expired_wait_hist;
+  // Merged latency histograms: to_json() digests each into count, p50,
+  // p95, p99, mean and max in ms; to_prometheus() emits its buckets.
+  LatencyHistogram queue_wait;    // submit -> batch pickup (served only)
+  LatencyHistogram e2e;           // submit -> callback ran (served only)
+  LatencyHistogram expired_wait;  // submit -> cancellation (expired only)
 };
 
 /// Immutable merged view of the registry at one instant.

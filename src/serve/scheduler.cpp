@@ -161,14 +161,21 @@ void Scheduler::shutdown() {
   if (!residual.empty()) {
     for (ServeRequest& r : residual) {
       metrics_.record_rejected(r.priority);
-      r.fail(std::make_exception_ptr(WorkerHungError(
+      // Its own statement, for the reason given in cancel_expired().
+      std::exception_ptr error = std::make_exception_ptr(WorkerHungError(
           "request " + std::to_string(r.id) +
-          " unserved at shutdown (no healthy worker drained it)")));
+          " unserved at shutdown (no healthy worker drained it)"));
+      r.fail(std::move(error));
     }
     std::lock_guard lock(mutex_);
     in_flight_ -= static_cast<int>(residual.size());
     if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
   }
+}
+
+bool Scheduler::accepting() const {
+  std::lock_guard lock(mutex_);
+  return !stop_;
 }
 
 void Scheduler::trip_breaker(int w) {
@@ -290,7 +297,7 @@ void Scheduler::submit(Tensor images, SubmitOptions options,
   }
   if (rejection) {
     metrics_.record_rejected(options.priority);
-    req.fail(rejection);
+    req.fail(std::move(rejection));
   } else if (has_reservations_ ||
              resilience_.healthy_workers() < worker_count()) {
     // notify_one could wake a worker whose lane mask excludes this
@@ -385,9 +392,15 @@ void Scheduler::cancel_expired(std::vector<ServeRequest> expired) {
   const auto now = ServeClock::now();
   for (ServeRequest& r : expired) {
     metrics_.record_expired(r.priority, ns_between(r.submit_time, now));
-    r.fail(std::make_exception_ptr(DeadlineExpiredError(
+    // Built in its own statement so the error temporary is destroyed
+    // before fail() runs the callback: libstdc++'s copy in the
+    // exception_ptr shares the temporary's message buffer through a count
+    // ThreadSanitizer does not see, so a release after the callback
+    // handed the error to another thread is reported as a race.
+    std::exception_ptr error = std::make_exception_ptr(DeadlineExpiredError(
         "request " + std::to_string(r.id) + " (" +
-        priority_name(r.priority) + ") canceled while queued")));
+        priority_name(r.priority) + ") canceled while queued"));
+    r.fail(std::move(error));
   }
   std::lock_guard lock(mutex_);
   in_flight_ -= static_cast<int>(expired.size());
@@ -766,9 +779,11 @@ void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
     priority = ifb->requests->front().priority;
     for (ServeRequest& r : *ifb->requests) {
       images += r.input.shape()[0];
-      r.fail(std::make_exception_ptr(WorkerHungError(
+      // Its own statement, for the reason given in cancel_expired().
+      std::exception_ptr error = std::make_exception_ptr(WorkerHungError(
           "request " + std::to_string(r.id) + " abandoned on worker " +
-          std::to_string(ifb->worker) + "; retry on a healthy worker")));
+          std::to_string(ifb->worker) + "; retry on a healthy worker"));
+      r.fail(std::move(error));
     }
   }
   if (quarantine) resilience_.record_watchdog_fire(ifb->worker);

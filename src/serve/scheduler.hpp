@@ -159,6 +159,9 @@ class Scheduler {
   /// first; expired requests are canceled, not served), join workers.
   /// Idempotent; the destructor calls it.
   void shutdown();
+  /// True until shutdown() starts: the one "is this scheduler taking
+  /// work" fact (GET /healthz reads it; submit() refuses once false).
+  [[nodiscard]] bool accepting() const;
 
   /// Merged telemetry; see MetricsSnapshot::to_json() for the schema.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;

@@ -144,10 +144,9 @@ Tensor tensor_from_response(const std::string& body) {
   return t;
 }
 
-/// Raw-socket exchange: send `wire` verbatim, read until the server
-/// closes (every negative below sets Connection: close). A 3 s receive
-/// timeout turns a hung server into a test failure, not a hung suite.
-std::string raw_exchange(int port, const std::string& wire) {
+/// A loopback TCP socket connected to `port`. A 3 s receive timeout
+/// turns a hung server into a test failure, not a hung suite.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   timeval tv{3, 0};
@@ -158,15 +157,32 @@ std::string raw_exchange(int port, const std::string& wire) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& wire) {
   EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(wire.size()));
-  std::string response;
+}
+
+/// Append received bytes to `response` until it contains `until`, or
+/// (empty `until`) until the server closes.
+void recv_into(int fd, std::string& response, const std::string& until = {}) {
   char buf[4096];
-  for (;;) {
+  while (until.empty() || response.find(until) == std::string::npos) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     response.append(buf, static_cast<std::size_t>(n));
   }
+}
+
+/// Raw-socket exchange: send `wire` verbatim, read until the server
+/// closes (every negative below sets Connection: close).
+std::string raw_exchange(int port, const std::string& wire) {
+  const int fd = connect_loopback(port);
+  send_all(fd, wire);
+  std::string response;
+  recv_into(fd, response);
   ::close(fd);
   return response;
 }
@@ -764,6 +780,54 @@ TEST(HttpDrain, FinishesInFlightThenRefusesNewConnections) {
 
   server.reset();  // double-drain via destructor must be a no-op
   scheduler.wait_idle();
+}
+
+// ------------------------------------------------------------ readiness
+
+TEST(HttpHealth, UnavailableOnceTheSchedulerShutsDown) {
+  // /healthz reads the scheduler's own accepting() fact: after
+  // shutdown() every /infer would fail, so readiness must say so too.
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  SchedulerOptions sched;
+  sched.workers = 1;
+  Scheduler scheduler(*plan, sched);
+  HttpServer server(scheduler, *plan);
+  HttpClient client("127.0.0.1", server.port());
+  EXPECT_EQ(client.get("/healthz").status, 200);
+
+  scheduler.shutdown();
+  const HttpResponse health = client.get("/healthz");
+  EXPECT_EQ(health.status, 503);
+  EXPECT_EQ(health.body, "{\"status\":\"unavailable\"}");
+  EXPECT_EQ(client.get("/metrics").status, 200);
+}
+
+TEST(HttpHealth, DrainingWhileARequestIsStillArriving) {
+  // The second request's head is half read when the drain begins, so the
+  // connection stays open; once it completes it answers 503 draining.
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog);
+  SchedulerOptions sched;
+  sched.workers = 1;
+  Scheduler scheduler(*plan, sched);
+  HttpServer server(scheduler, *plan);
+
+  const int fd = connect_loopback(server.port());
+  // One send: the loop reads both pieces before it parses the first.
+  send_all(fd, "GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n");
+  std::string wire;
+  recv_into(fd, wire, "\"workers\":1}");
+  EXPECT_EQ(status_of(wire), 200) << wire;
+
+  auto drained = std::async(std::launch::async, [&] { server.drain(); });
+  while (!server.draining()) std::this_thread::sleep_for(milliseconds(1));
+  send_all(fd, "\r\n");
+  wire.clear();
+  recv_into(fd, wire);
+  ::close(fd);
+  drained.get();
+  EXPECT_EQ(status_of(wire), 503) << wire;
+  EXPECT_NE(wire.find("{\"status\":\"draining\"}"), std::string::npos)
+      << wire;
 }
 
 // ------------------------------------- resilience over the wire

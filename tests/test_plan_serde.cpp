@@ -358,6 +358,25 @@ TEST(PlanSerde, RejectsTruncatedFile) {
   EXPECT_THROW((void)load_plan(path.string()), std::runtime_error);
 }
 
+TEST(PlanSerde, DirectoryIsRefusedByName) {
+  // A directory opens as an ifstream and reports a huge tellg(); the
+  // reader must refuse it by name instead of trying to allocate that.
+  const auto path = temp_plan_path("serde_directory");
+  std::filesystem::create_directories(path);
+  const auto expect_refused_by_name = [&](auto read) {
+    try {
+      read();
+      ADD_FAILURE() << "a directory was read as a plan";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused_by_name([&] { (void)load_plan(path.string()); });
+  expect_refused_by_name([&] { (void)inspect_plan_file(path.string()); });
+  std::filesystem::remove(path);
+}
+
 TEST(PlanSerde, AnySingleFlippedByteFailsLoudly) {
   // Exhaustive corruption sweep: flipping any single byte anywhere in the
   // artifact (header, section table, options, weights) must be caught by

@@ -13,7 +13,9 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <future>
 #include <mutex>
 #include <map>
@@ -479,8 +481,8 @@ TEST(Scheduler, MixedPriorityMicrobatchOneBitIdenticalToSerial) {
   EXPECT_EQ(snap.max_batch_occupancy, 1);
   for (int c = 0; c < kPriorityClassCount; ++c) {
     EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].served_requests, 3u);
-    EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].queue_wait.count, 3u);
-    EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].e2e.count, 3u);
+    EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].queue_wait.count(), 3u);
+    EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].e2e.count(), 3u);
   }
 }
 
@@ -561,9 +563,9 @@ TEST(Scheduler, QueuedDeadlineExpiryFailsFastWithoutSkewingMetrics) {
       snap.classes[static_cast<std::size_t>(Priority::kBestEffort)];
   EXPECT_EQ(be.expired_requests, 1u);
   EXPECT_EQ(be.served_requests, 0u);
-  EXPECT_EQ(be.queue_wait.count, 0u);
-  EXPECT_EQ(be.expired_wait.count, 1u);  // waited >= its 3 ms deadline
-  EXPECT_GE(be.expired_wait.max_ms, 3.0);
+  EXPECT_EQ(be.queue_wait.count(), 0u);
+  EXPECT_EQ(be.expired_wait.count(), 1u);  // waited >= its 3 ms deadline
+  EXPECT_GE(be.expired_wait.max_ns(), 3000000u);
   EXPECT_EQ(snap.served_images, 32u);
   EXPECT_EQ(scheduler.rom_stats().macs, ref_ctx.rom_stats().macs);
   EXPECT_EQ(scheduler.total_energy_pj(), ref_ctx.total_energy_pj());
@@ -1122,11 +1124,72 @@ TEST(Scheduler, SnapshotJsonCarriesTheDocumentedSchema) {
   EXPECT_EQ(cleared.served_requests, 0u);
   EXPECT_EQ(cleared.batches, 0u);
   EXPECT_EQ(cleared.classes[1].submitted, 0u);
-  EXPECT_EQ(cleared.classes[1].e2e.count, 0u);
+  EXPECT_EQ(cleared.classes[1].e2e.count(), 0u);
   EXPECT_EQ(cleared.rolling_images_per_s, 0.0);
   (void)scheduler.submit(make_input(5, {1, 3, 8, 8})).get();
   scheduler.wait_idle();
   EXPECT_EQ(scheduler.metrics_snapshot().served_requests, 1u);
+}
+
+/// A snapshot built from fixed recordings: both serializers must render
+/// it byte for byte as the files under tests/golden/ record.
+MetricsSnapshot pinned_snapshot() {
+  MetricsRegistry registry(2);
+  BatchObservation interactive;
+  interactive.priority = Priority::kInteractive;
+  interactive.requests = 3;
+  interactive.images = 5;
+  interactive.queue_wait_ns = {1500, 250000, 4000000};
+  interactive.e2e_ns = {900000, 2500000, 12000000};
+  registry.record_batch(0, interactive);
+  BatchObservation batch;
+  batch.priority = Priority::kBatch;
+  batch.requests = 2;
+  batch.images = 16;
+  batch.queue_wait_ns = {0, 70000000};
+  batch.e2e_ns = {30000000, 95000000};
+  registry.record_batch(1, batch);
+  BatchObservation failed;
+  failed.priority = Priority::kBatch;
+  failed.requests = 1;
+  failed.images = 8;
+  failed.failed = true;
+  registry.record_batch(0, failed);
+  for (int i = 0; i < 3; ++i) registry.record_submitted(Priority::kInteractive);
+  for (int i = 0; i < 4; ++i) registry.record_submitted(Priority::kBatch);
+  registry.record_submitted(Priority::kBestEffort);
+  registry.record_rejected(Priority::kBestEffort);
+  registry.record_expired(Priority::kBestEffort, 3500000);
+  registry.record_expired(Priority::kBatch, 1ull << 41);  // past the last le
+
+  MetricsSnapshot snap = registry.snapshot({1, 4, 9});
+  // The two wall-clock readings are fixed so the text is reproducible.
+  snap.uptime_s = 42.125;
+  snap.rolling_images_per_s = 2.1;
+  snap.resilience.workers = 2;
+  snap.resilience.healthy_workers = 1;
+  snap.resilience.breaker_open_workers = 1;
+  snap.resilience.canary_pass = 7;
+  snap.resilience.canary_fail = 2;
+  snap.resilience.breaker_trips = 1;
+  snap.resilience.shed_requests = {0, 3, 11};
+  snap.resilience.degraded = true;
+  snap.resilience.degraded_reason = "1/2 workers unhealthy: \"w1\" breaker";
+  return snap;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(YOLOC_TEST_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(MetricsSnapshot, SerializersMatchTheGoldenText) {
+  const MetricsSnapshot snap = pinned_snapshot();
+  EXPECT_EQ(snap.to_json(), read_golden("metrics_snapshot.json"));
+  EXPECT_EQ(snap.to_prometheus(), read_golden("metrics_snapshot.prom"));
 }
 
 TEST(Prometheus, LabelEscaping) {

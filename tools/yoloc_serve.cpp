@@ -9,16 +9,23 @@
 // harnesses (tests, refresh_bench.sh) can find it without racing.
 // --list-endpoints prints the routed paths one per line, which
 // tools/docs_check.sh diffs against docs/serving.md.
+//
+// The main thread owns the process lifecycle. Its first statement blocks
+// SIGTERM and SIGINT, so every thread started later (the parallel pool,
+// the scheduler's workers, canary and watchdog, the HTTP loop) inherits
+// the mask, and a stop signal sent during plan load stays pending until
+// the main thread takes it with sigwait after the banner. The chaos
+// drill's fault toggles run on the main thread as well.
 
-#include <atomic>
+#include <signal.h>
+
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "runtime/plan_serde.hpp"
 #include "serve/http_server.hpp"
@@ -27,10 +34,46 @@
 namespace {
 
 using namespace yoloc;
+using Clock = std::chrono::steady_clock;
 
-volatile std::sig_atomic_t g_stop = 0;
+void set_faults(DeploymentPlan& plan, bool active) {
+  for (FaultModel* f :
+       {plan.rom_macro().fault_model(), plan.sram_macro().fault_model()}) {
+    if (f != nullptr) f->set_active(active);
+  }
+  std::printf("{\"event\":\"chaos\",\"faults\":\"%s\"}\n",
+              active ? "active" : "cleared");
+  std::fflush(stdout);
+}
 
-void on_signal(int) { g_stop = 1; }
+/// Block until SIGTERM or SIGINT is pending. The chaos drill runs here
+/// too: the plan's fault models switch on `fault_after_s` seconds after
+/// the call and off again at `fault_clear_after_s` (negative = no such
+/// step). While a step is pending the wait is a sigtimedwait up to its
+/// offset, so a stop signal is still taken at once.
+void wait_for_stop(const sigset_t& stop_signals, DeploymentPlan& plan,
+                   double fault_after_s, double fault_clear_after_s) {
+  const Clock::time_point start = Clock::now();
+  const double steps[] = {fault_after_s,
+                          fault_after_s >= 0.0 ? fault_clear_after_s : -1.0};
+  for (int i = 0; i < 2 && steps[i] >= 0.0; ++i) {
+    const auto due = start + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(steps[i]));
+    for (auto left = due - Clock::now(); left > Clock::duration::zero();
+         left = due - Clock::now()) {
+      const long long ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+      const timespec timeout{static_cast<std::time_t>(ns / 1000000000),
+                             static_cast<long>(ns % 1000000000)};
+      // A signal returns its number; EAGAIN (offset reached) and EINTR
+      // go round the loop, which re-reads the clock.
+      if (sigtimedwait(&stop_signals, nullptr, &timeout) > 0) return;
+    }
+    set_faults(plan, /*active=*/i == 0);
+  }
+  int signal_number = 0;
+  sigwait(&stop_signals, &signal_number);
+}
 
 int usage() {
   std::fprintf(
@@ -66,6 +109,12 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   std::string plan_path;
   std::string port_file;
   SchedulerOptions sched;
@@ -146,46 +195,6 @@ int main(int argc, char** argv) {
       scheduler.trip_breaker(w);
     }
 
-    // Chaos timer: flip the plan's fault models on (and optionally back
-    // off) at the configured offsets — a deterministic in-process fault
-    // drill the canary/breaker pipeline is expected to catch.
-    std::atomic<bool> chaos_stop{false};
-    std::thread chaos_thread;
-    if (fault_after_s >= 0.0) {
-      chaos_thread = std::thread([&plan, &chaos_stop, fault_after_s,
-                                  fault_clear_after_s] {
-        const auto set_faults = [&plan](bool active) {
-          if (FaultModel* f = plan->rom_macro().fault_model()) {
-            f->set_active(active);
-          }
-          if (FaultModel* f = plan->sram_macro().fault_model()) {
-            f->set_active(active);
-          }
-        };
-        const auto start = std::chrono::steady_clock::now();
-        const auto elapsed_s = [&start] {
-          return std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-              .count();
-        };
-        while (!chaos_stop.load() && elapsed_s() < fault_after_s) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        if (chaos_stop.load()) return;
-        set_faults(true);
-        std::printf("{\"event\":\"chaos\",\"faults\":\"active\"}\n");
-        std::fflush(stdout);
-        if (fault_clear_after_s < 0.0) return;
-        while (!chaos_stop.load() && elapsed_s() < fault_clear_after_s) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        if (chaos_stop.load()) return;
-        set_faults(false);
-        std::printf("{\"event\":\"chaos\",\"faults\":\"cleared\"}\n");
-        std::fflush(stdout);
-      });
-    }
-
     if (!port_file.empty()) {
       // Write-then-rename so a reader never sees a half-written port.
       const std::string tmp = port_file + ".tmp";
@@ -203,16 +212,10 @@ int main(int argc, char** argv) {
                 scheduler.worker_count(), plan->quantized_layer_count());
     std::fflush(stdout);
 
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    while (g_stop == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    wait_for_stop(stop_signals, *plan, fault_after_s, fault_clear_after_s);
 
     std::printf("yoloc_serve: draining...\n");
     std::fflush(stdout);
-    chaos_stop.store(true);
-    if (chaos_thread.joinable()) chaos_thread.join();
     server.drain();
     scheduler.shutdown();
     const ResilienceSnapshot res = scheduler.resilience_snapshot();

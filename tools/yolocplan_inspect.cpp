@@ -20,8 +20,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -135,28 +133,8 @@ bool dump_section_table(const std::vector<std::uint8_t>& bytes) {
   return ok;
 }
 
-/// Whole-file read with explicit failures (a directory, a pipe, or a
-/// vanishing file must exit 1 with a message, never crash).
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    throw std::runtime_error("'" + path + "' is not a readable file");
-  }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.good()) throw std::runtime_error("cannot open '" + path + "'");
-  const std::streamsize size = in.tellg();
-  if (size < 0) throw std::runtime_error("cannot stat '" + path + "'");
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (in.gcount() != size) {
-    throw std::runtime_error("short read on '" + path + "'");
-  }
-  return bytes;
-}
-
 int run(const std::string& path, bool dump_graph, bool dump_packed) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
+  const std::vector<std::uint8_t> bytes = read_plan_file(path);
   std::printf("%s  (%llu bytes)\n", path.c_str(),
               static_cast<unsigned long long>(bytes.size()));
   bool ok = dump_section_table(bytes);
