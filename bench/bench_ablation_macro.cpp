@@ -47,7 +47,8 @@ FidelityResult measure(const MacroConfig& cfg, int trials = 48) {
     // A fresh engine per trial: an engine's packing is frozen.
     MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
     engine.pack(w.data(), m, k);
-    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+    engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 1), 1,
+                     y.data(), session);
     for (int j = 0; j < m; ++j) {
       std::int64_t ref = 0;
       for (int i = 0; i < k; ++i) {

@@ -15,14 +15,25 @@
 //    "ns_per_mac":..,"columns_per_s":..,"pack_ms":..,
 //    "speedup_vs_legacy":..}
 //
+// Two more cells time the ReBranch 3x3 trunk convs of one 8-image
+// request in exact-cost mode, variant "conv_stage0" (8 -> 8 channels,
+// 32x32) and "conv_stage3" (64 -> 64, 4x4): path "view" reads the
+// zero-padded uint8 map through the conv's implicit-im2col offsets, as
+// QuantConv2d serves it; path "im2col" gathers the patch matrix first
+// (the test-side oracle of tests/im2col_u8.hpp) and reads it through a
+// dense view. Both time the gather and the engine call, not the
+// quantize pass; the view row carries "speedup_vs_im2col".
+//
 // Before timing, each configuration asserts the packed outputs, run stats
 // and noise call counts are bit-identical to the keyed oracle's under the
-// same seed — the bench refuses to report a speedup for a kernel that
-// changed results, and exits 1 (`--seconds=0` runs just that check on
-// every cell; ctest runs it as bench_macro_mvm_selfcheck). Packed rows
-// carry "popcount":"hw"|"portable", "chain":"avx2"|"portable" and
-// "gemm":"avx2"|"portable", the variants the packed analog kernels and
-// the exact-cost tile selected on this host (macro/packed_kernels.hpp).
+// same seed, and each conv cell that both paths give the same outputs
+// and run stats — the bench refuses to report a speedup for a kernel
+// that changed results, and exits 1 (`--seconds=0` runs just those
+// checks on every cell; ctest runs it as bench_macro_mvm_selfcheck).
+// Packed rows carry "popcount":"hw"|"portable", "chain":"avx2"|"portable"
+// and "gemm":"avx2"|"portable", the variants the packed analog kernels
+// and the exact-cost tile selected on this host
+// (macro/packed_kernels.hpp); view rows carry "gemm".
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
@@ -33,7 +44,9 @@
 #include <string>
 #include <vector>
 
+#include "common/act_view.hpp"
 #include "core/macro_engine.hpp"
+#include "im2col_u8.hpp"
 #include "macro/packed_kernels.hpp"
 #include "reference_macro_engine.hpp"
 
@@ -75,6 +88,25 @@ MacroConfig make_config(const Geometry& geom, bool noise_free) {
   return cfg;
 }
 
+/// Times `call` (one engine call over p columns) until min_seconds and
+/// at least 3 calls have passed, after one warm-up call.
+template <typename Call>
+Measurement time_calls(const Call& call, int p, double min_seconds) {
+  call();  // warm
+  Measurement out;
+  const auto start = Clock::now();
+  int iters = 0;
+  for (;;) {
+    call();
+    ++iters;
+    out.seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    if (out.seconds >= min_seconds && iters >= 3) break;
+  }
+  out.columns = static_cast<std::uint64_t>(iters) * p;
+  return out;
+}
+
 Measurement run_path(const MvmEngine& engine, int m, int k, int p,
                      const std::vector<std::int8_t>& w,
                      const std::vector<std::uint8_t>& x, double min_seconds) {
@@ -83,20 +115,10 @@ Measurement run_path(const MvmEngine& engine, int m, int k, int p,
   MacroRunStats stats;
   MvmScratch scratch;
   MvmSession session{&noise, &stats, &scratch};
-  engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);  // warm
-
-  Measurement out;
-  const auto start = Clock::now();
-  int iters = 0;
-  for (;;) {
-    engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
-    ++iters;
-    out.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (out.seconds >= min_seconds && iters >= 3) break;
-  }
-  out.columns = static_cast<std::uint64_t>(iters) * p;
-  return out;
+  const DenseActView xv(x.data(), k, p);
+  return time_calls(
+      [&] { engine.mvm_batch(w.data(), m, k, xv, p, y.data(), session); }, p,
+      min_seconds);
 }
 
 /// Times one (geometry, variant, m, k, p) cell on both paths and prints
@@ -128,8 +150,10 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
     MacroRunStats sa, sb;
     MvmScratch sca, scb;
     MvmSession sea{&na, &sa, &sca}, seb{&nb, &sb, &scb};
-    legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
-    packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
+    legacy.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                     ya.data(), sea);
+    packed.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                     yb.data(), seb);
     if (ya != yb || sa != sb || na.calls != nb.calls) {
       std::fprintf(stderr,
                    "FATAL: packed path diverged from legacy at "
@@ -170,6 +194,94 @@ bool run_cell(const Geometry& geom, const Variant& variant, int m, int k,
       packed.packed().packed_bytes(),
       packed_cols_s / legacy_cols_s, detail::packed_kernels().popcount,
       detail::packed_kernels().chain, detail::exact_tile_kernels().gemm);
+  std::fflush(stdout);
+  return true;
+}
+
+/// Times one ReBranch 3x3 trunk conv (pad 1, stride 1) of an n-image
+/// request on the Table I macro in exact-cost mode, two ways over the
+/// same uint8 input: the view path (conv_offsets over the zero-padded
+/// map, as QuantConv2d runs it) and the im2col path (the test-side
+/// im2col_u8_into gather into a patch matrix, then a dense view of it).
+/// Prints both rows. Returns false, printing why, when their outputs or
+/// run stats differ.
+bool run_conv_cell(const char* name, int c_in, int c_out, int hw, int n,
+                   double min_seconds) {
+  constexpr int kKernel = 3;
+  constexpr int kPad = 1;
+  const int m = c_out;
+  const int k = c_in * kKernel * kKernel;
+  const int p = n * hw * hw;
+  Rng init(5);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k);
+  std::vector<std::uint8_t> input(static_cast<std::size_t>(n) * c_in * hw *
+                                  hw);
+  for (auto& v : w) {
+    v = static_cast<std::int8_t>(init.uniform_int(-127, 127));
+  }
+  for (auto& v : input) {
+    v = static_cast<std::uint8_t>(init.uniform_int(0, 255));
+  }
+  const std::vector<std::uint8_t> map =
+      pad_u8_map(input.data(), n, c_in, hw, hw, kPad);
+  const CimMacro macro(make_config({128, 8, 8}, false));
+  MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+  (void)engine.pack(w.data(), m, k);
+
+  std::vector<std::size_t> row_off, col_off;
+  std::vector<std::uint8_t> cols;
+  im2col_u8_into(input.data(), n, c_in, hw, hw, kKernel, 1, kPad, hw, hw,
+                 cols);
+  const DenseActView dense(cols.data(), k, p);
+  std::vector<std::int32_t> y_view(static_cast<std::size_t>(m) * p);
+  std::vector<std::int32_t> y_im2col(y_view.size());
+  MacroRunStats stats_view, stats_im2col;
+  MvmScratch scratch;
+  MvmSession view_session{nullptr, &stats_view, &scratch};
+  MvmSession im2col_session{nullptr, &stats_im2col, &scratch};
+  const auto view_call = [&] {
+    conv_offsets(n, c_in, hw + 2 * kPad, hw + 2 * kPad, kKernel, 1, hw, hw,
+                 row_off, col_off);
+    engine.mvm_batch(w.data(), m, k,
+                     ActView{map.data(), row_off.data(), col_off.data()}, p,
+                     y_view.data(), view_session);
+  };
+  const auto im2col_call = [&] {
+    im2col_u8_into(input.data(), n, c_in, hw, hw, kKernel, 1, kPad, hw, hw,
+                   cols);
+    engine.mvm_batch(w.data(), m, k, dense, p, y_im2col.data(),
+                     im2col_session);
+  };
+
+  // Refuse to time a gather whose results changed.
+  view_call();
+  im2col_call();
+  if (y_view != y_im2col || stats_view != stats_im2col) {
+    std::fprintf(stderr,
+                 "FATAL: conv view path diverged from im2col at %s\n", name);
+    return false;
+  }
+
+  const Measurement im = time_calls(im2col_call, p, min_seconds);
+  const Measurement vm = time_calls(view_call, p, min_seconds);
+  const double macs = static_cast<double>(m) * k;
+  const double im_cols_s = static_cast<double>(im.columns) / im.seconds;
+  const double view_cols_s = static_cast<double>(vm.columns) / vm.seconds;
+  for (const bool view : {false, true}) {
+    const Measurement& mm = view ? vm : im;
+    std::printf(
+        "{\"bench\":\"macro_mvm\",\"path\":\"%s\",\"variant\":\"%s\","
+        "\"c_in\":%d,\"c_out\":%d,\"hw\":%d,\"n\":%d,\"m\":%d,"
+        "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f",
+        view ? "view" : "im2col", name, c_in, c_out, hw, n, m, k, p,
+        mm.seconds * 1e9 / (macs * static_cast<double>(mm.columns)),
+        static_cast<double>(mm.columns) / mm.seconds);
+    if (view) {
+      std::printf(",\"speedup_vs_im2col\":%.2f,\"gemm\":\"%s\"",
+                  view_cols_s / im_cols_s, detail::exact_tile_kernels().gemm);
+    }
+    std::printf("}\n");
+  }
   std::fflush(stdout);
   return true;
 }
@@ -218,6 +330,14 @@ int main(int argc, char** argv) {
   // images * 32 * 32 positions), on the Table I macro.
   if (!run_cell(geometries[0], variants[2], /*m=*/8, /*k=*/72, /*p=*/8192,
                 min_seconds)) {
+    return 1;
+  }
+  // The same request's stage-0 and stage-3 3x3 trunk convs, gathered
+  // from the padded map by the view vs from an explicit patch matrix.
+  if (!run_conv_cell("conv_stage0", /*c_in=*/8, /*c_out=*/8, /*hw=*/32,
+                     /*n=*/8, min_seconds) ||
+      !run_conv_cell("conv_stage3", /*c_in=*/64, /*c_out=*/64, /*hw=*/4,
+                     /*n=*/8, min_seconds)) {
     return 1;
   }
   return 0;

@@ -58,7 +58,8 @@ void BM_RomMacroMvm(benchmark::State& state) {
   MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
   engine.pack(w.data(), m, k);
   for (auto _ : state) {
-    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+    engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 1), 1,
+                     y.data(), session);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["modeled_TOPS/W"] =
@@ -83,7 +84,8 @@ void BM_RomMacroMvmExactCost(benchmark::State& state) {
   MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
   engine.pack(w.data(), m, k);
   for (auto _ : state) {
-    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+    engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 1), 1,
+                     y.data(), session);
     benchmark::DoNotOptimize(y.data());
   }
 }

@@ -22,14 +22,65 @@ struct PairScratch {
   std::vector<std::int32_t> w_pairs;  // [j][i/2]: (w[j][i], w[j][i+1])
 };
 
-/// Bytes [0, n) of `row`, zero above n.
-YOLOC_AVX2 inline __m128i load_strip(const std::uint8_t* row, int n) {
-  if (n == kStrip) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// How a strip reads its bytes from an activation row, from its column
+/// offsets `off` (n <= 16 of them): kRun bytes at a time where every
+/// aligned run of kRun columns reads consecutive bytes (16, 8 or 4),
+/// byte by byte otherwise (1), and byte by byte into zeroed lanes for a
+/// tail strip of n < 16 columns (0).
+int strip_run(const std::size_t* off, int n) {
+  if (n < kStrip) return 0;
+  for (const int run : {16, 8, 4}) {
+    bool consecutive = true;
+    for (int c = 1; c < kStrip && consecutive; ++c) {
+      consecutive = c % run == 0 || off[c] == off[c - 1] + 1;
+    }
+    if (consecutive) return run;
   }
-  alignas(16) std::uint8_t tail[kStrip] = {};
-  std::memcpy(tail, row, static_cast<std::size_t>(n));
-  return _mm_load_si128(reinterpret_cast<const __m128i*>(tail));
+  return 1;
+}
+
+/// The strip's bytes of the activation row at `row`, read as strip_run
+/// classified them (lanes at and above n are zero).
+template <int kRun>
+YOLOC_AVX2 inline __m128i gather_strip(const std::uint8_t* row,
+                                       const std::size_t* off, int n) {
+  if constexpr (kRun == 16) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + off[0]));
+  } else if constexpr (kRun == 8) {
+    return _mm_set_epi64x(static_cast<long long>(load_u64(row + off[8])),
+                          static_cast<long long>(load_u64(row + off[0])));
+  } else if constexpr (kRun == 4) {
+    return _mm_setr_epi32(static_cast<int>(load_u32(row + off[0])),
+                          static_cast<int>(load_u32(row + off[4])),
+                          static_cast<int>(load_u32(row + off[8])),
+                          static_cast<int>(load_u32(row + off[12])));
+  } else if constexpr (kRun == 1) {
+    return _mm_setr_epi8(
+        static_cast<char>(row[off[0]]), static_cast<char>(row[off[1]]),
+        static_cast<char>(row[off[2]]), static_cast<char>(row[off[3]]),
+        static_cast<char>(row[off[4]]), static_cast<char>(row[off[5]]),
+        static_cast<char>(row[off[6]]), static_cast<char>(row[off[7]]),
+        static_cast<char>(row[off[8]]), static_cast<char>(row[off[9]]),
+        static_cast<char>(row[off[10]]), static_cast<char>(row[off[11]]),
+        static_cast<char>(row[off[12]]), static_cast<char>(row[off[13]]),
+        static_cast<char>(row[off[14]]), static_cast<char>(row[off[15]]));
+  } else {
+    alignas(16) std::uint8_t lanes[kStrip] = {};
+    for (int c = 0; c < n; ++c) lanes[c] = row[off[c]];
+    return _mm_load_si128(reinterpret_cast<const __m128i*>(lanes));
+  }
 }
 
 /// Per-byte popcount of v & window, through a nibble lookup.
@@ -43,44 +94,75 @@ YOLOC_AVX2 inline __m128i window_popcount(__m128i v, __m128i window) {
       _mm_shuffle_epi8(lut, _mm_and_si128(_mm_srli_epi16(v, 4), nibble)));
 }
 
-/// Widens columns [0, cols <= kBlock) of the k rows at `x` into int16
-/// k-pairs, one contiguous [i/2][16][2] run per strip of 16 columns
-/// (columns past `cols` and the odd-k tail row are zero), and writes
-/// each column's window popcount sum. The per-column sums are kept in
-/// 16-bit lanes (k * 8 <= 65535).
-YOLOC_AVX2 void interleave_block(const std::uint8_t* x, std::size_t ldx, int k,
-                                 int cols, __m128i window, std::int16_t* xp,
+/// Stores the k-pair of rows a and b of one strip at dst (its [16][2]
+/// int16 run) and returns their per-byte window popcount sum (at most
+/// 16 per byte, so the add stays in uint8).
+YOLOC_AVX2 inline __m128i store_pair(__m128i a, __m128i b, __m128i window,
+                                     std::int16_t* dst) {
+  auto* d = reinterpret_cast<__m256i*>(dst);
+  _mm256_storeu_si256(d, _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(a, b)));
+  _mm256_storeu_si256(d + 1, _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(a, b)));
+  return _mm_add_epi8(window_popcount(a, window), window_popcount(b, window));
+}
+
+/// Gathers the k rows of one strip of n <= 16 columns (column offsets
+/// `off`) from the view into int16 k-pairs at xs ([i/2][16][2], columns
+/// past n and the odd-k tail row zero) and writes each column's window
+/// popcount sum. The per-column sums are kept in 16-bit lanes (k * 8 <=
+/// 65535).
+template <int kRun>
+YOLOC_AVX2 void interleave_strip(const ActView& x, int k,
+                                 const std::size_t* off, int n,
+                                 __m128i window, std::int16_t* xs,
                                  std::uint32_t* pulses) {
-  const int pairs = (k + 1) / 2;
-  const int strips = (cols + kStrip - 1) / kStrip;
-  const std::size_t strip_len = static_cast<std::size_t>(pairs) * 2 * kStrip;
-  __m256i counts[kBlock / kStrip];
-  for (int s = 0; s < strips; ++s) counts[s] = _mm256_setzero_si256();
-  for (int q = 0; q < pairs; ++q) {
-    const std::uint8_t* ra = x + static_cast<std::size_t>(2 * q) * ldx;
-    const bool has_b = 2 * q + 1 < k;
-    for (int s = 0; s < strips; ++s) {
-      const int n = std::min(kStrip, cols - s * kStrip);
-      const __m128i a = load_strip(ra + s * kStrip, n);
-      const __m128i b =
-          has_b ? load_strip(ra + ldx + s * kStrip, n) : _mm_setzero_si128();
-      auto* dst = reinterpret_cast<__m256i*>(
-          xp + static_cast<std::size_t>(s) * strip_len +
-          static_cast<std::size_t>(q) * 2 * kStrip);
-      _mm256_storeu_si256(dst, _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(a, b)));
-      _mm256_storeu_si256(dst + 1,
-                          _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(a, b)));
-      // Two rows give at most 16 per byte, so the add stays in uint8.
-      const __m128i both = _mm_add_epi8(window_popcount(a, window),
-                                        window_popcount(b, window));
-      counts[s] = _mm256_add_epi16(counts[s], _mm256_cvtepu8_epi16(both));
-    }
+  __m256i counts = _mm256_setzero_si256();
+  int i = 0;
+  for (; i + 2 <= k; i += 2, xs += 2 * kStrip) {
+    const __m128i a = gather_strip<kRun>(x.base + x.row_off[i], off, n);
+    const __m128i b = gather_strip<kRun>(x.base + x.row_off[i + 1], off, n);
+    counts = _mm256_add_epi16(
+        counts, _mm256_cvtepu8_epi16(store_pair(a, b, window, xs)));
   }
-  for (int s = 0; s < strips; ++s) {
-    alignas(32) std::uint16_t sums[kStrip];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(sums), counts[s]);
-    const int n = std::min(kStrip, cols - s * kStrip);
-    for (int c = 0; c < n; ++c) pulses[s * kStrip + c] = sums[c];
+  if (i < k) {
+    const __m128i a = gather_strip<kRun>(x.base + x.row_off[i], off, n);
+    counts = _mm256_add_epi16(
+        counts, _mm256_cvtepu8_epi16(
+                    store_pair(a, _mm_setzero_si128(), window, xs)));
+  }
+  alignas(32) std::uint16_t sums[kStrip];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(sums), counts);
+  for (int c = 0; c < n; ++c) pulses[c] = sums[c];
+}
+
+/// Interleaves columns [0, cols <= kBlock) of the view, one contiguous
+/// [i/2][16][2] run per 16-column strip (see interleave_strip).
+YOLOC_AVX2 void interleave_block(const ActView& x, int k, int cols,
+                                 __m128i window, std::int16_t* xp,
+                                 std::uint32_t* pulses) {
+  const std::size_t strip_len =
+      static_cast<std::size_t>((k + 1) / 2) * 2 * kStrip;
+  for (int s = 0; s * kStrip < cols; ++s) {
+    const int c = s * kStrip;
+    const int n = std::min(kStrip, cols - c);
+    const std::size_t* off = x.col_off + c;
+    std::int16_t* xs = xp + static_cast<std::size_t>(s) * strip_len;
+    switch (strip_run(off, n)) {
+      case 16:
+        interleave_strip<16>(x, k, off, n, window, xs, pulses + c);
+        break;
+      case 8:
+        interleave_strip<8>(x, k, off, n, window, xs, pulses + c);
+        break;
+      case 4:
+        interleave_strip<4>(x, k, off, n, window, xs, pulses + c);
+        break;
+      case 1:
+        interleave_strip<1>(x, k, off, n, window, xs, pulses + c);
+        break;
+      default:
+        interleave_strip<0>(x, k, off, n, window, xs, pulses + c);
+        break;
+    }
   }
 }
 
@@ -128,8 +210,7 @@ YOLOC_AVX2 inline void strip_rows(const std::int32_t* wp, int pairs,
 
 YOLOC_AVX2 void gemm_s8u8_accumulate_avx2(const std::int8_t* w,
                                           std::size_t ldw, int m, int k,
-                                          const std::uint8_t* x,
-                                          std::size_t ldx, int p,
+                                          const ActView& x, int p,
                                           std::int32_t* y, std::size_t ldy,
                                           std::uint8_t window,
                                           std::uint32_t* pulses) {
@@ -159,7 +240,7 @@ YOLOC_AVX2 void gemm_s8u8_accumulate_avx2(const std::int8_t* w,
   const __m128i win = _mm_set1_epi8(static_cast<char>(window));
   for (int c0 = 0; c0 < p; c0 += kBlock) {
     const int cols = std::min(kBlock, p - c0);
-    interleave_block(x + c0, ldx, k, cols, win, xp, pulses + c0);
+    interleave_block(x.from(0, c0), k, cols, win, xp, pulses + c0);
     for (int s = 0; s * kStrip < cols; ++s) {
       const int c = c0 + s * kStrip;
       const int n = std::min(kStrip, p - c);

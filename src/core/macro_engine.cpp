@@ -23,7 +23,7 @@ const PackedRomWeights& MacroMvmEngine::pack(const std::int8_t* w, int m,
 }
 
 void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
-                               const std::uint8_t* x, int p, std::int32_t* y,
+                               const ActView& x, int p, std::int32_t* y,
                                MvmSession& session) const {
   YOLOC_CHECK(m > 0 && k > 0 && p > 0, "macro engine: bad MVM shape");
   YOLOC_CHECK(session.stats != nullptr,
@@ -38,8 +38,8 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   for (std::size_t i = 0; i < static_cast<std::size_t>(m) * p; ++i) y[i] = 0;
 
   if (mode_ == Mode::kExactCost) {
-    // One call per k-tile over every column, reading x and accumulating
-    // y in place.
+    // One call per k-tile over every column, reading x through the view
+    // and accumulating y in place.
     for (int tile = 0; tile < packed.tile_count(); ++tile) {
       macro_->mvm_packed_exact_cost_tile(packed, tile, w, x, p, y, stats);
     }
@@ -60,11 +60,11 @@ void MacroMvmEngine::mvm_batch(const std::int8_t* w, int m, int k,
   for (int tile = 0; tile < packed.tile_count(); ++tile) {
     const PackedRomWeights::Tile& t = packed.tile(tile);
     key.tile = static_cast<std::uint32_t>(tile);
+    const ActView xt = x.from(t.k0, 0);
     for (int col = 0; col < p; ++col) {
       key.column = static_cast<std::uint32_t>(col);
       for (int i = 0; i < t.k_size; ++i) {
-        x_chunk[static_cast<std::size_t>(i)] =
-            x[static_cast<std::size_t>(t.k0 + i) * p + col];
+        x_chunk[static_cast<std::size_t>(i)] = xt.at(i, col);
       }
       macro_->mvm_packed(packed, tile, x_chunk.data(), y_partial.data(), key,
                          stats);

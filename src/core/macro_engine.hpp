@@ -22,13 +22,14 @@
 // an ExecutionContext's MvmBinding (src/runtime/), which wires a session
 // per request.
 //
-// Analog mode drives CimMacro::mvm_packed per (k-tile, column), keying
-// each call's noise by (session seed, the session's call count, tile,
-// column); each mvm_batch call advances the count by one. Exact-cost mode
-// makes one CimMacro::mvm_packed_exact_cost_tile call per k-tile, which
-// reads the k x p activations and accumulates the m x p outputs in place
-// (an int8 GEMM over all columns, on AVX2 vpmaddwd where the CPU has it
-// and on the plain body otherwise). Both are bit-identical to the
+// Analog mode gathers each (k-tile, column)'s activations from the view
+// and drives CimMacro::mvm_packed on them, keying each call's noise by
+// (session seed, the session's call count, tile, column); each mvm_batch
+// call advances the count by one. Exact-cost mode makes one
+// CimMacro::mvm_packed_exact_cost_tile call per k-tile, which reads the
+// activations through the view in place and accumulates the m x p
+// outputs (an int8 GEMM over all columns, on AVX2 vpmaddwd where the CPU
+// has it and on the plain body otherwise). Both are bit-identical to the
 // per-call tiler the tests and the macro bench keep as an oracle
 // (tests/reference_macro_engine.hpp): outputs and every MacroRunStats
 // field.
@@ -59,7 +60,7 @@ class MacroMvmEngine final : public MvmEngine {
   /// Requires session.stats and session.scratch; kAnalog additionally
   /// requires session.noise, whose call count it advances by one. `w`
   /// must have been packed (pack()).
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
+  void mvm_batch(const std::int8_t* w, int m, int k, const ActView& x,
                  int p, std::int32_t* y, MvmSession& session) const override;
   [[nodiscard]] std::string name() const override;
 

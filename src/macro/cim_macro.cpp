@@ -195,7 +195,7 @@ constexpr int kExactColBlock = 256;
 void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
                                           int tile_index,
                                           const std::int8_t* w,
-                                          const std::uint8_t* x, int p,
+                                          const ActView& x, int p,
                                           std::int32_t* y,
                                           MacroRunStats& stats) const {
   check_packed_tile(packed, tile_index);
@@ -204,11 +204,9 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   const PackedRomWeights::Tile& tile = packed.tile(tile_index);
   const int m = packed.m();
   const int k = tile.k_size;
-  const std::size_t ld = static_cast<std::size_t>(p);
-  const std::int8_t* wt = w + tile.k0;  // row j at wt + j * packed.k()
-  const std::uint8_t* xt = x + static_cast<std::size_t>(tile.k0) * ld;
 
-  // Cost terms every column of the tile pays alike, formed once.
+  // The per-column ledger charge_op_costs would post, formed once: every
+  // column of the tile pays the same terms but its wordline pulses.
   const std::uint64_t conversions = static_cast<std::uint64_t>(m) *
                                     g.weight_bits * g.input_bits *
                                     tile.groups;
@@ -218,36 +216,64 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   const double precharge_pj =
       static_cast<double>(conversions) *
       array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
+  const double wl_pj_per_pulse =
+      config_.energy.wl_pulse_pj + config_.energy.dac_driver_pj;
+  const double shift_add_pj =
+      static_cast<double>(conversions) * config_.energy.shift_add_pj;
+  const double slot_ns =
+      std::ceil(static_cast<double>(conversions) / g.adc_per_subarray) *
+      config_.adc.t_conv_ns;
+
   // Wordline pulses are the set bits of x inside the input_bits window;
   // the kernel counts them alongside the MACs.
   const detail::ExactTileKernels& kernels = detail::exact_tile_kernels();
   detail::ExactTileArgs args;
-  args.w = wt;
+  args.w = w + tile.k0;  // row j at args.w + j * packed.k()
   args.ldw = static_cast<std::size_t>(packed.k());
   args.m = m;
   args.k = k;
-  args.ldx = ld;
-  args.ldy = ld;
+  args.ldy = static_cast<std::size_t>(p);
   args.window = static_cast<std::uint8_t>((1u << g.input_bits) - 1u);
 
+  // The stats doubles advance once per column, in column order, with the
+  // per-column operands, so every sum rounds exactly as p separate
+  // single-column calls would (the test oracle makes those calls). They
+  // run on locals, which stores into `stats` cannot alias.
+  double adc_energy = stats.array.adc_energy_pj;
+  double precharge_energy = stats.array.precharge_energy_pj;
+  double wl_energy = stats.array.wl_energy_pj;
+  double shift_add_energy = stats.array.shift_add_energy_pj;
+  double latency = stats.latency_ns;
+  std::uint64_t wl_pulses = 0;
   std::array<std::uint32_t, kExactColBlock> pulses;
   for (int c0 = 0; c0 < p; c0 += kExactColBlock) {
     const int cols = std::min(kExactColBlock, p - c0);
-    args.x = xt + c0;
+    args.x = x.from(tile.k0, c0);
     args.p = cols;
     args.y = y + c0;
     args.pulses = pulses.data();
     kernels.gemm_pulses(args);
-    // The stats doubles advance once per column, in column order, with
-    // the per-column operands, so every sum rounds exactly as p separate
-    // single-column calls would (the test oracle makes those calls).
     for (int c = 0; c < cols; ++c) {
-      stats.array.adc_conversions += conversions;
-      stats.array.adc_energy_pj += adc_pj;
-      stats.array.precharge_energy_pj += precharge_pj;
-      charge_op_costs(m, k, pulses[static_cast<std::size_t>(c)], stats);
+      const std::uint32_t col_pulses = pulses[static_cast<std::size_t>(c)];
+      adc_energy += adc_pj;
+      precharge_energy += precharge_pj;
+      wl_pulses += col_pulses;
+      wl_energy += static_cast<double>(col_pulses) * wl_pj_per_pulse;
+      shift_add_energy += shift_add_pj;
+      latency += slot_ns;
     }
   }
+  const auto columns = static_cast<std::uint64_t>(p);
+  stats.array.adc_conversions += columns * conversions;
+  stats.array.shift_adds += columns * conversions;
+  stats.array.wl_pulses += wl_pulses;
+  stats.array.adc_energy_pj = adc_energy;
+  stats.array.precharge_energy_pj = precharge_energy;
+  stats.array.wl_energy_pj = wl_energy;
+  stats.array.shift_add_energy_pj = shift_add_energy;
+  stats.latency_ns = latency;
+  stats.macro_ops += columns;
+  stats.macs += columns * static_cast<std::uint64_t>(m) * k;
 }
 
 }  // namespace yoloc

@@ -30,7 +30,9 @@
 //     adc.noise_sigma_v == 0) it reads the ADC transfer from a
 //     precomputed count -> estimate table instead.
 //   * mvm_packed_exact_cost_tile: exact integer MACs over every column of
-//     a tile, paying the modeled energy and latency.
+//     a tile, reading the activations through an ActView (a conv's
+//     padded input map plus its implicit-im2col offsets), paying the
+//     modeled energy and latency from a ledger formed once per tile.
 // The test oracle (tests/reference_macro_engine.hpp) restates both as
 // plain per-call loops over the raw int8 weights.
 
@@ -39,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/act_view.hpp"
 #include "common/keyed_noise.hpp"
 #include "macro/fault_model.hpp"
 #include "macro/macro_config.hpp"
@@ -73,21 +76,23 @@ class CimMacro {
 
   /// Exact-cost fast path over one packed tile and all p input columns
   /// at once. `w` is the FULL (m x k) weight matrix the packing was
-  /// built from, `x` the FULL (k x p) row-major activation matrix (both
-  /// read in place at the tile's rows), and `y` an (m x p) row-major
-  /// accumulator: y[j*p + c] += W[j, tile] * x[tile, c]. Every
-  /// MacroRunStats field advances per column, in column order, as p
-  /// single-column calls would advance it. Draws no noise. The MACs
-  /// and each column's wordline pulse count come from one kernel picked
-  /// per process: an AVX2 vpmaddwd GEMM that counts the pulses while it
-  /// interleaves the activations, or, on CPUs without AVX2, the plain
-  /// int8 GEMM after a SWAR pulse scan (macro/packed_kernels.hpp). Both
-  /// give the same y and pulses, so the choice changes no output or
-  /// stat.
+  /// built from and `x` the FULL k x p activation view (both read in
+  /// place at the tile's rows: a conv's view gathers its patches from
+  /// the padded input map, so no patch matrix is built), and `y` an
+  /// (m x p) row-major accumulator: y[j*p + c] += W[j, tile] * x[tile,
+  /// c]. Every MacroRunStats field ends as p single-column calls would
+  /// leave it: the integer fields advance in closed form, and each
+  /// double field takes one add per column, in column order, with the
+  /// per-column operand. Draws no noise. The MACs and each column's
+  /// wordline pulse count come from one kernel picked per process: an
+  /// AVX2 vpmaddwd GEMM that counts the pulses while it gathers and
+  /// interleaves the activations, or, on CPUs without AVX2, a dense
+  /// gather, a SWAR pulse scan and the plain int8 GEMM
+  /// (macro/packed_kernels.hpp). Both give the same y and pulses, so the
+  /// choice changes no output or stat.
   void mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
                                   int tile_index, const std::int8_t* w,
-                                  const std::uint8_t* x, int p,
-                                  std::int32_t* y,
+                                  const ActView& x, int p, std::int32_t* y,
                                   MacroRunStats& stats) const;
 
   [[nodiscard]] const MacroConfig& config() const { return config_; }
@@ -108,8 +113,9 @@ class CimMacro {
   [[nodiscard]] double single_pass_latency_ns() const;
 
  private:
-  /// The per-call costs every path pays: wordline pulses, shift-adds,
-  /// ADC slot latency, ops and MACs.
+  /// The per-call costs of mvm_packed: wordline pulses, shift-adds, ADC
+  /// slot latency, ops and MACs. mvm_packed_exact_cost_tile posts the
+  /// same terms per column from a ledger it forms once per tile.
   void charge_op_costs(int m, int k, std::uint64_t pulses,
                        MacroRunStats& stats) const;
 

@@ -43,7 +43,8 @@ MacroSpecSummary summarize_macro(const CimMacro& macro, Rng& rng, int samples,
     for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
     engine.pack(w.data(), m, k);
-    engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+    engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 1), 1,
+                     y.data(), session);
   }
   const double ops = 2.0 * static_cast<double>(stats.macs);
   s.mac_eff_tops_per_w = tops_per_watt(ops, stats.energy_pj());

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "common/int_gemm.hpp"
 
@@ -204,18 +205,28 @@ void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
 
 void exact_tile_plain(const ExactTileArgs& a) {
   const std::uint64_t window = a.window * 0x0101010101010101ull;
+  // The block's activations, gathered dense: k x cols, row stride cols.
+  thread_local std::vector<std::uint8_t> block;
+  block.resize(static_cast<std::size_t>(a.k) * kExactColBlock);
   for (int c0 = 0; c0 < a.p; c0 += kExactColBlock) {
     const int cols = std::min(kExactColBlock, a.p - c0);
-    count_window_pulses(a.x + c0, a.ldx, a.k, cols, window, a.pulses + c0);
-    gemm_s8u8_accumulate(a.w, a.ldw, a.m, a.k, a.x + c0, a.ldx, cols,
+    const ActView xv = a.x.from(0, c0);
+    const auto ld = static_cast<std::size_t>(cols);
+    for (int i = 0; i < a.k; ++i) {
+      const std::uint8_t* src = xv.base + xv.row_off[i];
+      std::uint8_t* dst = block.data() + static_cast<std::size_t>(i) * ld;
+      for (int c = 0; c < cols; ++c) dst[c] = src[xv.col_off[c]];
+    }
+    count_window_pulses(block.data(), ld, a.k, cols, window, a.pulses + c0);
+    gemm_s8u8_accumulate(a.w, a.ldw, a.m, a.k, block.data(), ld, cols,
                          a.y + c0, a.ldy);
   }
 }
 
 #if YOLOC_GEMM_AVX2
 void exact_tile_avx2(const ExactTileArgs& a) {
-  gemm_s8u8_accumulate_avx2(a.w, a.ldw, a.m, a.k, a.x, a.ldx, a.p, a.y,
-                            a.ldy, a.window, a.pulses);
+  gemm_s8u8_accumulate_avx2(a.w, a.ldw, a.m, a.k, a.x, a.p, a.y, a.ldy,
+                            a.window, a.pulses);
 }
 #endif
 

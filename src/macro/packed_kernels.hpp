@@ -36,6 +36,7 @@
 #include <cstdint>
 
 #include "circuit/cim_array.hpp"
+#include "common/act_view.hpp"
 #include "common/keyed_noise.hpp"
 #include "macro/fault_model.hpp"
 #include "macro/packed_weights.hpp"
@@ -122,23 +123,25 @@ const PackedKernels& packed_kernels();
 
 // The exact-cost tile's MAC loop and pulse count
 // (CimMacro::mvm_packed_exact_cost_tile), picked the same way: the AVX2
-// vpmaddwd GEMM of common/int_gemm.hpp, which counts each column's
-// wordline pulses in the pass that interleaves its activations, when the
-// CPU has AVX2; otherwise the plain gemm_s8u8_accumulate after a SWAR
-// pulse scan of x. Both give the same y and the same pulse counts.
-// Unlike the popcount pair, the AVX2 body is built on every x86-64
-// GCC/Clang build, -march=native included, so both always exist there.
+// vpmaddwd GEMM of common/int_gemm.hpp, which gathers each strip of
+// activations through the view and counts its wordline pulses in the
+// pass that interleaves them, when the CPU has AVX2; otherwise the plain
+// body, which gathers 256-column blocks of the view into a dense
+// per-thread buffer and runs a SWAR pulse scan and the plain
+// gemm_s8u8_accumulate over it. Both give the same y and the same pulse
+// counts. Unlike the popcount pair, the AVX2 body is built on every
+// x86-64 GCC/Clang build, -march=native included, so both always exist
+// there.
 
 /// The operands of one exact-cost tile call: y[j*ldy + c] += sum over
-/// i < k of w[j*ldw + i] * x[i*ldx + c] for j < m, c < p, and pulses[c] =
-/// sum over i < k of popcount(x[i*ldx + c] & window) for c < p.
+/// i < k of w[j*ldw + i] * x.at(i, c) for j < m, c < p, and pulses[c] =
+/// sum over i < k of popcount(x.at(i, c) & window) for c < p.
 struct ExactTileArgs {
   const std::int8_t* w = nullptr;
   std::size_t ldw = 0;
   int m = 0;
   int k = 0;  // <= 8191
-  const std::uint8_t* x = nullptr;
-  std::size_t ldx = 0;
+  ActView x;
   int p = 0;
   std::int32_t* y = nullptr;
   std::size_t ldy = 0;
@@ -152,7 +155,8 @@ struct ExactTileKernels {
   const char* gemm;
 };
 
-/// The plain body: SWAR pulse scan + gemm_s8u8_accumulate.
+/// The plain body: a dense gather, then SWAR pulse scan +
+/// gemm_s8u8_accumulate.
 const ExactTileKernels& plain_exact_tile_kernels();
 /// The AVX2 variant, or nullptr when this build has none or the CPU lacks
 /// AVX2.

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "common/trace_clock.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/container.hpp"
@@ -32,61 +31,6 @@ MvmBinding::Slot resolve_engine(EngineKind kind, const std::string& layer) {
                       "a scratch arena; run deployed layers through an "
                       "ExecutionContext");
   return slot;
-}
-
-/// The uint8 counterpart of im2col_into over a quantized NCHW input:
-/// cols is (c*kernel*kernel) x (n*oh*ow) row-major, with code 0 wherever
-/// a patch reaches into the padding.
-void im2col_u8_into(const std::uint8_t* input, int n, int c, int h, int w,
-                    int kernel, int stride, int pad, int oh, int ow,
-                    std::vector<std::uint8_t>& cols) {
-  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
-  const std::size_t col_stride = static_cast<std::size_t>(n) * spatial;
-  cols.resize(static_cast<std::size_t>(c) * kernel * kernel * col_stride);
-  parallel_for(static_cast<std::size_t>(n), [&](std::size_t ni) {
-    for (int ci = 0; ci < c; ++ci) {
-      const std::uint8_t* plane =
-          input + (ni * static_cast<std::size_t>(c) + ci) * h * w;
-      for (int ki = 0; ki < kernel; ++ki) {
-        for (int kj = 0; kj < kernel; ++kj) {
-          // Output columns [lo, hi) read input columns inside [0, w).
-          const int shift = kj - pad;
-          const int lo =
-              std::min(ow, shift < 0 ? (-shift + stride - 1) / stride : 0);
-          const int hi = std::max(
-              lo, std::min(ow, w - 1 - shift < 0
-                                   ? 0
-                                   : (w - 1 - shift) / stride + 1));
-          const int prow = (ci * kernel + ki) * kernel + kj;
-          std::uint8_t* dst = cols.data() +
-                              static_cast<std::size_t>(prow) * col_stride +
-                              ni * spatial;
-          for (int oi = 0; oi < oh; ++oi, dst += ow) {
-            const int ii = oi * stride + ki - pad;
-            if (ii < 0 || ii >= h) {
-              std::fill(dst, dst + ow, std::uint8_t{0});
-              continue;
-            }
-            std::fill(dst, dst + lo, std::uint8_t{0});
-            if (hi > lo) {
-              // First input column read: 0 <= lo * stride + shift < w.
-              const std::uint8_t* src = plane +
-                                        static_cast<std::size_t>(ii) * w +
-                                        (lo * stride + shift);
-              if (stride == 1) {
-                std::copy(src, src + (hi - lo), dst + lo);
-              } else {
-                for (int oj = lo; oj < hi; ++oj) {
-                  dst[oj] = src[(oj - lo) * stride];
-                }
-              }
-            }
-            std::fill(dst + hi, dst + ow, std::uint8_t{0});
-          }
-        }
-      }
-    }
-  });
 }
 
 }  // namespace
@@ -198,15 +142,41 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
 
   // Quantize the input once (clamp negatives to zero: wordline pulses
-  // are unsigned), then gather the uint8 patch matrix. The quantizer
-  // works element by element and maps 0.0 to code 0, so this equals
-  // quantizing the float im2col matrix, padding included.
-  quantize_unsigned_with_scale_into(input, act_scale_, act_bits_,
-                                    scratch->qinput);
+  // are unsigned) into a zero-padded map, and read its patches through
+  // the offsets of the implicit im2col: the engine gathers them as it
+  // reads, so no patch matrix is built. The quantizer works element by
+  // element and maps 0.0 to code 0, so this equals quantizing the float
+  // im2col matrix, padding included. The border is zeroed on every call:
+  // the scratch map is reused across layers of other shapes.
+  const int h = input.shape()[2];
+  const int w = input.shape()[3];
+  const int hp = h + 2 * pad_;
+  const int wp = w + 2 * pad_;
+  const std::size_t pad_rows = static_cast<std::size_t>(pad_) * wp;
+  const float inv = 1.0f / act_scale_;
+  const auto qmax = static_cast<float>(unsigned_qmax(act_bits_));
+  std::vector<std::uint8_t>& map = scratch->qinput;
+  map.resize(static_cast<std::size_t>(n) * in_channels_ * hp * wp);
+  const float* in = input.data();
+  std::uint8_t* q = map.data();
+  if (pad_ == 0) {
+    // No border: the map is the input in its own element order.
+    quantize_unsigned_row(in, input.size(), inv, qmax, q);
+  } else {
+    for (int plane = 0; plane < n * in_channels_; ++plane) {
+      q = std::fill_n(q, pad_rows, std::uint8_t{0});
+      for (int y = 0; y < h; ++y, in += w, q += wp) {
+        std::fill_n(q, pad_, std::uint8_t{0});
+        quantize_unsigned_row(in, static_cast<std::size_t>(w), inv, qmax,
+                              q + pad_);
+        std::fill_n(q + pad_ + w, pad_, std::uint8_t{0});
+      }
+      q = std::fill_n(q, pad_rows, std::uint8_t{0});
+    }
+  }
+  conv_offsets(n, in_channels_, hp, wp, kernel_, stride_, oh, ow,
+               scratch->row_off, scratch->col_off);
   const int p = n * spatial;
-  im2col_u8_into(scratch->qinput.data(), n, in_channels_, input.shape()[2],
-                 input.shape()[3], kernel_, stride_, pad_, oh, ow,
-                 scratch->qx);
   if (trace != nullptr) {
     const std::uint64_t t1 = trace_now_ns();
     trace->layer_span("im2col", name_.c_str(), kind_, t0, t1);
@@ -214,9 +184,10 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
   }
 
   scratch->acc.resize(static_cast<std::size_t>(out_channels_) * p);
-  bound.engine->mvm_batch(qweight_.data.data(), out_channels_, patch_,
-                          scratch->qx.data(), p, scratch->acc.data(),
-                          bound.session);
+  bound.engine->mvm_batch(
+      qweight_.data.data(), out_channels_, patch_,
+      ActView{map.data(), scratch->row_off.data(), scratch->col_off.data()},
+      p, scratch->acc.data(), bound.session);
   if (trace != nullptr) {
     trace->layer_span("mvm", name_.c_str(), kind_, t0, trace_now_ns());
   }
@@ -319,14 +290,24 @@ Tensor QuantLinear::forward(const Tensor& input, bool /*train*/) {
   LayerTraceSink* trace = bound.session.trace;
   const std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
 
-  // X columns = batch entries: engine wants (k x p) with k = features.
-  transpose2d_into(input, scratch->xT);
-  quantize_unsigned_with_scale_into(scratch->xT, act_scale_, act_bits_,
-                                    scratch->qx);
+  // X columns = batch entries: element (i, b) of the engine's (features
+  // x batch) operand is row b's feature i, read in place.
+  quantize_unsigned_with_scale_into(input, act_scale_, act_bits_,
+                                    scratch->qinput);
+  scratch->row_off.resize(static_cast<std::size_t>(in_features_));
+  for (std::size_t i = 0; i < scratch->row_off.size(); ++i) {
+    scratch->row_off[i] = i;
+  }
+  scratch->col_off.resize(static_cast<std::size_t>(batch));
+  for (std::size_t b = 0; b < scratch->col_off.size(); ++b) {
+    scratch->col_off[b] = b * static_cast<std::size_t>(in_features_);
+  }
   scratch->acc.resize(static_cast<std::size_t>(out_features_) * batch);
   bound.engine->mvm_batch(qweight_.data.data(), out_features_, in_features_,
-                          scratch->qx.data(), batch, scratch->acc.data(),
-                          bound.session);
+                          ActView{scratch->qinput.data(),
+                                  scratch->row_off.data(),
+                                  scratch->col_off.data()},
+                          batch, scratch->acc.data(), bound.session);
   if (trace != nullptr) {
     trace->layer_span("mvm", name_.c_str(), kind_, t0, trace_now_ns());
   }

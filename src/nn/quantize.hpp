@@ -33,12 +33,14 @@
 // "-lite" networks use plain ReLU for this reason.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/act_view.hpp"
 #include "common/keyed_noise.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
@@ -53,14 +55,18 @@ struct MacroRunStats;  // macro/cim_macro.hpp — sessions only hold a pointer
 /// (one per concurrent request); every field is resized on first use and
 /// reused afterwards so the per-layer inner loop stops allocating.
 struct MvmScratch {
-  std::vector<std::uint8_t> qinput;  // quantized NCHW conv input
-  std::vector<std::uint8_t> qx;      // quantized MVM activations (k x p)
-  std::vector<std::int32_t> acc;     // int32 MVM accumulator
+  // The quantized layer input the engine reads through an ActView: a
+  // conv's zero-padded NCHW map (n x C x (H+2pad) x (W+2pad)), or a
+  // linear layer's (batch x features) rows.
+  std::vector<std::uint8_t> qinput;
+  // The view's offset tables (common/act_view.hpp): k rows, p columns.
+  std::vector<std::size_t> row_off;
+  std::vector<std::size_t> col_off;
+  std::vector<std::int32_t> acc;  // int32 MVM accumulator
   // Packed analog MVM: one column's row-tile of activations and its m
   // partial sums.
   std::vector<std::uint8_t> x_chunk;
   std::vector<std::int32_t> y_partial;
-  Tensor xT;  // transposed linear input
 };
 
 class LayerTraceSink;  // defined below, after EngineKind
@@ -104,11 +110,15 @@ class LayerTraceSink {
 class MvmEngine {
  public:
   virtual ~MvmEngine() = default;
-  /// Y (m x p, int32) = W (m x k, int8, row-major) * X (k x p, uint8,
-  /// row-major). Implementations may model analog non-idealities, in
-  /// which case Y approximates the exact product.
+  /// Y (m x p, int32, row-major) = W (m x k, int8, row-major) * X, where
+  /// X is the k x p uint8 view `x` (common/act_view.hpp): element (i, c)
+  /// is x.at(i, c). A quantized conv passes its padded input map with
+  /// the offsets of its implicit im2col, so engines gather patches as
+  /// they read them; a dense matrix goes through DenseActView.
+  /// Implementations may model analog non-idealities, in which case Y
+  /// approximates the exact product.
   virtual void mvm_batch(const std::int8_t* w, int m, int k,
-                         const std::uint8_t* x, int p, std::int32_t* y,
+                         const ActView& x, int p, std::int32_t* y,
                          MvmSession& session) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 };

@@ -520,6 +520,13 @@ std::unique_ptr<DeploymentPlan> deserialize_plan(const std::uint8_t* data,
     payload_end = std::max(payload_end, s.offset + s.size);
   }
   YOLOC_CHECK(payload_end == size, "plan: trailing bytes after sections");
+  // Section ids are stable: one this loader does not know is a newer or
+  // a damaged artifact, never a section it may skip.
+  for (const PlanSectionInfo& s : info.sections) {
+    YOLOC_CHECK(s.id == kSectionOptions || s.id == kSectionGraph ||
+                    s.id == kSectionCanary,
+                "plan: unknown section id " + std::to_string(s.id));
+  }
 
   auto find_optional = [&](std::uint32_t id) -> const PlanSectionInfo* {
     const PlanSectionInfo* found = nullptr;

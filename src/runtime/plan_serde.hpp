@@ -17,7 +17,7 @@
 //   table   nsec x { id u32, offset u64, size u64, crc32 u32 }
 //   payloads                                section bytes at their offsets
 //
-// Sections (ids are stable; unknown ids are rejected):
+// Sections (ids are stable; deserialize_plan rejects unknown ids):
 //   1 OPTIONS  DeploymentOptions — bit widths, engine mode, both
 //              MacroConfigs field-by-field — plus the quantized-layer
 //              count used as a load-time integrity cross-check. Version 2

@@ -115,19 +115,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void transpose2d_into(const Tensor& a, Tensor& out) {
-  YOLOC_CHECK(a.rank() == 2, "transpose2d: rank-2 required");
-  const int m = a.shape()[0];
-  const int n = a.shape()[1];
-  out.reset({n, m});  // keeps capacity; every element is written below
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      out.data()[static_cast<std::size_t>(j) * m + i] =
-          a.data()[static_cast<std::size_t>(i) * n + j];
-    }
-  }
-}
-
 Tensor slice_rows(const Tensor& batch, int row0, int rows) {
   YOLOC_CHECK(batch.rank() >= 1 && row0 >= 0 && rows >= 1 &&
                   row0 + rows <= batch.shape()[0],
@@ -168,9 +155,17 @@ Tensor concat_rows(const std::vector<const Tensor*>& parts) {
 }
 
 Tensor transpose2d(const Tensor& a) {
-  Tensor t;
-  transpose2d_into(a, t);
-  return t;
+  YOLOC_CHECK(a.rank() == 2, "transpose2d: rank-2 required");
+  const int m = a.shape()[0];
+  const int n = a.shape()[1];
+  Tensor out({n, m});
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      out.data()[static_cast<std::size_t>(j) * m + i] =
+          a.data()[static_cast<std::size_t>(i) * n + j];
+    }
+  }
+  return out;
 }
 
 Tensor softmax_rows(const Tensor& logits) {

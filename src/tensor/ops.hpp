@@ -42,9 +42,6 @@ Tensor slice_rows(const Tensor& batch, int row0, int rows);
 /// differ. The serving layer stacks per-request inputs into one fused
 /// forward pass with this.
 Tensor concat_rows(const std::vector<const Tensor*>& parts);
-/// Rank-2 transpose into caller-provided storage (reallocated only on
-/// shape mismatch).
-void transpose2d_into(const Tensor& a, Tensor& out);
 
 /// Row-wise softmax over a rank-2 (batch x classes) tensor.
 Tensor softmax_rows(const Tensor& logits);

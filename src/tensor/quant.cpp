@@ -5,6 +5,13 @@
 
 #include "common/check.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define YOLOC_QUANT_AVX2 1
+#else
+#define YOLOC_QUANT_AVX2 0
+#endif
+
 namespace yoloc {
 
 int signed_qmax(int bits) {
@@ -52,12 +59,15 @@ QuantizedActivations quantize_unsigned_with_scale(const Tensor& t, float scale,
 void quantize_unsigned_with_scale_into(const Tensor& t, float scale, int bits,
                                        std::vector<std::uint8_t>& out) {
   YOLOC_CHECK(scale > 0.0f, "activation scale must be positive");
-  const float qmax = static_cast<float>(unsigned_qmax(bits));
-  const std::size_t n = t.size();
-  out.resize(n);
-  const float inv = 1.0f / scale;
-  const float* src = t.data();
-  std::uint8_t* dst = out.data();
+  out.resize(t.size());
+  quantize_unsigned_row(t.data(), t.size(), 1.0f / scale,
+                        static_cast<float>(unsigned_qmax(bits)), out.data());
+}
+
+namespace {
+
+void quantize_row_plain(const float* src, std::size_t n, float inv,
+                        float qmax, std::uint8_t* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     // Clamp in float, so huge and infinite inputs saturate at qmax (an
     // integer conversion first would overflow). std::max keeps its first
@@ -69,6 +79,53 @@ void quantize_unsigned_with_scale_into(const Tensor& t, float scale, int bits,
     dst[i] = static_cast<std::uint8_t>(
         whole + (f - static_cast<float>(whole) >= 0.5f ? 1 : 0));
   }
+}
+
+#if YOLOC_QUANT_AVX2
+/// quantize_row_plain eight lanes at a time, with the same IEEE
+/// operations in the same order, so every code is bit-identical; the
+/// n % 8 tail runs the plain body. maxps(f, 0) returns 0 when f is NaN,
+/// as std::max(0.0f, f) does, and minps(f, qmax) is std::min(f, qmax).
+[[gnu::target("avx2")]] void quantize_row_avx2(const float* src,
+                                                std::size_t n, float inv,
+                                                float qmax,
+                                                std::uint8_t* dst) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 vqmax = _mm256_set1_ps(qmax);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 f = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
+    f = _mm256_min_ps(_mm256_max_ps(f, _mm256_setzero_ps()), vqmax);
+    const __m256i whole = _mm256_cvttps_epi32(f);
+    const __m256 frac = _mm256_sub_ps(f, _mm256_cvtepi32_ps(whole));
+    // The compare mask is -1 where the fraction rounds up.
+    const __m256i code = _mm256_sub_epi32(
+        whole, _mm256_castps_si256(_mm256_cmp_ps(frac, half, _CMP_GE_OQ)));
+    const __m128i words =
+        _mm_packus_epi32(_mm256_castsi256_si128(code),
+                         _mm256_extracti128_si256(code, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packus_epi16(words, words));
+  }
+  quantize_row_plain(src + i, n - i, inv, qmax, dst + i);
+}
+#endif
+
+}  // namespace
+
+void quantize_unsigned_row(const float* src, std::size_t n, float inv,
+                           float qmax, std::uint8_t* dst) {
+  using Body = void (*)(const float*, std::size_t, float, float,
+                        std::uint8_t*);
+  static const Body body = [] {
+#if YOLOC_QUANT_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2") != 0) return &quantize_row_avx2;
+#endif
+    return &quantize_row_plain;
+  }();
+  body(src, n, inv, qmax, dst);
 }
 
 Tensor dequantize(const QuantizedTensor& q) {

@@ -10,6 +10,7 @@
 //    amplitudes; all quantized layers therefore follow a ReLU-family
 //    nonlinearity whose output is >= 0.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,6 +53,15 @@ QuantizedActivations quantize_unsigned_with_scale(const Tensor& t,
 /// — the deploy-time hot path reuses one scratch vector per request.
 void quantize_unsigned_with_scale_into(const Tensor& t, float scale, int bits,
                                        std::vector<std::uint8_t>& out);
+
+/// The element loop of quantize_unsigned_with_scale_into: dst[i] = the
+/// code of src[i] for i < n, given inv = 1 / scale and qmax =
+/// unsigned_qmax(bits). Callers that quantize into strided storage (a
+/// conv's zero-padded input map) run it row by row. On x86-64 GCC/Clang
+/// builds a CPU with AVX2 runs it eight elements per vector, with the
+/// same float operations, so the codes do not depend on the CPU.
+void quantize_unsigned_row(const float* src, std::size_t n, float inv,
+                           float qmax, std::uint8_t* dst);
 
 Tensor dequantize(const QuantizedTensor& q);
 Tensor dequantize(const QuantizedActivations& q);

@@ -1,9 +1,10 @@
 #pragma once
 // Test-side oracle for MacroMvmEngine: the per-call macro tiler. It
 // tiles the reduction dimension over subarray row capacity and, for every
-// (k-tile, column), copies the weight row-tile and runs one plain scalar
-// macro call over it — re-deriving the weight bit-planes each time
-// instead of reading a deploy-time packing:
+// (k-tile, column), copies the weight row-tile and the column's
+// activations (read element by element through the view) and runs one
+// plain scalar macro call over them — re-deriving the weight bit-planes
+// each time instead of reading a deploy-time packing:
 //   * analog: every read (j, b, t, grp) takes read_normals(key, j, r) and
 //     CimArrayModel::read(); codes are summed per (row, weight bit) and
 //     the discharge ledger is charged once per call. A noise-free config
@@ -39,7 +40,7 @@ class ReferenceMacroEngine final : public MvmEngine {
   ReferenceMacroEngine(const CimMacro& macro, Mode mode)
       : macro_(&macro), mode_(mode) {}
 
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
+  void mvm_batch(const std::int8_t* w, int m, int k, const ActView& x,
                  int p, std::int32_t* y, MvmSession& session) const override {
     YOLOC_CHECK(m > 0 && k > 0 && p > 0, "reference engine: bad MVM shape");
     YOLOC_CHECK(session.stats != nullptr && session.scratch != nullptr,
@@ -77,8 +78,7 @@ class ReferenceMacroEngine final : public MvmEngine {
       for (int col = 0; col < p; ++col) {
         key.column = static_cast<std::uint32_t>(col);
         for (int i = 0; i < k_size; ++i) {
-          x_chunk[static_cast<std::size_t>(i)] =
-              x[static_cast<std::size_t>(k0 + i) * p + col];
+          x_chunk[static_cast<std::size_t>(i)] = x.at(k0 + i, col);
         }
         if (mode_ == Mode::kAnalog) {
           analog_mvm(w_chunk.data(), m, k_size, x_chunk.data(),

@@ -90,7 +90,8 @@ std::vector<std::int32_t> run_on(const MvmEngine& engine,
   MacroRunStats stats;
   MvmScratch scratch;
   MvmSession session{&noise, &stats, &scratch};
-  engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+  engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                   y.data(), session);
   if (stats_out != nullptr) *stats_out = stats;
   return y;
 }
@@ -175,7 +176,8 @@ TEST(FaultModel, SetActiveTogglesAtRuntime) {
     MacroRunStats stats;
     MvmScratch scratch;
     MvmSession session{&noise, &stats, &scratch};
-    engine.mvm_batch(w.data(), 6, 96, x.data(), 2, y.data(), session);
+    engine.mvm_batch(w.data(), 6, 96, DenseActView(x.data(), 96, 2), 2,
+                     y.data(), session);
     return y;
   };
   const auto faulted = run();

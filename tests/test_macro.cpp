@@ -48,7 +48,8 @@ std::vector<std::int32_t> run_mvm(const CimMacro& macro,
   MvmScratch scratch;
   MvmSession session{&noise, &stats, &scratch};
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
-  engine.mvm_batch(w.data(), m, k, x.data(), 1, y.data(), session);
+  engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 1), 1,
+                   y.data(), session);
   return y;
 }
 

@@ -5,8 +5,11 @@
 // draws) — same outputs, every run stat, same noise call count — across
 // analog (noisy and noise-free), exact-cost, odd reduction sizes,
 // multi-tile shapes and random geometries with faults on and off, and —
-// for the tile-wide exact-cost call — p = 1 to p > 1024 columns, all-zero
-// weight rows and a pulse window narrower than the activations. The
+// for the tile-wide exact-cost call — p = 1 to p = 8195 columns (the
+// served resdecomp shape, every stat field compared), all-zero weight
+// rows and a pulse window narrower than the activations. A conv's
+// implicit-im2col view over its padded map must match the oracle over
+// the explicit patch matrix in both modes. The
 // engine's frozen packing table must refuse an unpacked buffer and a
 // packed buffer whose contents changed. The kernels behind the packed
 // path are also run variant by variant (plain body, hardware POPCNT, the
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "im2col_u8.hpp"
 #include "macro/packed_kernels.hpp"
 #include "reference_macro_engine.hpp"
 
@@ -79,10 +83,10 @@ void expect_paths_identical(const MacroConfig& cfg,
   // number and starts from non-zero stats (the accumulation-order
   // contract).
   for (int call = 0; call < 2; ++call) {
-    legacy.mvm_batch(w.data(), m, k, x.data(), p, y_legacy.data(),
-                     legacy_session);
-    packed.mvm_batch(w.data(), m, k, x.data(), p, y_packed.data(),
-                     packed_session);
+    legacy.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                     y_legacy.data(), legacy_session);
+    packed.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                     y_packed.data(), packed_session);
     EXPECT_EQ(y_legacy, y_packed) << "call " << call;
     // Energy/latency sums must match to the last bit (same values, same
     // accumulation order).
@@ -258,15 +262,18 @@ TEST(PackedMvm, RefusesUnpackedWeightsAndMissingScratch) {
   MvmScratch scratch;
   MvmSession session{nullptr, &stats, &scratch};
   EXPECT_THROW(
-      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), session),
+      engine.mvm_batch(w.data(), 4, 64, DenseActView(x.data(), 64, 2), 2,
+                       y.data(), session),
       std::runtime_error);
   (void)engine.pack(w.data(), 4, 64);
   MvmSession no_scratch{nullptr, &stats, nullptr};
   EXPECT_THROW(
-      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), no_scratch),
+      engine.mvm_batch(w.data(), 4, 64, DenseActView(x.data(), 64, 2), 2,
+                       y.data(), no_scratch),
       std::runtime_error);
   EXPECT_NO_THROW(
-      engine.mvm_batch(w.data(), 4, 64, x.data(), 2, y.data(), session));
+      engine.mvm_batch(w.data(), 4, 64, DenseActView(x.data(), 64, 2), 2,
+                       y.data(), session));
 }
 
 TEST(PackedMvm, ChangedPackedBufferTripsContentCheck) {
@@ -290,10 +297,12 @@ TEST(PackedMvm, ChangedPackedBufferTripsContentCheck) {
       MacroRunStats stats;
       MvmScratch scratch;
       MvmSession session{&noise, &stats, &scratch};
-      engine.mvm_batch(w.data(), m, k, x.data(), 2, y.data(), session);
+      engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 2), 2,
+                       y.data(), session);
       w[at] = static_cast<std::int8_t>(w[at] ^ 0x5A);
       EXPECT_THROW(
-          engine.mvm_batch(w.data(), m, k, x.data(), 2, y.data(), session),
+          engine.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, 2), 2,
+                           y.data(), session),
           std::runtime_error);
     }
   }
@@ -452,6 +461,111 @@ TEST(PackedMvm, ExactCostPulseWindowNarrowerThanActivations) {
     SCOPED_TRACE(static_cast<int>(cfg.kind));
     expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,
                            /*m=*/6, /*k=*/300, /*p=*/1100, /*seed=*/150);
+  }
+}
+
+TEST(PackedMvm, ExactCostResDecompShapeMatchesPerCallSums) {
+  // The shape of a served ReBranch resdecomp 1x1 conv (m = 8, k = 2, one
+  // 8-image 32x32 request plus a 3-column tail block): 8195 columns
+  // whose ledger the tile posts in closed form (integer fields) and one
+  // add per column (double fields). Every field must equal the oracle's
+  // per-call sums, after a first call and after a second that starts
+  // from non-zero stats.
+  const int m = 8;
+  const int k = 2;
+  const int p = 8195;
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    SCOPED_TRACE(static_cast<int>(cfg.kind));
+    const CimMacro macro(cfg);
+    const ReferenceMacroEngine oracle(macro, MacroMvmEngine::Mode::kExactCost);
+    MacroMvmEngine packed(macro, MacroMvmEngine::Mode::kExactCost);
+    const auto w = random_weights(m, k, 160);
+    (void)packed.pack(w.data(), m, k);
+    const auto x = random_acts(k, p, 161);
+    std::vector<std::int32_t> y_oracle(static_cast<std::size_t>(m) * p);
+    std::vector<std::int32_t> y_packed(y_oracle.size());
+    MacroRunStats so, sp;
+    MvmScratch scratch_o, scratch_p;
+    MvmSession session_o{nullptr, &so, &scratch_o};
+    MvmSession session_p{nullptr, &sp, &scratch_p};
+    for (int call = 0; call < 2; ++call) {
+      SCOPED_TRACE(call);
+      oracle.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                       y_oracle.data(), session_o);
+      packed.mvm_batch(w.data(), m, k, DenseActView(x.data(), k, p), p,
+                       y_packed.data(), session_p);
+      EXPECT_EQ(y_oracle, y_packed);
+      EXPECT_EQ(so.macro_ops, sp.macro_ops);
+      EXPECT_EQ(so.macs, sp.macs);
+      EXPECT_EQ(so.latency_ns, sp.latency_ns);
+      EXPECT_EQ(so.array.adc_conversions, sp.array.adc_conversions);
+      EXPECT_EQ(so.array.wl_pulses, sp.array.wl_pulses);
+      EXPECT_EQ(so.array.shift_adds, sp.array.shift_adds);
+      EXPECT_EQ(so.array.adc_energy_pj, sp.array.adc_energy_pj);
+      EXPECT_EQ(so.array.precharge_energy_pj, sp.array.precharge_energy_pj);
+      EXPECT_EQ(so.array.wl_energy_pj, sp.array.wl_energy_pj);
+      EXPECT_EQ(so.array.shift_add_energy_pj, sp.array.shift_add_energy_pj);
+      EXPECT_EQ(so, sp);  // and any field added later
+    }
+    EXPECT_EQ(sp.macro_ops, 2u * p);
+  }
+}
+
+TEST(PackedMvm, ConvViewMatchesOracleOverIm2col) {
+  // A conv's implicit-im2col view over its zero-padded map, through the
+  // engine (exact-cost: the tile kernels gather per strip; analog: each
+  // column's activations gathered per tile), against the oracle over
+  // the explicit patch matrix. k = 16 * 9 = 144 spans two tiles, so
+  // each tile reads the view from its own first row; the analog noise
+  // keys (tile, column) are the same on both sides.
+  const int c = 16;
+  const int kernel = 3;
+  const int pad = 1;
+  const int n = 2;
+  const int h = 6;
+  const int wd = 7;
+  const int m = 5;
+  const int k = c * kernel * kernel;
+  for (const int stride : {1, 2}) {
+    const int oh = (h + 2 * pad - kernel) / stride + 1;
+    const int ow = (wd + 2 * pad - kernel) / stride + 1;
+    const int p = n * oh * ow;
+    Rng rng(170 + static_cast<std::uint64_t>(stride));
+    std::vector<std::uint8_t> input(static_cast<std::size_t>(n) * c * h * wd);
+    for (auto& v : input) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    std::vector<std::uint8_t> cols;
+    im2col_u8_into(input.data(), n, c, h, wd, kernel, stride, pad, oh, ow,
+                   cols);
+    const std::vector<std::uint8_t> map =
+        pad_u8_map(input.data(), n, c, h, wd, pad);
+    std::vector<std::size_t> row_off, col_off;
+    conv_offsets(n, c, h + 2 * pad, wd + 2 * pad, kernel, stride, oh, ow,
+                 row_off, col_off);
+    const ActView view{map.data(), row_off.data(), col_off.data()};
+    const auto w = random_weights(m, k, 180);
+    for (const auto mode :
+         {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "stride " << stride << " mode " << static_cast<int>(mode));
+      const CimMacro macro(default_rom_macro());
+      const ReferenceMacroEngine oracle(macro, mode);
+      MacroMvmEngine packed(macro, mode);
+      (void)packed.pack(w.data(), m, k);
+      std::vector<std::int32_t> y_oracle(static_cast<std::size_t>(m) * p);
+      std::vector<std::int32_t> y_packed(y_oracle.size());
+      AnalogNoise noise_o{190, 0};
+      AnalogNoise noise_p{190, 0};
+      MacroRunStats so, sp;
+      MvmScratch scratch_o, scratch_p;
+      MvmSession session_o{&noise_o, &so, &scratch_o};
+      MvmSession session_p{&noise_p, &sp, &scratch_p};
+      oracle.mvm_batch(w.data(), m, k, DenseActView(cols.data(), k, p), p,
+                       y_oracle.data(), session_o);
+      packed.mvm_batch(w.data(), m, k, view, p, y_packed.data(), session_p);
+      EXPECT_EQ(y_oracle, y_packed);
+      EXPECT_EQ(so, sp);
+      EXPECT_EQ(noise_o.calls, noise_p.calls);
+    }
   }
 }
 

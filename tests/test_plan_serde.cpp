@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/binio.hpp"
+#include "common/crc32.hpp"
 #include "nn/activations.hpp"
 #include "nn/container.hpp"
 #include "nn/conv2d.hpp"
@@ -346,6 +348,63 @@ TEST(PlanSerde, RejectsTrailingBytes) {
   bytes.push_back(0x00);
   EXPECT_THROW((void)deserialize_plan(bytes.data(), bytes.size()),
                std::runtime_error);
+}
+
+/// `bytes` (a serialized plan) with one more section appended: id `id`,
+/// payload `payload`, its table entry and CRC-32 well formed and every
+/// earlier offset moved past the longer table.
+std::vector<std::uint8_t> with_extra_section(
+    const std::vector<std::uint8_t>& bytes, std::uint32_t id,
+    const std::vector<std::uint8_t>& payload) {
+  constexpr std::size_t kHeader = 8 + 4 + 4;  // magic, version, count
+  constexpr std::size_t kEntry = 4 + 8 + 8 + 4;
+  ByteReader r(bytes.data(), bytes.size());
+  std::array<std::uint8_t, 8> magic{};
+  r.bytes(magic.data(), magic.size());
+  const std::uint32_t version = r.u32();
+  const std::uint32_t nsec = r.u32();
+  ByteWriter w;
+  w.bytes(magic.data(), magic.size());
+  w.u32(version);
+  w.u32(nsec + 1);
+  for (std::uint32_t i = 0; i < nsec; ++i) {
+    w.u32(r.u32());            // id
+    w.u64(r.u64() + kEntry);   // offset, behind one more table entry
+    w.u64(r.u64());            // size
+    w.u32(r.u32());            // crc32
+  }
+  w.u32(id);
+  w.u64(bytes.size() + kEntry);
+  w.u64(payload.size());
+  w.u32(crc32(payload.data(), payload.size()));
+  const std::size_t payloads = kHeader + nsec * kEntry;
+  w.bytes(bytes.data() + payloads, bytes.size() - payloads);
+  w.bytes(payload.data(), payload.size());
+  return w.take();
+}
+
+TEST(PlanSerde, RejectsUnknownSectionId) {
+  // Section ids are stable and a loader refuses one it does not know,
+  // even when its table entry and CRC are well formed (the inspector
+  // parses the spliced table and every CRC holds). The inspector still
+  // lists the section, by id and as "unknown".
+  auto plan = make_plan(MacroMvmEngine::Mode::kExactCost, Residency::kMixed);
+  const std::vector<std::uint8_t> bytes = serialize_plan(*plan);
+  const std::vector<std::uint8_t> extra =
+      with_extra_section(bytes, 77, {1, 2, 3, 4});
+  const PlanArtifactInfo info = inspect_plan(extra.data(), extra.size());
+  ASSERT_EQ(info.sections.size(), 3u);
+  EXPECT_EQ(info.sections.back().id, 77u);
+  EXPECT_TRUE(info.sections.back().crc_ok);
+  EXPECT_STREQ(plan_section_name(77), "unknown");
+  try {
+    (void)deserialize_plan(extra.data(), extra.size());
+    ADD_FAILURE() << "a plan with section id 77 loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("plan: unknown section id 77"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlanSerde, RejectsTruncatedFile) {

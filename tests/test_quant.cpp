@@ -65,14 +65,28 @@ TEST(Quant, UnsignedWithGivenScaleClips) {
 
 TEST(Quant, UnsignedSaturatesHugeAndInfinite) {
   // Values past the int range and +inf saturate at qmax instead of
-  // wrapping through an integer conversion; NaN maps to 0.
+  // wrapping through an integer conversion; NaN maps to 0. One copy is
+  // shorter than a vector of the AVX2 body (the plain tail runs it);
+  // four copies, 24 values, run every value in a vector lane.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  Tensor t = Tensor::from_vector({6}, {1.0f, 3e9f, inf, 200.0f, nan, -inf});
-  QuantizedActivations q = quantize_unsigned_with_scale(t, 1.0f, 8);
-  EXPECT_EQ(q.data, (std::vector<std::uint8_t>{1, 255, 255, 200, 0, 0}));
-  QuantizedActivations q4 = quantize_unsigned_with_scale(t, 1.0f, 4);
-  EXPECT_EQ(q4.data, (std::vector<std::uint8_t>{1, 15, 15, 15, 0, 0}));
+  const std::vector<float> values = {1.0f, 3e9f, inf, 200.0f, nan, -inf};
+  for (const int copies : {1, 4}) {
+    SCOPED_TRACE(copies);
+    std::vector<float> in;
+    std::vector<std::uint8_t> want8, want4;
+    for (int c = 0; c < copies; ++c) {
+      in.insert(in.end(), values.begin(), values.end());
+      want8.insert(want8.end(), {1, 255, 255, 200, 0, 0});
+      want4.insert(want4.end(), {1, 15, 15, 15, 0, 0});
+    }
+    const Tensor t =
+        Tensor::from_vector({static_cast<int>(in.size())}, in);
+    QuantizedActivations q = quantize_unsigned_with_scale(t, 1.0f, 8);
+    EXPECT_EQ(q.data, want8);
+    QuantizedActivations q4 = quantize_unsigned_with_scale(t, 1.0f, 4);
+    EXPECT_EQ(q4.data, want4);
+  }
 }
 
 TEST(Quant, UnsignedMatchesLroundBelowSaturation) {

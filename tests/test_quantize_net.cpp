@@ -44,15 +44,21 @@ LayerPtr small_convnet(Rng& rng, bool with_bn) {
   return net;
 }
 
-/// Exact integer MVM for layer-level tests: y = w * x through the plain
-/// GEMM body, no cost model and no session state.
+/// Exact integer MVM for layer-level tests: the view read element by
+/// element into a dense matrix, then y = w * x through the plain GEMM
+/// body, no cost model and no session state.
 class TestExactEngine final : public MvmEngine {
  public:
-  void mvm_batch(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                 int p, std::int32_t* y,
-                 MvmSession& /*session*/) const override {
+  void mvm_batch(const std::int8_t* w, int m, int k, const ActView& x, int p,
+                 std::int32_t* y, MvmSession& /*session*/) const override {
+    std::vector<std::uint8_t> dense(static_cast<std::size_t>(k) * p);
+    for (int i = 0; i < k; ++i) {
+      for (int c = 0; c < p; ++c) {
+        dense[static_cast<std::size_t>(i) * p + c] = x.at(i, c);
+      }
+    }
     std::fill(y, y + static_cast<std::size_t>(m) * p, 0);
-    gemm_s8u8_accumulate(w, static_cast<std::size_t>(k), m, k, x,
+    gemm_s8u8_accumulate(w, static_cast<std::size_t>(k), m, k, dense.data(),
                          static_cast<std::size_t>(p), p, y,
                          static_cast<std::size_t>(p));
   }
@@ -256,10 +262,43 @@ Tensor oracle_quant_conv(const QuantConv2d& q, const Tensor& input) {
   return out;
 }
 
+/// A conv of the given geometry, calibrated on inputs in [0, 2).
+std::unique_ptr<QuantConv2d> calibrated_conv(int in_ch, int out_ch, int kernel,
+                                             int stride, int pad, int n, int h,
+                                             int w, Rng& rng) {
+  Conv2d conv(in_ch, out_ch, kernel, stride, pad, true, rng, "c");
+  auto qconv = std::make_unique<QuantConv2d>(conv, EngineKind::kRom);
+  qconv->set_calibration_mode(true);
+  (void)qconv->forward(
+      Tensor::rand_uniform({n, in_ch, h, w}, rng, 0.0f, 2.0f), false);
+  qconv->finalize_calibration();
+  return qconv;
+}
+
+/// Deploy-forwards `qconv` through `binding` on an input wider than its
+/// calibration range (negatives clamp to 0, values past the range
+/// saturate) and expects the oracle's output bit for bit.
+void expect_conv_matches_oracle(QuantConv2d& qconv, const MvmBinding& binding,
+                                int n, int h, int w, Rng& rng) {
+  const Tensor x =
+      Tensor::rand_uniform({n, qconv.in_channels(), h, w}, rng, -1.0f, 3.0f);
+  Tensor got;
+  {
+    MvmBinding::Scope scope(binding);
+    got = qconv.forward(x, false);
+  }
+  const Tensor want = oracle_quant_conv(qconv, x);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "element " << i;
+  }
+}
+
 TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
-  // The deploy path quantizes the input first and gathers uint8 patches;
-  // it must equal quantizing the float patch matrix, bit for bit, padding
-  // and saturation included, across kernel/stride/pad/batch geometries on
+  // The deploy path quantizes the input into a zero-padded map and reads
+  // its patches through the implicit-im2col view; it must equal
+  // quantizing the float patch matrix, bit for bit, padding and
+  // saturation included, across kernel/stride/pad/batch geometries on
   // odd spatial sizes.
   const TestExactEngine engine;
   MvmScratch scratch;
@@ -279,32 +318,23 @@ TEST(QuantLayers, ConvDeployMatchesFloatIm2colOracle) {
                          << " pad " << pad << " n " << n << " " << hw.h
                          << "x" << hw.w);
             Rng rng(static_cast<std::uint64_t>(1000 + cases++));
-            Conv2d conv(3, 4, kernel, stride, pad, true, rng, "c");
-            QuantConv2d qconv(conv, EngineKind::kRom);
-            qconv.set_calibration_mode(true);
-            (void)qconv.forward(
-                Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, 0.0f, 2.0f),
-                false);
-            qconv.finalize_calibration();
-            // Wider than the calibration range: negatives clamp to 0 and
-            // values past the range saturate.
-            const Tensor x =
-                Tensor::rand_uniform({n, 3, hw.h, hw.w}, rng, -1.0f, 3.0f);
-            Tensor got;
-            {
-              MvmBinding::Scope scope(binding);
-              got = qconv.forward(x, false);
-            }
-            const Tensor want = oracle_quant_conv(qconv, x);
-            ASSERT_EQ(got.shape(), want.shape());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-              ASSERT_EQ(got[i], want[i]) << "element " << i;
-            }
+            auto qconv = calibrated_conv(3, 4, kernel, stride, pad, n, hw.h,
+                                         hw.w, rng);
+            expect_conv_matches_oracle(*qconv, binding, n, hw.h, hw.w, rng);
           }
         }
       }
     }
   }
+
+  // A large unpadded conv fills the shared scratch map with codes, then
+  // a small padded one reuses it: every border byte of the small map must
+  // be zeroed again, or its edge outputs read stale codes.
+  Rng rng(999);
+  auto large = calibrated_conv(8, 4, 3, 1, 0, 3, 20, 20, rng);
+  auto small = calibrated_conv(3, 4, 3, 1, 1, 2, 4, 5, rng);
+  expect_conv_matches_oracle(*large, binding, 3, 20, 20, rng);
+  expect_conv_matches_oracle(*small, binding, 2, 4, 5, rng);
 }
 
 /// A calibrated conv and linear pair, each tagged with its own kind.

@@ -113,8 +113,8 @@ void dump_layer(Layer& layer, int depth) {
 }
 
 /// Print the container header + section table; returns false when any
-/// section fails its CRC. Throws the loader's error on a malformed
-/// container.
+/// section fails its CRC or carries an id the loader refuses. Throws the
+/// loader's error on a malformed container.
 bool dump_section_table(const std::vector<std::uint8_t>& bytes) {
   const PlanArtifactInfo info = inspect_plan(bytes.data(), bytes.size());
   std::printf("magic   YOLOCPLN\nversion %u\nsections %zu\n", info.version,
@@ -123,12 +123,15 @@ bool dump_section_table(const std::vector<std::uint8_t>& bytes) {
               "size", "crc32", "verdict");
   bool ok = true;
   for (const PlanSectionInfo& sec : info.sections) {
-    ok = ok && sec.crc_ok;
-    std::printf("  %-4u %-8s %10llu %12llu %#10x %s\n", sec.id,
-                plan_section_name(sec.id),
+    const char* name = plan_section_name(sec.id);
+    const bool known = std::strcmp(name, "unknown") != 0;
+    ok = ok && sec.crc_ok && known;
+    std::printf("  %-4u %-8s %10llu %12llu %#10x %s\n", sec.id, name,
                 static_cast<unsigned long long>(sec.offset),
                 static_cast<unsigned long long>(sec.size), sec.crc32_value,
-                sec.crc_ok ? "OK" : "CRC MISMATCH");
+                !sec.crc_ok ? "CRC MISMATCH"
+                : known     ? "OK"
+                            : "UNKNOWN ID");
   }
   return ok;
 }
