@@ -35,8 +35,17 @@
 // and the exact-cost tile selected on this host
 // (macro/packed_kernels.hpp); view rows carry "gemm".
 //
+// The "chain" cell times each noisy read-chain body this host supports
+// directly (detail::PackedKernels::noisy_rows, no engine around it) over
+// one random 128 x 128 tile at 8b x 8b with the default ROM noise: one
+// row per body, path "chain", tagged "chain":"avx512"|"avx2"|"portable",
+// with "ns_per_read" and "speedup_vs_portable". It refuses to time
+// unless every body's outputs and discharge ledger equal the portable
+// body's.
+//
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -286,6 +295,102 @@ bool run_conv_cell(const char* name, int c_in, int c_out, int hw, int n,
   return true;
 }
 
+/// The noisy bodies this host supports, widest first; the last one is
+/// the portable body mvm_packed would run without a vector chain.
+std::vector<const detail::PackedKernels*> chain_bodies() {
+  std::vector<const detail::PackedKernels*> bodies;
+  if (const auto* avx512 = detail::avx512_packed_kernels()) {
+    bodies.push_back(avx512);
+  }
+  if (const auto* avx2 = detail::avx2_packed_kernels()) {
+    bodies.push_back(avx2);
+  }
+  const auto* popcnt = detail::popcnt_packed_kernels();
+  bodies.push_back(popcnt != nullptr ? popcnt
+                                     : &detail::plain_packed_kernels());
+  return bodies;
+}
+
+/// Times every noisy read-chain body over one random m x k tile on the
+/// Table I macro and prints one row per body. Returns false, printing
+/// why, when any body's outputs or discharge differ from the portable
+/// body's.
+bool run_chain_cell(double min_seconds) {
+  constexpr int kM = 128;
+  constexpr int kK = 128;
+  constexpr int kBits = 8;
+  const CimMacro macro(make_config({kK, kBits, kBits}, false));
+  const CimArrayModel& array = macro.array_model();
+  const int rpa = macro.config().geometry.rows_per_activation;
+  const int groups = (kK + rpa - 1) / rpa;
+
+  Rng init(9);
+  std::vector<RowMask> wbits(static_cast<std::size_t>(kM) * kBits);
+  std::vector<RowMask> xbits(kBits);
+  for (auto* planes : {&wbits, &xbits}) {
+    for (RowMask& mask : *planes) {
+      mask.lane[0] = init();
+      mask.lane[1] = init();
+    }
+  }
+  std::vector<RowMask> group_masks(static_cast<std::size_t>(groups));
+  for (int i = 0; i < kK; ++i) {
+    group_masks[static_cast<std::size_t>(i / rpa)].set(i);
+  }
+  std::vector<double> cell_sd(129);
+  for (int c = 0; c <= 128; ++c) {
+    cell_sd[static_cast<std::size_t>(c)] =
+        array.read_chain_consts().sigma_cell *
+        std::sqrt(static_cast<double>(c));
+  }
+  const detail::PackedCountArgs args{wbits.data(), xbits.data(),
+                                     group_masks.data(), kBits,
+                                     kBits, groups, nullptr};
+  const ReadNoiseKey key{.seed = 11, .call = 3, .tile = 0, .column = 5};
+
+  const auto bodies = chain_bodies();
+  std::vector<std::vector<std::int32_t>> ys(bodies.size());
+  std::vector<detail::NoisyRows> rows(bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    ys[i].assign(kM, 0);
+    rows[i] = {.m = kM,
+               .array = &array,
+               .cell_sd = cell_sd.data(),
+               .key = key,
+               .y = ys[i].data()};
+    bodies[i]->noisy_rows(args, rows[i]);
+  }
+  // Refuse to time a body whose results changed.
+  for (std::size_t i = 0; i + 1 < bodies.size(); ++i) {
+    if (ys[i] != ys.back() || rows[i].discharge != rows.back().discharge) {
+      std::fprintf(stderr,
+                   "FATAL: the %s read chain diverged from the portable "
+                   "body\n",
+                   bodies[i]->chain);
+      return false;
+    }
+  }
+
+  std::vector<double> ns_per_mac(bodies.size());
+  for (std::size_t i = bodies.size(); i-- > 0;) {
+    const Measurement mm = time_calls(
+        [&] { bodies[i]->noisy_rows(args, rows[i]); }, 1, min_seconds);
+    const double calls = static_cast<double>(mm.columns);
+    ns_per_mac[i] = mm.seconds * 1e9 / (calls * kM * kK);
+    const double reads =
+        calls * kM * kBits * kBits * static_cast<double>(groups);
+    std::printf(
+        "{\"bench\":\"macro_mvm\",\"path\":\"chain\",\"variant\":\"analog\","
+        "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
+        "\"k\":%d,\"chain\":\"%s\",\"ns_per_mac\":%.4f,"
+        "\"ns_per_read\":%.3f,\"speedup_vs_portable\":%.2f}\n",
+        kK, kBits, kBits, kM, kK, bodies[i]->chain, ns_per_mac[i],
+        mm.seconds * 1e9 / reads, ns_per_mac.back() / ns_per_mac[i]);
+  }
+  std::fflush(stdout);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -340,5 +445,7 @@ int main(int argc, char** argv) {
                      /*n=*/8, min_seconds)) {
     return 1;
   }
+  // Each noisy read-chain body alone, on the Table I tile.
+  if (!run_chain_cell(min_seconds)) return 1;
   return 0;
 }

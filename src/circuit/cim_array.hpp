@@ -87,9 +87,9 @@ class CimArrayModel {
   /// standard normals: cell mismatch adds sigma_cell * sqrt(exact_count)
   /// * z_cell cells (floored at 0), the ADC input adds noise_sigma_v *
   /// z_adc volts. A pure function of its arguments — the canonical per-read
-  /// model every read chain (CimMacro::mvm_packed's plain and AVX2 bodies,
-  /// the test oracle) is pinned to, bit for bit. It therefore uses only
-  /// +, -, *, / and the comparisons an AVX2 lane has (x86 max/min
+  /// model every read chain (CimMacro::mvm_packed's plain and vector
+  /// bodies, the test oracle) is pinned to, bit for bit. It therefore uses
+  /// only +, -, *, / and the comparisons a vector lane has (x86 max/min
   /// semantics), in this order, and no FMA.
   [[nodiscard]] ReadOutcome read(int exact_count, double z_cell,
                                  double z_adc) const {
@@ -134,7 +134,7 @@ class CimArrayModel {
   void charge_shift_adds(std::uint64_t ops, ArrayReadStats& stats) const;
 
   /// Constants of the read() chain, shared with the vectorized read
-  /// chain (macro/packed_kernels.*), which mirrors read() lane by lane.
+  /// chain (macro/noisy_chain.inc), which mirrors read() lane by lane.
   /// Any drift between the two is pinned by the bit-identity suites
   /// (`ctest -L macro`).
   struct ReadChainConsts {
@@ -156,13 +156,13 @@ class CimArrayModel {
   }
 
   /// x86 maxsd / minsd: (a > b ? a : b) and (a < b ? a : b). Written out
-  /// so the scalar read() and the AVX2 lanes agree even on signed zeros.
+  /// so the scalar read() and the vector lanes agree even on signed zeros.
   static double max_x86(double a, double b) { return a > b ? a : b; }
   static double min_x86(double a, double b) { return a < b ? a : b; }
 
   /// Round a non-negative double below 2^51 to the nearest integer, ties
   /// to even — by adding 2^52 and reading the mantissa, the same bits an
-  /// AVX2 lane gets.
+  /// vector lane gets.
   static std::uint64_t ledger_steps(double x) {
     return std::bit_cast<std::uint64_t>(x + 0x1p52) & ((1ull << 52) - 1);
   }

@@ -89,7 +89,8 @@ class ByteReader {
   }
   void bytes(void* dst, std::size_t size) {
     need(size, "byte payload");
-    std::memcpy(dst, data_ + pos_, size);
+    // A 0-element tensor hands in a null `dst`; memcpy must not see it.
+    if (size != 0) std::memcpy(dst, data_ + pos_, size);
     pos_ += size;
   }
 

@@ -6,8 +6,8 @@
 // context's MVM call count, the packed tile, the input column, the output
 // row and the read index. Nothing is drawn from a sequential stream, so
 // reads can run in any order, and any number of rows at once, and still
-// see the same noise. That is what lets the read chain run four output
-// rows per AVX2 vector (macro/packed_kernels.*).
+// see the same noise. That is what lets the read chain run four or eight
+// output rows per AVX2 or AVX-512 vector (macro/noisy_chain.inc).
 //
 // The bits come from Philox4x32-10 (Salmon, Moraes, Dror and Shaw,
 // "Parallel random numbers: as easy as 1, 2, 3", SC'11): a 10-round
@@ -16,7 +16,7 @@
 // sin/cos are the polynomials below, built from +, -, *, / and sqrt
 // only. Those five are correctly rounded IEEE operations, so the normals
 // do not depend on the libm version, and the scalar functions here and
-// the AVX2 lanes that mirror them (same operations, same order, no FMA)
+// the vector lanes that mirror them (same operations, same order, no FMA)
 // give the same bits.
 
 #include <array>

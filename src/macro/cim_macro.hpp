@@ -25,8 +25,8 @@
 //     read), and runs CimArrayModel::read(). Codes are summed per row as
 //     integers and the call's bitline discharge is kept in an integer
 //     ledger, converted into the stats doubles once per call, so the
-//     read order — four rows per AVX2 vector, or one at a time — changes
-//     no bit. When the config is noise-free (sigma_cell == 0 AND
+//     read order — eight rows per AVX-512 vector, four per AVX2 vector,
+//     or one at a time — changes no bit. When the config is noise-free (sigma_cell == 0 AND
 //     adc.noise_sigma_v == 0) it reads the ADC transfer from a
 //     precomputed count -> estimate table instead.
 //   * mvm_packed_exact_cost_tile: exact integer MACs over every column of

@@ -43,8 +43,8 @@ YOLOC_ALWAYS_INLINE RowMask faulted_plane(const PackedCountArgs& a, int j,
 }
 
 // The scalar noisy chain: one row at a time, each read through the keyed
-// draws and CimArrayModel::read() itself. The reference the AVX2 body
-// must match, and the fallback on CPUs without AVX2.
+// draws and CimArrayModel::read() itself. The reference the vector
+// bodies must match, and the fallback on CPUs without AVX2.
 YOLOC_ALWAYS_INLINE void noisy_rows_body(const PackedCountArgs& a,
                                          NoisyRows& nr) {
   const FaultModel* faults = a.faults;
@@ -231,282 +231,217 @@ void exact_tile_avx2(const ExactTileArgs& a) {
 #endif
 
 #if YOLOC_GEMM_AVX2
-// The AVX2 read chain: four output rows per vector, one 64-bit lane per
-// row. Each step mirrors keyed_noise.hpp's scalar functions and
-// CimArrayModel::read() operation for operation (mul, add, sub, div and
-// sqrt round alike in every lane and in scalar SSE2; max/min follow the
-// x86 rule read() spells out), so each lane's code and discharge equal
-// the scalar read's bits.
-#define YOLOC_AVX2_CHAIN [[gnu::target("avx2,popcnt")]]
+// The vector read chain, one source (noisy_chain.inc) compiled at two
+// widths. Each lane type wraps the intrinsics of one width in the
+// operations the chain needs; every one of them rounds exactly as its
+// scalar counterpart in keyed_noise.hpp and CimArrayModel::read().
 
-YOLOC_AVX2_CHAIN inline __m256i splat64(std::uint64_t v) {
-  return _mm256_set1_epi64x(static_cast<long long>(v));
-}
+#define YOLOC_AVX2_LANE \
+  [[gnu::target("avx2,popcnt"), gnu::always_inline]] static inline
+#define YOLOC_AVX512_LANE \
+  [[gnu::target("avx512f,avx2,popcnt"), gnu::always_inline]] static inline
 
-YOLOC_AVX2_CHAIN inline __m256d unit_from_mantissa4(__m256i bits) {
-  return _mm256_castsi256_pd(_mm256_or_si256(
-      _mm256_and_si256(bits, splat64(keyed::kMantissa)),
-      splat64(keyed::kOneBits)));
-}
+/// Four 64-bit lanes per __m256d/__m256i. A lane mask is a compare
+/// result, all-ones or zero per lane, which blendv reads by its sign bit.
+struct Lanes4 {
+  static constexpr int kWidth = 4;
+  using D = __m256d;
+  using I = __m256i;
+  using Mask = __m256d;
 
-/// The constants of one call, broadcast once.
-struct ChainConsts4 {
-  __m256i round_k0[keyed::kPhiloxRounds];
-  __m256i round_k1[keyed::kPhiloxRounds];
-  __m256i column, call;
-  __m256d sigma_v, delta_v, v_precharge, v_floor, v_lo, v_hi, lsb, levels_m1,
-      bl_range;
+  YOLOC_AVX2_LANE I splat(std::uint64_t v) {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  }
+  YOLOC_AVX2_LANE D set1(double v) { return _mm256_set1_pd(v); }
+  YOLOC_AVX2_LANE I row_ids(int j) {
+    return _mm256_set_epi64x(j + 3, j + 2, j + 1, j);
+  }
+  YOLOC_AVX2_LANE I add64(I a, I b) { return _mm256_add_epi64(a, b); }
+  YOLOC_AVX2_LANE I mul32(I a, I b) { return _mm256_mul_epu32(a, b); }
+  YOLOC_AVX2_LANE I and_(I a, I b) { return _mm256_and_si256(a, b); }
+  YOLOC_AVX2_LANE I or_(I a, I b) { return _mm256_or_si256(a, b); }
+  /// a ^ b ^ c
+  YOLOC_AVX2_LANE I xor3(I a, I b, I c) {
+    return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
+  }
+  /// (a & b) | c
+  YOLOC_AVX2_LANE I and_or(I a, I b, I c) {
+    return _mm256_or_si256(_mm256_and_si256(a, b), c);
+  }
+  /// (a ^ b) & c
+  YOLOC_AVX2_LANE I xor_and(I a, I b, I c) {
+    return _mm256_and_si256(_mm256_xor_si256(a, b), c);
+  }
+  template <int kBits>
+  YOLOC_AVX2_LANE I srl(I a) {
+    return _mm256_srli_epi64(a, kBits);
+  }
+  template <int kBits>
+  YOLOC_AVX2_LANE I sll(I a) {
+    return _mm256_slli_epi64(a, kBits);
+  }
+  YOLOC_AVX2_LANE I sll_var(I a, __m128i count) {
+    return _mm256_sll_epi64(a, count);
+  }
+  YOLOC_AVX2_LANE D as_double(I a) { return _mm256_castsi256_pd(a); }
+  YOLOC_AVX2_LANE I as_bits(D a) { return _mm256_castpd_si256(a); }
+  YOLOC_AVX2_LANE D add(D a, D b) { return _mm256_add_pd(a, b); }
+  YOLOC_AVX2_LANE D sub(D a, D b) { return _mm256_sub_pd(a, b); }
+  YOLOC_AVX2_LANE D mul(D a, D b) { return _mm256_mul_pd(a, b); }
+  YOLOC_AVX2_LANE D div(D a, D b) { return _mm256_div_pd(a, b); }
+  YOLOC_AVX2_LANE D sqrt(D a) { return _mm256_sqrt_pd(a); }
+  YOLOC_AVX2_LANE D max(D a, D b) { return _mm256_max_pd(a, b); }
+  YOLOC_AVX2_LANE D min(D a, D b) { return _mm256_min_pd(a, b); }
+  YOLOC_AVX2_LANE D trunc(D a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  YOLOC_AVX2_LANE Mask gt(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+  }
+  YOLOC_AVX2_LANE Mask ge(D a, D b) {
+    return _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  /// Per lane: m set ? if_set : if_clear.
+  YOLOC_AVX2_LANE D select(Mask m, D if_clear, D if_set) {
+    return _mm256_blendv_pd(if_clear, if_set, m);
+  }
+  /// 1.0 where m is set, +0.0 elsewhere.
+  YOLOC_AVX2_LANE D one_where(Mask m) {
+    return _mm256_and_pd(m, _mm256_set1_pd(1.0));
+  }
+  /// The lanes whose bit 62 is set, moved into the sign bit blendv reads.
+  YOLOC_AVX2_LANE Mask bit62(I a) {
+    return _mm256_castsi256_pd(_mm256_slli_epi64(a, 1));
+  }
+  YOLOC_AVX2_LANE D flip_sign(D x, I sign_bits) {
+    return _mm256_xor_pd(x, _mm256_castsi256_pd(sign_bits));
+  }
+  YOLOC_AVX2_LANE D counts(const int* n) {
+    return _mm256_cvtepi32_pd(_mm_setr_epi32(n[0], n[1], n[2], n[3]));
+  }
+  /// table[n[l]] in lane l.
+  YOLOC_AVX2_LANE D lookup(const double* table, const int* n) {
+    return _mm256_setr_pd(table[n[0]], table[n[1]], table[n[2]],
+                          table[n[3]]);
+  }
+  /// To 32-byte-aligned memory.
+  YOLOC_AVX2_LANE void store(void* out, I a) {
+    _mm256_store_si256(static_cast<__m256i*>(out), a);
+  }
 };
 
-/// keyed::philox4x32 + keyed::box_muller on four counters that differ
-/// only in word 1 (the output row). Each 32-bit word lives in the low
-/// half of a 64-bit lane; _mm256_mul_epu32 reads only that half, so the
-/// high halves may hold junk until the words are assembled.
-YOLOC_AVX2_CHAIN inline void keyed_normals4(const ChainConsts4& c,
-                                            __m256i ctr0, __m256i rows,
-                                            __m256d& z_cell, __m256d& z_adc) {
-  const __m256i m0 = splat64(keyed::kPhiloxM0);
-  const __m256i m1 = splat64(keyed::kPhiloxM1);
-  __m256i x0 = ctr0, x1 = rows, x2 = c.column, x3 = c.call;
-  for (int round = 0; round < keyed::kPhiloxRounds; ++round) {
-    const __m256i p0 = _mm256_mul_epu32(x0, m0);
-    const __m256i p1 = _mm256_mul_epu32(x2, m1);
-    x0 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p1, 32), x1),
-                          c.round_k0[round]);
-    x1 = p1;
-    x2 = _mm256_xor_si256(_mm256_xor_si256(_mm256_srli_epi64(p0, 32), x3),
-                          c.round_k1[round]);
-    x3 = p0;
+/// Eight 64-bit lanes per __m512d/__m512i, AVX-512F only: masks are
+/// k-registers, the three-input bit ops one vpternlogq each, and the
+/// floating-point sign flips integer xors (vxorpd needs AVX-512DQ).
+struct Lanes8 {
+  static constexpr int kWidth = 8;
+  using D = __m512d;
+  using I = __m512i;
+  using Mask = __mmask8;
+
+  YOLOC_AVX512_LANE I splat(std::uint64_t v) {
+    return _mm512_set1_epi64(static_cast<long long>(v));
   }
-  const __m256i low32 = splat64(0xFFFFFFFFull);
-  const __m256i radius_bits = _mm256_or_si256(_mm256_slli_epi64(x1, 32),
-                                              _mm256_and_si256(x0, low32));
-  const __m256i angle_bits = _mm256_or_si256(_mm256_slli_epi64(x3, 32),
-                                             _mm256_and_si256(x2, low32));
-
-  // keyed::log_unit(u), u = 2 - unit_from_mantissa(radius_bits >> 12).
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d u = _mm256_sub_pd(
-      _mm256_set1_pd(2.0),
-      unit_from_mantissa4(_mm256_srli_epi64(radius_bits, 12)));
-  const __m256i ubits = _mm256_castpd_si256(u);
-  // (double)(ubits >> 52), exactly: the 2^52 magic bias.
-  __m256d e = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(ubits, 52),
-                                          splat64(0x4330000000000000ull))),
-      _mm256_set1_pd(0x1p52));
-  e = _mm256_sub_pd(e, _mm256_set1_pd(1023.0));
-  __m256d f = unit_from_mantissa4(ubits);
-  const __m256d above =
-      _mm256_cmp_pd(f, _mm256_set1_pd(keyed::kSqrt2), _CMP_GT_OQ);
-  f = _mm256_blendv_pd(f, _mm256_mul_pd(f, _mm256_set1_pd(0.5)), above);
-  e = _mm256_add_pd(e, _mm256_and_pd(above, one));
-  const __m256d s = _mm256_div_pd(_mm256_sub_pd(f, one), _mm256_add_pd(f, one));
-  const __m256d s2 = _mm256_mul_pd(s, s);
-  __m256d p = _mm256_set1_pd(keyed::kLogSeries[6]);
-  for (int i = 5; i >= 0; --i) {
-    const double coef = keyed::kLogSeries[static_cast<std::size_t>(i)];
-    p = _mm256_add_pd(_mm256_mul_pd(p, s2), _mm256_set1_pd(coef));
+  YOLOC_AVX512_LANE D set1(double v) { return _mm512_set1_pd(v); }
+  YOLOC_AVX512_LANE I row_ids(int j) {
+    return _mm512_add_epi64(_mm512_set1_epi64(j),
+                            _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
   }
-  p = _mm256_add_pd(_mm256_mul_pd(p, s2), one);
-  const __m256d log_u =
-      _mm256_add_pd(_mm256_mul_pd(e, _mm256_set1_pd(keyed::kLn2)),
-                    _mm256_mul_pd(_mm256_add_pd(s, s), p));
-  const __m256d r =
-      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_u));
-
-  const __m256d phi = _mm256_mul_pd(
-      _mm256_sub_pd(unit_from_mantissa4(angle_bits), _mm256_set1_pd(1.5)),
-      _mm256_set1_pd(keyed::kHalfPi));
-  const __m256d phi2 = _mm256_mul_pd(phi, phi);
-  __m256d ps = _mm256_set1_pd(keyed::kSinSeries[5]);
-  for (int i = 4; i >= 0; --i) {
-    const double coef = keyed::kSinSeries[static_cast<std::size_t>(i)];
-    ps = _mm256_add_pd(_mm256_mul_pd(ps, phi2), _mm256_set1_pd(coef));
+  YOLOC_AVX512_LANE I add64(I a, I b) { return _mm512_add_epi64(a, b); }
+  YOLOC_AVX512_LANE I mul32(I a, I b) { return _mm512_mul_epu32(a, b); }
+  YOLOC_AVX512_LANE I and_(I a, I b) { return _mm512_and_si512(a, b); }
+  YOLOC_AVX512_LANE I or_(I a, I b) { return _mm512_or_si512(a, b); }
+  // vpternlogq truth tables over (a, b, c) = (0xF0, 0xCC, 0xAA).
+  YOLOC_AVX512_LANE I xor3(I a, I b, I c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x96);
   }
-  const __m256d sin_phi =
-      _mm256_add_pd(phi, _mm256_mul_pd(_mm256_mul_pd(phi, phi2), ps));
-  __m256d pc = _mm256_set1_pd(keyed::kCosSeries[6]);
-  for (int i = 5; i >= 0; --i) {
-    const double coef = keyed::kCosSeries[static_cast<std::size_t>(i)];
-    pc = _mm256_add_pd(_mm256_mul_pd(pc, phi2), _mm256_set1_pd(coef));
+  YOLOC_AVX512_LANE I and_or(I a, I b, I c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0xEA);
   }
-  const __m256d cos_phi = _mm256_add_pd(one, _mm256_mul_pd(phi2, pc));
-
-  // Quadrant bits 62 (swap) and 63: blendv reads each lane's sign bit.
-  const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(angle_bits, 1));
-  const __m256i sign = splat64(0x8000000000000000ull);
-  const __m256d neg_x = _mm256_castsi256_pd(_mm256_and_si256(
-      _mm256_xor_si256(angle_bits, _mm256_slli_epi64(angle_bits, 1)), sign));
-  const __m256d neg_y =
-      _mm256_castsi256_pd(_mm256_and_si256(angle_bits, sign));
-  const __m256d x =
-      _mm256_xor_pd(_mm256_blendv_pd(cos_phi, sin_phi, swap), neg_x);
-  const __m256d y =
-      _mm256_xor_pd(_mm256_blendv_pd(sin_phi, cos_phi, swap), neg_y);
-  z_cell = _mm256_mul_pd(r, x);
-  z_adc = _mm256_mul_pd(r, y);
-}
-
-/// The mantissa of x + 2^52: x rounded to an integer (ties to even), for
-/// 0 <= x < 2^51 — CimArrayModel::ledger_steps, and the exact int64 of
-/// an integral code.
-YOLOC_AVX2_CHAIN inline __m256i round_to_int4(__m256d x) {
-  return _mm256_and_si256(
-      _mm256_castpd_si256(_mm256_add_pd(x, _mm256_set1_pd(0x1p52))),
-      splat64(keyed::kMantissa));
-}
-
-/// CimArrayModel::read() on four lanes: `counts` holds the exact
-/// counts and `sd` their cell mismatch sigmas; returns the codes and the
-/// discharge ledger steps as int64.
-YOLOC_AVX2_CHAIN inline void read4(const ChainConsts4& c, __m128i counts,
-                                   __m256d sd, __m256d z_cell, __m256d z_adc,
-                                   __m256i& code_out,
-                                   __m256i& discharge_out) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d exact = _mm256_cvtepi32_pd(counts);
-  const __m256d effective =
-      _mm256_max_pd(_mm256_add_pd(exact, _mm256_mul_pd(sd, z_cell)), zero);
-  const __m256d v = _mm256_max_pd(
-      _mm256_sub_pd(c.v_precharge, _mm256_mul_pd(effective, c.delta_v)),
-      c.v_floor);
-  const __m256d noisy = _mm256_add_pd(v, _mm256_mul_pd(c.sigma_v, z_adc));
-  const __m256d clamped = _mm256_min_pd(_mm256_max_pd(noisy, c.v_lo), c.v_hi);
-  const __m256d q = _mm256_div_pd(_mm256_sub_pd(c.v_hi, clamped), c.lsb);
-  const __m256d whole =
-      _mm256_round_pd(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-  const __m256d rounded = _mm256_add_pd(
-      whole, _mm256_and_pd(_mm256_cmp_pd(_mm256_sub_pd(q, whole),
-                                         _mm256_set1_pd(0.5), _CMP_GE_OQ),
-                           _mm256_set1_pd(1.0)));
-  const __m256d code = _mm256_min_pd(_mm256_max_pd(rounded, zero), c.levels_m1);
-  const __m256d dv =
-      _mm256_min_pd(_mm256_mul_pd(effective, c.delta_v), c.bl_range);
-  code_out = round_to_int4(code);
-  discharge_out = round_to_int4(_mm256_mul_pd(dv, _mm256_set1_pd(0x1p32)));
-}
-
-/// Rows [j0, j0 + lanes) of the noisy chain, lanes <= 4 * kVecs: kVecs
-/// vectors of four rows advance through every read together, so their
-/// independent dependency chains (Philox rounds, the log and sin/cos
-/// polynomials, the divides) overlap in the pipeline.
-template <int kVecs>
-YOLOC_AVX2_CHAIN void noisy_block(const PackedCountArgs& a, NoisyRows& nr,
-                                  const ChainConsts4& c, std::int64_t cpc,
-                                  int j0, int lanes,
-                                  std::uint64_t& discharge) {
-  constexpr int kLanes = 4 * kVecs;
-  const FaultModel* faults = a.faults;
-  const bool transients = faults != nullptr && faults->has_transients();
-  __m256i rows[kVecs];
-  __m256i lane_discharge[kVecs];
-  for (int v = 0; v < kVecs; ++v) {
-    const int j = j0 + 4 * v;
-    rows[v] = _mm256_set_epi64x(j + 3, j + 2, j + 1, j);
-    lane_discharge[v] = _mm256_setzero_si256();
+  YOLOC_AVX512_LANE I xor_and(I a, I b, I c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x28);
   }
-  alignas(32) std::int64_t sums[kLanes][8] = {};
-  const __m256i tile_bits = splat64(nr.key.tile << keyed::kReadIndexBits);
-  std::uint32_t r = 0;
-  for (int b = 0; b < a.weight_bits; ++b) {
-    // Lanes past m read all-zero planes; their results are dropped.
-    RowMask wb[kLanes];
-    for (int l = 0; l < lanes; ++l) wb[l] = faulted_plane(a, j0 + l, b);
-    __m256i sum_b[kVecs];
-    for (int v = 0; v < kVecs; ++v) sum_b[v] = _mm256_setzero_si256();
-    for (int t = 0; t < a.input_bits; ++t) {
-      RowMask wbt[kLanes];
-      for (int l = 0; l < kLanes; ++l) wbt[l] = wb[l];
-      if (transients) {
-        for (int l = 0; l < lanes; ++l) {
-          wbt[l].xor_with(faults->transient_flips(j0 + l, b, t));
-        }
-      }
-      const RowMask xt = a.xbits[t];
-      const __m128i shift = _mm_cvtsi32_si128(t);
-      for (int grp = 0; grp < a.groups; ++grp, ++r) {
-        const RowMask& gm = a.group_masks[grp];
-        const __m256i ctr0 = _mm256_or_si256(splat64(r), tile_bits);
-        for (int v = 0; v < kVecs; ++v) {
-          const RowMask* w4 = wbt + 4 * v;
-          const int n0 = w4[0].count_and3(xt, gm);
-          const int n1 = w4[1].count_and3(xt, gm);
-          const int n2 = w4[2].count_and3(xt, gm);
-          const int n3 = w4[3].count_and3(xt, gm);
-          __m256d z_cell, z_adc;
-          keyed_normals4(c, ctr0, rows[v], z_cell, z_adc);
-          __m256i code, dis;
-          read4(c, _mm_setr_epi32(n0, n1, n2, n3),
-                _mm256_setr_pd(nr.cell_sd[n0], nr.cell_sd[n1], nr.cell_sd[n2],
-                               nr.cell_sd[n3]),
-                z_cell, z_adc, code, dis);
-          sum_b[v] = _mm256_add_epi64(sum_b[v], _mm256_sll_epi64(code, shift));
-          lane_discharge[v] = _mm256_add_epi64(lane_discharge[v], dis);
-        }
-      }
-    }
-    for (int v = 0; v < kVecs; ++v) {
-      alignas(32) std::int64_t lane_sum[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lane_sum), sum_b[v]);
-      for (int l = 0; l < 4; ++l) sums[4 * v + l][b] = lane_sum[l];
-    }
+  template <int kBits>
+  YOLOC_AVX512_LANE I srl(I a) {
+    return _mm512_srli_epi64(a, kBits);
   }
-  for (int v = 0; v < kVecs; ++v) {
-    alignas(32) std::uint64_t lane_ledger[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ledger),
-                       lane_discharge[v]);
-    for (int l = 0; l < 4 && 4 * v + l < lanes; ++l) {
-      discharge += lane_ledger[l];
-      nr.y[j0 + 4 * v + l] = finish_noisy_row(sums[4 * v + l], a, cpc,
-                                              j0 + 4 * v + l);
-    }
+  template <int kBits>
+  YOLOC_AVX512_LANE I sll(I a) {
+    return _mm512_slli_epi64(a, kBits);
   }
-}
-
-YOLOC_AVX2_CHAIN void noisy_rows_avx2(const PackedCountArgs& a,
-                                      NoisyRows& nr) {
-  const CimArrayModel::ReadChainConsts& rc = nr.array->read_chain_consts();
-  const auto cpc = static_cast<std::int64_t>(rc.counts_per_code);
-
-  ChainConsts4 c;
-  const std::array<std::uint32_t, 2> key = keyed::read_key(nr.key);
-  std::uint32_t k0 = key[0];
-  std::uint32_t k1 = key[1];
-  for (int round = 0; round < keyed::kPhiloxRounds; ++round) {
-    c.round_k0[round] = splat64(k0);
-    c.round_k1[round] = splat64(k1);
-    k0 += keyed::kPhiloxW0;
-    k1 += keyed::kPhiloxW1;
+  YOLOC_AVX512_LANE I sll_var(I a, __m128i count) {
+    return _mm512_sll_epi64(a, count);
   }
-  const std::array<std::uint32_t, 4> ctr = keyed::read_counter(nr.key, 0, 0);
-  c.column = splat64(ctr[2]);
-  c.call = splat64(ctr[3]);
-  c.sigma_v = _mm256_set1_pd(rc.noise_sigma_v);
-  c.delta_v = _mm256_set1_pd(rc.delta_v);
-  c.v_precharge = _mm256_set1_pd(rc.v_precharge);
-  c.v_floor = _mm256_set1_pd(rc.v_floor);
-  c.v_lo = _mm256_set1_pd(rc.v_lo);
-  c.v_hi = _mm256_set1_pd(rc.v_hi);
-  c.lsb = _mm256_set1_pd(rc.lsb);
-  c.levels_m1 = _mm256_set1_pd(rc.levels - 1.0);
-  c.bl_range = _mm256_set1_pd(rc.bl_range);
-
-  // Eight rows (two vectors) per block; a tail of four rows or fewer
-  // runs one vector.
-  std::uint64_t discharge = 0;
-  for (int j0 = 0; j0 < nr.m; j0 += 8) {
-    const int lanes = std::min(8, nr.m - j0);
-    if (lanes > 4) {
-      noisy_block<2>(a, nr, c, cpc, j0, lanes, discharge);
-    } else {
-      noisy_block<1>(a, nr, c, cpc, j0, lanes, discharge);
-    }
+  YOLOC_AVX512_LANE D as_double(I a) { return _mm512_castsi512_pd(a); }
+  YOLOC_AVX512_LANE I as_bits(D a) { return _mm512_castpd_si512(a); }
+  YOLOC_AVX512_LANE D add(D a, D b) { return _mm512_add_pd(a, b); }
+  YOLOC_AVX512_LANE D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+  YOLOC_AVX512_LANE D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+  YOLOC_AVX512_LANE D div(D a, D b) { return _mm512_div_pd(a, b); }
+  YOLOC_AVX512_LANE D sqrt(D a) { return _mm512_sqrt_pd(a); }
+  YOLOC_AVX512_LANE D max(D a, D b) { return _mm512_max_pd(a, b); }
+  YOLOC_AVX512_LANE D min(D a, D b) { return _mm512_min_pd(a, b); }
+  YOLOC_AVX512_LANE D trunc(D a) {
+    return _mm512_roundscale_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
   }
-  nr.discharge = discharge;
-}
+  YOLOC_AVX512_LANE Mask gt(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
+  }
+  YOLOC_AVX512_LANE Mask ge(D a, D b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
+  YOLOC_AVX512_LANE D select(Mask m, D if_clear, D if_set) {
+    return _mm512_mask_blend_pd(m, if_clear, if_set);
+  }
+  YOLOC_AVX512_LANE D one_where(Mask m) {
+    return _mm512_maskz_mov_pd(m, _mm512_set1_pd(1.0));
+  }
+  YOLOC_AVX512_LANE Mask bit62(I a) {
+    return _mm512_test_epi64_mask(a, _mm512_set1_epi64(1ll << 62));
+  }
+  YOLOC_AVX512_LANE D flip_sign(D x, I sign_bits) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(x), sign_bits));
+  }
+  YOLOC_AVX512_LANE D counts(const int* n) {
+    return _mm512_cvtepi32_pd(_mm256_setr_epi32(n[0], n[1], n[2], n[3], n[4],
+                                                n[5], n[6], n[7]));
+  }
+  YOLOC_AVX512_LANE D lookup(const double* table, const int* n) {
+    return _mm512_setr_pd(table[n[0]], table[n[1]], table[n[2]], table[n[3]],
+                          table[n[4]], table[n[5]], table[n[6]], table[n[7]]);
+  }
+  /// To 64-byte-aligned memory.
+  YOLOC_AVX512_LANE void store(void* out, I a) { _mm512_store_si512(out, a); }
+};
 
-#undef YOLOC_AVX2_CHAIN
+#undef YOLOC_AVX2_LANE
+#undef YOLOC_AVX512_LANE
+
+namespace avx2_chain {
+using L = Lanes4;
+#define YOLOC_CHAIN_TARGET [[gnu::target("avx2,popcnt")]]
+#include "macro/noisy_chain.inc"
+#undef YOLOC_CHAIN_TARGET
+}  // namespace avx2_chain
+
+// GCC 12's avx512fintrin.h seeds several intrinsics (vpmuludq, the
+// immediate shifts, vsqrtpd) with a self-initialized "undefined" vector
+// that -Wmaybe-uninitialized reports once they are inlined (GCC PR
+// 105593); the warning is false. Clang has no such warning.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+namespace avx512_chain {
+using L = Lanes8;
+#define YOLOC_CHAIN_TARGET [[gnu::target("avx512f,avx2,popcnt")]]
+#include "macro/noisy_chain.inc"
+#undef YOLOC_CHAIN_TARGET
+}  // namespace avx512_chain
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif  // YOLOC_GEMM_AVX2
 
 }  // namespace
@@ -575,7 +510,7 @@ const PackedKernels* avx2_packed_kernels() {
     static const PackedKernels kAvx2{
         popcnt != nullptr ? popcnt->noise_free_rows
                           : plain_packed_kernels().noise_free_rows,
-        noisy_rows_avx2, "hw", "avx2"};
+        avx2_chain::noisy_rows, "hw", "avx2"};
     return &kAvx2;
   }();
   return avx2;
@@ -584,8 +519,28 @@ const PackedKernels* avx2_packed_kernels() {
 #endif
 }
 
+const PackedKernels* avx512_packed_kernels() {
+#if YOLOC_GEMM_AVX2
+  static const PackedKernels* const avx512 = []() -> const PackedKernels* {
+    // The AVX2 table checks AVX2 and POPCNT, which the chain's target
+    // also names, and lends its noise-free body.
+    const PackedKernels* avx2 = avx2_packed_kernels();
+    if (avx2 == nullptr || __builtin_cpu_supports("avx512f") == 0) {
+      return nullptr;
+    }
+    static const PackedKernels kAvx512{
+        avx2->noise_free_rows, avx512_chain::noisy_rows, "hw", "avx512"};
+    return &kAvx512;
+  }();
+  return avx512;
+#else
+  return nullptr;
+#endif
+}
+
 const PackedKernels& packed_kernels() {
   static const PackedKernels* const selected = [] {
+    if (const PackedKernels* avx512 = avx512_packed_kernels()) return avx512;
     if (const PackedKernels* avx2 = avx2_packed_kernels()) return avx2;
     const PackedKernels* hw = popcnt_packed_kernels();
     return hw != nullptr ? hw : &plain_packed_kernels();

@@ -10,18 +10,19 @@
 // and compiled twice: as a plain function (the build's baseline ISA) and
 // inside a [[gnu::target("popcnt")]] wrapper.
 //
-// The noisy read chain has a third body, compiled for AVX2 (and POPCNT)
-// on every x86-64 GCC/Clang build: it runs four output rows per vector,
-// drawing each read's keyed normals (common/keyed_noise.hpp) and running
+// The noisy read chain also has vector bodies on every x86-64 GCC/Clang
+// build, one source (noisy_chain.inc) compiled twice: for AVX2 (four
+// output rows per __m256d) and for AVX-512F (eight rows per __m512d).
+// Each draws every read's keyed normals (common/keyed_noise.hpp) and runs
 // CimArrayModel::read() lane by lane with the same operations in the
 // same order and no FMA. Codes are summed as integers per row and the
 // bitline discharge goes into an integer ledger, so no sum depends on
 // the order in which lanes or rows were visited.
 //
 // packed_kernels() picks one table per process from the CPU's feature
-// bits: AVX2, else POPCNT, else plain. Integer popcount is exact and the
-// AVX2 lanes mirror the scalar read, so every table is bit-identical:
-// same counts, outputs and MacroRunStats.
+// bits: AVX-512F, else AVX2, else POPCNT, else plain. Integer popcount
+// is exact and the vector lanes mirror the scalar read, so every table
+// is bit-identical: same counts, outputs and MacroRunStats.
 //
 // The separate POPCNT variant exists only on x86-64 GCC/Clang builds
 // whose baseline lacks the instruction. Where the baseline already has
@@ -29,7 +30,7 @@
 // ISAs and compilers, only the plain body is built.
 //
 // Exposed (rather than kept file-local) so tests can run every variant
-// side by side — on an AVX2 host nothing else runs the plain bodies —
+// side by side — on a vector host nothing else runs the plain bodies —
 // and so benches and the HTTP /plan endpoint can report which one runs.
 
 #include <cstddef>
@@ -105,7 +106,8 @@ struct PackedKernels {
   void (*noisy_rows)(const PackedCountArgs& args, NoisyRows& rows);
   /// "hw" when the variant's popcount is an instruction, else "portable".
   const char* popcount;
-  /// "avx2" for the 4-row vector read chain, else "portable".
+  /// "avx512" for the 8-row vector read chain, "avx2" for the 4-row one,
+  /// else "portable".
   const char* chain;
 };
 
@@ -117,8 +119,11 @@ const PackedKernels* popcnt_packed_kernels();
 /// The AVX2 read chain (with the POPCNT noise-free body), or nullptr
 /// when this build has none or the CPU lacks AVX2.
 const PackedKernels* avx2_packed_kernels();
-/// The variant mvm_packed runs: AVX2, else POPCNT, else the plain
-/// bodies. Chosen once per process.
+/// The AVX-512F read chain (with the POPCNT noise-free body), or nullptr
+/// when this build has none or the CPU lacks AVX-512F.
+const PackedKernels* avx512_packed_kernels();
+/// The variant mvm_packed runs: AVX-512F, else AVX2, else POPCNT, else
+/// the plain bodies. Chosen once per process.
 const PackedKernels& packed_kernels();
 
 // The exact-cost tile's MAC loop and pulse count

@@ -13,7 +13,8 @@
 // engine's frozen packing table must refuse an unpacked buffer and a
 // packed buffer whose contents changed. The kernels behind the packed
 // path are also run variant by variant (plain body, hardware POPCNT, the
-// AVX2 read chain), so the ones a host never selects stay covered.
+// AVX2 and AVX-512 read chains), so the ones a host never selects stay
+// covered, and the dispatch must pick the widest chain the CPU runs.
 // `ctest -L macro` selects this suite.
 
 #include <gtest/gtest.h>
@@ -633,6 +634,9 @@ kernel_variants() {
   if (const auto* avx2 = detail::avx2_packed_kernels()) {
     v.push_back({avx2, "avx2"});
   }
+  if (const auto* avx512 = detail::avx512_packed_kernels()) {
+    v.push_back({avx512, "avx512"});
+  }
   return v;
 }
 
@@ -732,8 +736,8 @@ TEST(PackedKernels, NoisyVariantsMatchScalarKeyedReads) {
   // Every noisy body against reads made one at a time: range-clamped
   // counts, read_normals(key, j, r) and CimArrayModel::read(), codes
   // summed per weight bit, the row finished as the engine finishes it.
-  // m runs 1..9 so the AVX2 body sees full, partial and single-lane row
-  // blocks.
+  // m runs 1..17 and 33 so both vector bodies see full two-vector row
+  // blocks, single-vector tails and partial lanes.
   const auto variants = kernel_variants();
   for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
     const CimMacro macro(cfg);
@@ -745,10 +749,10 @@ TEST(PackedKernels, NoisyVariantsMatchScalarKeyedReads) {
           std::sqrt(static_cast<double>(c));
     }
     const auto cpc = static_cast<std::int64_t>(array.counts_per_code());
-    for (int trial = 0; trial < 12; ++trial) {
+    for (int trial = 0; trial < 18; ++trial) {
       Rng rng(700 + static_cast<std::uint64_t>(trial) +
               (cfg.kind == MacroKind::kRom ? 0 : 100));
-      const int m = 1 + trial % 9;
+      const int m = trial < 17 ? trial + 1 : 33;
       const int k = rng.uniform_int(1, 128);
       const int rpa = std::vector<int>{1, 5, 16, 32}[trial % 4];
       const int weight_bits = rng.uniform_int(1, 8);
@@ -811,6 +815,23 @@ TEST(PackedKernels, NoisyVariantsMatchScalarKeyedReads) {
       }
     }
   }
+}
+
+TEST(PackedKernels, DispatchPicksWidestReadChain) {
+  // A dispatch slip would keep every result bit-identical and only cost
+  // speed, so pin the choice itself: AVX-512F, else AVX2, else portable.
+  const char* expected = "portable";
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0 &&
+                    __builtin_cpu_supports("popcnt") != 0;
+  if (avx2 && __builtin_cpu_supports("avx512f") != 0) {
+    expected = "avx512";
+  } else if (avx2) {
+    expected = "avx2";
+  }
+#endif
+  EXPECT_STREQ(detail::packed_kernels().chain, expected);
 }
 
 TEST(PackedMvm, KeyedChainMatchesOracleOverRandomGeometries) {

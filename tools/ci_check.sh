@@ -8,7 +8,8 @@
 #                 built here if the directory is missing);
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
 #                 concurrency-heavy labels: serve | trace | fault;
-#   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
+#   3. asan     — an AddressSanitizer + UBSan build (<build-dir>-asan;
+#                 any UBSan report aborts the test) running
 #                 the wire/format labels http | serde, and macro (the
 #                 packed kernels, the uint8 im2col gather and the int8
 #                 GEMM write through raw pointers into the session's
@@ -30,9 +31,13 @@
 # runtime. test_int_gemm (macro label) runs each against the other, so
 # the asan and native gates cover the plain body even on an AVX2 host,
 # where serving never selects it. The noisy read chain likewise has a
-# plain and an AVX2 body in every tree; test_packed_weights runs both
-# against scalar keyed reads. The POPCNT pair is different: a native
-# build on a POPCNT host compiles only its one (hardware) body.
+# plain body and two vector bodies (AVX2 and AVX-512F, one source,
+# macro/noisy_chain.inc, compiled at both widths) in every tree;
+# test_packed_weights runs each one the CPU supports against scalar
+# keyed reads, and checks that the dispatch picks the widest (a host
+# without AVX-512F builds that body but cannot run it). The POPCNT pair
+# is different: a native build on a POPCNT host compiles only its one
+# (hardware) body.
 #
 # Every gate runs even after an earlier one fails, so a single pass
 # reports ALL the breakage; the exit code is non-zero when any gate
