@@ -6,14 +6,29 @@
 
 namespace yoloc {
 
+double ArrayReadStats::total_energy_pj() const {
+  return static_cast<double>(adc_conversions) * costs.adc_pj +
+         costs.precharge_pj_per_v *
+             (static_cast<double>(discharge) * CimArrayModel::kDischargeLsbV) +
+         static_cast<double>(wl_pulses) * costs.wl_pulse_pj +
+         static_cast<double>(shift_adds) * costs.shift_add_pj;
+}
+
 void ArrayReadStats::accumulate(const ArrayReadStats& other) {
+  adopt_costs(other.costs);
   adc_conversions += other.adc_conversions;
   wl_pulses += other.wl_pulses;
   shift_adds += other.shift_adds;
-  adc_energy_pj += other.adc_energy_pj;
-  precharge_energy_pj += other.precharge_energy_pj;
-  wl_energy_pj += other.wl_energy_pj;
-  shift_add_energy_pj += other.shift_add_energy_pj;
+  discharge += other.discharge;
+}
+
+void ArrayReadStats::adopt_costs(const ArrayUnitCosts& unit) {
+  if (costs == ArrayUnitCosts{}) {
+    costs = unit;
+  } else {
+    YOLOC_CHECK(unit == ArrayUnitCosts{} || unit == costs,
+                "array stats: merging stats charged at different unit costs");
+  }
 }
 
 namespace {
@@ -44,7 +59,14 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
                            (bitline.i_cell_ua * bitline.t_pulse_ns /
                             bitline.c_bl_ff),
             adc)),
-      energy_(energy),
+      costs_{.adc_pj = adc.energy_pj,
+             // E = C_bl * V_pre * dV: fF * V per volt of discharge is
+             // fJ, and 1e-3 converts to pJ (BitlineModel::
+             // precharge_energy_pj).
+             .precharge_pj_per_v =
+                 bitline.c_bl_ff * bitline.v_precharge * 1e-3,
+             .wl_pulse_pj = energy.wl_pulse_pj + energy.dac_driver_pj,
+             .shift_add_pj = energy.shift_add_pj},
       group_size_(group_size) {
   YOLOC_CHECK(group_size >= 1, "cim array: group_size >= 1");
   YOLOC_CHECK(group_size <= bitline_.max_resolvable_count(),
@@ -65,57 +87,27 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
   chain_.lsb = adc_.lsb_voltage();
   chain_.levels = adc_.code_count();
   chain_.counts_per_code = counts_per_code_;
-  chain_.adc_energy_pj = adc_params.energy_pj;
   chain_.bl_range = bl.v_precharge - bl.v_floor;
 }
 
-double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
-                                 ArrayReadStats& stats) const {
-  YOLOC_CHECK(exact_count >= 0 && exact_count <= active_rows,
-              "cim array: count exceeds active rows");
-  YOLOC_CHECK(active_rows <= group_size_, "cim array: group overflow");
-  const double z_cell =
-      chain_.sigma_cell > 0.0 && exact_count > 0 ? rng.normal() : 0.0;
-  const ReadOutcome r = read(exact_count, z_cell, rng.normal());
-  charge_reads(1, r.discharge, stats);
-  return r.code * counts_per_code_;
-}
-
 void CimArrayModel::charge_reads(std::uint64_t conversions,
-                                 std::uint64_t discharge,
+                                 DischargeSteps discharge,
                                  ArrayReadStats& stats) const {
-  const BitlineParams& bl = bitline_.params();
+  stats.adopt_costs(costs_);
   stats.adc_conversions += conversions;
-  stats.adc_energy_pj +=
-      static_cast<double>(conversions) * adc_.params().energy_pj;
-  // fF * V * V = fJ; convert to pJ (BitlineModel::precharge_energy_pj).
-  stats.precharge_energy_pj += bl.c_bl_ff * bl.v_precharge *
-                               (static_cast<double>(discharge) *
-                                kDischargeLsbV) *
-                               1e-3;
-}
-
-double CimArrayModel::read_count_ideal(int exact_count,
-                                       ArrayReadStats& stats) const {
-  const double v = bitline_.voltage_for_count(exact_count);
-  const int code = adc_.quantize_ideal(v);
-  stats.adc_conversions += 1;
-  stats.adc_energy_pj += adc_.params().energy_pj;
-  stats.precharge_energy_pj += bitline_.precharge_energy_pj(exact_count);
-  return code * counts_per_code_;
+  stats.discharge += discharge;
 }
 
 void CimArrayModel::charge_wl_pulses(std::uint64_t pulses,
                                      ArrayReadStats& stats) const {
+  stats.adopt_costs(costs_);
   stats.wl_pulses += pulses;
-  stats.wl_energy_pj +=
-      static_cast<double>(pulses) * (energy_.wl_pulse_pj + energy_.dac_driver_pj);
 }
 
 void CimArrayModel::charge_shift_adds(std::uint64_t ops,
                                       ArrayReadStats& stats) const {
+  stats.adopt_costs(costs_);
   stats.shift_adds += ops;
-  stats.shift_add_energy_pj += static_cast<double>(ops) * energy_.shift_add_pj;
 }
 
 }  // namespace yoloc

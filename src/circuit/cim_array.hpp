@@ -1,7 +1,7 @@
 #pragma once
 // Column read model: ties cell mismatch, bitline discharge and ADC
 // quantization into a single "analog count readout" primitive, plus the
-// per-event energy accounting the macro layer aggregates.
+// integer event ledger the macro layer aggregates.
 //
 // The macro performs, per (row-group, input-bit, weight-bit-column):
 //   exact_count  = number of cells with (input bit == 1 && weight bit == 1)
@@ -11,8 +11,8 @@
 //   code         = adc.quantize_ideal(v_bl + N(0, adc noise_sigma_v))
 //   estimate     = code scaled back to counts
 // read() takes the two normals as arguments, so the caller decides where
-// they come from: the macro's keyed counter-based draws
-// (common/keyed_noise.hpp) or, in read_count(), an Rng stream.
+// they come from (the macro's keyed counter-based draws,
+// common/keyed_noise.hpp).
 // The estimate is exact when the row-group size matches the ADC level
 // count and sigma is ~0; widening the group beyond the ADC range (the
 // paper's aggressive 128-rows-per-activation mode) trades accuracy for
@@ -24,7 +24,6 @@
 
 #include "circuit/adc.hpp"
 #include "circuit/bitline.hpp"
-#include "common/rng.hpp"
 
 namespace yoloc {
 
@@ -37,23 +36,43 @@ struct ArrayEnergyParams {
   bool operator==(const ArrayEnergyParams&) const = default;
 };
 
-/// Accumulated activity counters for one or more array operations.
+/// Bitline discharge in CimArrayModel::kDischargeLsbV steps. 128 bits
+/// wide: a served run's total passes 2^64 steps (~4.3e9 V) within a few
+/// thousand images.
+__extension__ typedef unsigned __int128 DischargeSteps;
+
+/// What one event of each kind costs. The array model that charges a
+/// stats object stamps its costs into it; all zero until then.
+struct ArrayUnitCosts {
+  double adc_pj = 0.0;              // one ADC conversion
+  double precharge_pj_per_v = 0.0;  // one volt of discharge: C_bl * V_pre
+  double wl_pulse_pj = 0.0;         // one wordline pulse, driver included
+  double shift_add_pj = 0.0;        // one digital shift-add
+
+  bool operator==(const ArrayUnitCosts&) const = default;
+};
+
+/// Activity of one or more array operations. Every event is an integer
+/// count, so accumulate() is plain integer addition: totals do not
+/// depend on the order in which reads, columns, tiles or batches were
+/// summed. Energies are derived from the counts when read.
 struct ArrayReadStats {
   std::uint64_t adc_conversions = 0;
   std::uint64_t wl_pulses = 0;
   std::uint64_t shift_adds = 0;
-  double adc_energy_pj = 0.0;
-  double precharge_energy_pj = 0.0;
-  double wl_energy_pj = 0.0;
-  double shift_add_energy_pj = 0.0;
+  DischargeSteps discharge = 0;
+  ArrayUnitCosts costs;
 
-  [[nodiscard]] double total_energy_pj() const {
-    return adc_energy_pj + precharge_energy_pj + wl_energy_pj +
-           shift_add_energy_pj;
-  }
+  /// Each count times its unit cost, summed.
+  [[nodiscard]] double total_energy_pj() const;
+  /// Adds the counts. Stats that no array has charged (all-zero costs)
+  /// take the other side's costs; two charged sides must agree.
   void accumulate(const ArrayReadStats& other);
-  /// Field-wise and exact (doubles compare by value, not within a
-  /// tolerance): the bit-identity contract between execution paths.
+  /// Stamp `unit` as the costs of these stats: adopted when none are set,
+  /// else checked equal (ROM and SRAM stats are never merged).
+  void adopt_costs(const ArrayUnitCosts& unit);
+  /// Field-wise and exact: the bit-identity contract between execution
+  /// paths.
   bool operator==(const ArrayReadStats&) const = default;
 };
 
@@ -111,26 +130,21 @@ class CimArrayModel {
     return {static_cast<int>(code), ledger_steps(dv * 0x1p32)};
   }
 
-  /// Charge `conversions` ADC reads whose discharges sum to `discharge`
-  /// ledger steps: the integer ledger's one conversion into the stats
-  /// doubles, made once per macro call so the order in which reads were
-  /// summed cannot change any bit.
-  void charge_reads(std::uint64_t conversions, std::uint64_t discharge,
+  /// The discharge of `cells` ON cells (fractional counts allowed) in
+  /// ledger steps: min(cells * delta_v, v_precharge - v_floor) rounded
+  /// like read()'s. The exact-cost path's average-activity discharge.
+  [[nodiscard]] std::uint64_t discharge_steps(double cells) const {
+    return ledger_steps(min_x86(cells * chain_.delta_v, chain_.bl_range) *
+                        0x1p32);
+  }
+
+  /// Count `conversions` ADC reads whose discharges sum to `discharge`
+  /// ledger steps, and stamp this array's unit costs into `stats`.
+  void charge_reads(std::uint64_t conversions, DischargeSteps discharge,
                     ArrayReadStats& stats) const;
-
-  /// One column read with its normals drawn from `rng` (cell mismatch
-  /// only when sigma_cell > 0 and exact_count > 0): read() plus the
-  /// stats. Returns the count estimate code * counts_per_code.
-  [[nodiscard]] double read_count(int exact_count, int active_rows, Rng& rng,
-                                  ArrayReadStats& stats) const;
-
-  /// Ideal (noise-free, but still ADC-quantized) variant.
-  [[nodiscard]] double read_count_ideal(int exact_count,
-                                        ArrayReadStats& stats) const;
-
-  /// Charge the wordline-driver energy for `pulses` input pulses.
+  /// Count `pulses` wordline pulses.
   void charge_wl_pulses(std::uint64_t pulses, ArrayReadStats& stats) const;
-  /// Charge digital accumulation energy for `ops` shift-adds.
+  /// Count `ops` digital shift-adds.
   void charge_shift_adds(std::uint64_t ops, ArrayReadStats& stats) const;
 
   /// Constants of the read() chain, shared with the vectorized read
@@ -148,7 +162,6 @@ class CimArrayModel {
     double lsb = 0.0;
     int levels = 0;
     double counts_per_code = 0.0;
-    double adc_energy_pj = 0.0;
     double bl_range = 0.0;  // v_precharge - v_floor
   };
   [[nodiscard]] const ReadChainConsts& read_chain_consts() const {
@@ -175,7 +188,7 @@ class CimArrayModel {
  private:
   BitlineModel bitline_;
   Adc adc_;
-  ArrayEnergyParams energy_;
+  ArrayUnitCosts costs_;
   int group_size_;
   double counts_per_code_;
   ReadChainConsts chain_;

@@ -8,11 +8,22 @@
 
 namespace yoloc {
 
+void MacroRunStats::add_slots(std::uint64_t slots, double unit_ns) {
+  if (slot_ns == 0.0) {
+    slot_ns = unit_ns;
+  } else {
+    YOLOC_CHECK(unit_ns == 0.0 || unit_ns == slot_ns,
+                "macro stats: merging stats charged at different slot times");
+  }
+  adc_slots += slots;
+  latency_ns = static_cast<double>(adc_slots) * slot_ns;
+}
+
 void MacroRunStats::accumulate(const MacroRunStats& other) {
   array.accumulate(other.array);
   macro_ops += other.macro_ops;
   macs += other.macs;
-  latency_ns += other.latency_ns;
+  add_slots(other.adc_slots, other.slot_ns);
 }
 
 CimMacro::CimMacro(MacroConfig config)
@@ -46,8 +57,8 @@ CimMacro::CimMacro(MacroConfig config)
   }
 
   // Noise-free transfer tables: with both noise sources at zero the
-  // estimate is a pure function of the exact count, tabulated through the
-  // real bitline/ADC models.
+  // estimate and the discharge are pure functions of the exact count,
+  // tabulated through the real bitline/ADC models and read().
   noise_free_ = rc.sigma_cell == 0.0 && rc.noise_sigma_v == 0.0;
   if (config_.faults.any()) {
     faults_ = std::make_shared<FaultModel>(
@@ -60,33 +71,40 @@ CimMacro::CimMacro(MacroConfig config)
     const int code = array_.adc().quantize_ideal(v);
     ideal_estimate_[static_cast<std::size_t>(c)] =
         code * rc.counts_per_code;
-    ideal_precharge_pj_[static_cast<std::size_t>(c)] =
-        array_.bitline().precharge_energy_pj(static_cast<double>(c));
+    ideal_discharge_[static_cast<std::size_t>(c)] =
+        array_.read(c, 0.0, 0.0).discharge;
   }
+  quarter_group_discharge_ =
+      array_.discharge_steps(0.25 * config_.geometry.rows_per_activation);
 }
 
 double CimMacro::single_pass_latency_ns() const {
   return config_.geometry.input_bits * config_.geometry.clock_ns;
 }
 
-void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
-                               MacroRunStats& stats) const {
+std::uint64_t CimMacro::conversions_per_column(int m, int k) const {
   const auto& g = config_.geometry;
   const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
+  return static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits *
+         groups;
+}
 
+void CimMacro::charge_columns(int m, int k, std::uint64_t columns,
+                              std::uint64_t pulses, DischargeSteps discharge,
+                              MacroRunStats& stats) const {
+  const auto& g = config_.geometry;
+  const std::uint64_t conversions = conversions_per_column(m, k);
+  array_.charge_reads(columns * conversions, discharge, stats.array);
   array_.charge_wl_pulses(pulses, stats.array);
-
   // Shift-add: one digital accumulation per ADC conversion result.
-  const std::uint64_t conversions =
-      static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-  array_.charge_shift_adds(conversions, stats.array);
-
-  // Latency: conversions are served by the per-subarray ADC bank.
-  const double slots =
-      std::ceil(static_cast<double>(conversions) / g.adc_per_subarray);
-  stats.latency_ns += slots * config_.adc.t_conv_ns;
-  stats.macro_ops += 1;
-  stats.macs += static_cast<std::uint64_t>(m) * k;
+  array_.charge_shift_adds(columns * conversions, stats.array);
+  // Latency: each column's conversions are served by the per-subarray
+  // ADC bank.
+  const std::uint64_t adc = static_cast<std::uint64_t>(g.adc_per_subarray);
+  stats.add_slots(columns * ((conversions + adc - 1) / adc),
+                  config_.adc.t_conv_ns);
+  stats.macro_ops += columns;
+  stats.macs += columns * static_cast<std::uint64_t>(m) * k;
 }
 
 void CimMacro::check_packed_tile(const PackedRomWeights& packed,
@@ -151,43 +169,33 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
                                            tile.groups,
                                            faults};
 
+  std::uint64_t discharge = 0;
   if (noise_free_) {
-    // Draw-free fast path: a table lookup per read, its energy chained
-    // read by read into the stats.
+    // Draw-free fast path: a table lookup per read.
     detail::NoiseFreeRows rows{
         .m = m,
         .bit_cycle_weight = packed.bit_cycle_weight(),
         .ideal_estimate = ideal_estimate_.data(),
-        .ideal_precharge_pj = ideal_precharge_pj_.data(),
-        .adc_energy_pj = array_.read_chain_consts().adc_energy_pj,
-        .y = y,
-        .conversions = stats.array.adc_conversions,
-        .adc_energy = stats.array.adc_energy_pj,
-        .precharge_energy = stats.array.precharge_energy_pj};
+        .ideal_discharge = ideal_discharge_.data(),
+        .y = y};
     kernels.noise_free_rows(count_args, rows);
-    stats.array.adc_conversions = rows.conversions;
-    stats.array.adc_energy_pj = rows.adc_energy;
-    stats.array.precharge_energy_pj = rows.precharge_energy;
+    discharge = rows.discharge;
   } else {
-    // Keyed noisy reads; the call's discharge ledger converts into the
-    // stats doubles once.
     detail::NoisyRows rows{.m = m,
                            .array = &array_,
                            .cell_sd = cell_sd_.data(),
                            .key = key,
                            .y = y};
     kernels.noisy_rows(count_args, rows);
-    array_.charge_reads(static_cast<std::uint64_t>(m) * weight_bits *
-                            input_bits * tile.groups,
-                        rows.discharge, stats.array);
+    discharge = rows.discharge;
   }
-  charge_op_costs(m, k, pulses, stats);
+  charge_columns(m, k, 1, pulses, discharge, stats);
 }
 
 namespace {
 
 /// Columns per call of the exact-cost tile kernel: their pulse counts
-/// sit on the stack until the stats pass charges them.
+/// sit on the stack until they are summed.
 constexpr int kExactColBlock = 256;
 
 }  // namespace
@@ -205,25 +213,6 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   const int m = packed.m();
   const int k = tile.k_size;
 
-  // The per-column ledger charge_op_costs would post, formed once: every
-  // column of the tile pays the same terms but its wordline pulses.
-  const std::uint64_t conversions = static_cast<std::uint64_t>(m) *
-                                    g.weight_bits * g.input_bits *
-                                    tile.groups;
-  const double adc_pj =
-      static_cast<double>(conversions) * config_.adc.energy_pj;
-  // Average discharge ~ quarter of the group (random data assumption).
-  const double precharge_pj =
-      static_cast<double>(conversions) *
-      array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  const double wl_pj_per_pulse =
-      config_.energy.wl_pulse_pj + config_.energy.dac_driver_pj;
-  const double shift_add_pj =
-      static_cast<double>(conversions) * config_.energy.shift_add_pj;
-  const double slot_ns =
-      std::ceil(static_cast<double>(conversions) / g.adc_per_subarray) *
-      config_.adc.t_conv_ns;
-
   // Wordline pulses are the set bits of x inside the input_bits window;
   // the kernel counts them alongside the MACs.
   const detail::ExactTileKernels& kernels = detail::exact_tile_kernels();
@@ -235,15 +224,6 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   args.ldy = static_cast<std::size_t>(p);
   args.window = static_cast<std::uint8_t>((1u << g.input_bits) - 1u);
 
-  // The stats doubles advance once per column, in column order, with the
-  // per-column operands, so every sum rounds exactly as p separate
-  // single-column calls would (the test oracle makes those calls). They
-  // run on locals, which stores into `stats` cannot alias.
-  double adc_energy = stats.array.adc_energy_pj;
-  double precharge_energy = stats.array.precharge_energy_pj;
-  double wl_energy = stats.array.wl_energy_pj;
-  double shift_add_energy = stats.array.shift_add_energy_pj;
-  double latency = stats.latency_ns;
   std::uint64_t wl_pulses = 0;
   std::array<std::uint32_t, kExactColBlock> pulses;
   for (int c0 = 0; c0 < p; c0 += kExactColBlock) {
@@ -254,26 +234,14 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
     args.pulses = pulses.data();
     kernels.gemm_pulses(args);
     for (int c = 0; c < cols; ++c) {
-      const std::uint32_t col_pulses = pulses[static_cast<std::size_t>(c)];
-      adc_energy += adc_pj;
-      precharge_energy += precharge_pj;
-      wl_pulses += col_pulses;
-      wl_energy += static_cast<double>(col_pulses) * wl_pj_per_pulse;
-      shift_add_energy += shift_add_pj;
-      latency += slot_ns;
+      wl_pulses += pulses[static_cast<std::size_t>(c)];
     }
   }
   const auto columns = static_cast<std::uint64_t>(p);
-  stats.array.adc_conversions += columns * conversions;
-  stats.array.shift_adds += columns * conversions;
-  stats.array.wl_pulses += wl_pulses;
-  stats.array.adc_energy_pj = adc_energy;
-  stats.array.precharge_energy_pj = precharge_energy;
-  stats.array.wl_energy_pj = wl_energy;
-  stats.array.shift_add_energy_pj = shift_add_energy;
-  stats.latency_ns = latency;
-  stats.macro_ops += columns;
-  stats.macs += columns * static_cast<std::uint64_t>(m) * k;
+  charge_columns(m, k, columns, wl_pulses,
+                 DischargeSteps{columns * conversions_per_column(m, k)} *
+                     quarter_group_discharge_,
+                 stats);
 }
 
 }  // namespace yoloc

@@ -23,16 +23,21 @@
 //     read takes its two standard normals from keyed counter-based draws
 //     (common/keyed_noise.hpp), keyed by (seed, call, tile, column, row,
 //     read), and runs CimArrayModel::read(). Codes are summed per row as
-//     integers and the call's bitline discharge is kept in an integer
-//     ledger, converted into the stats doubles once per call, so the
-//     read order — eight rows per AVX-512 vector, four per AVX2 vector,
-//     or one at a time — changes no bit. When the config is noise-free (sigma_cell == 0 AND
-//     adc.noise_sigma_v == 0) it reads the ADC transfer from a
-//     precomputed count -> estimate table instead.
+//     integers and the call's bitline discharge is summed in integer
+//     ledger steps, so the read order — eight rows per AVX-512 vector,
+//     four per AVX2 vector, or one at a time — changes no bit. When the
+//     config is noise-free (sigma_cell == 0 AND adc.noise_sigma_v == 0)
+//     it reads the ADC transfer and the discharge from precomputed
+//     count -> estimate and count -> steps tables instead.
 //   * mvm_packed_exact_cost_tile: exact integer MACs over every column of
 //     a tile, reading the activations through an ActView (a conv's
-//     padded input map plus its implicit-im2col offsets), paying the
-//     modeled energy and latency from a ledger formed once per tile.
+//     padded input map plus its implicit-im2col offsets), and counting
+//     the modeled events of all its columns at once.
+// Both charge MacroRunStats, whose every event is an integer count:
+// conversions, pulses, shift-adds, discharge steps, ADC slots, ops and
+// MACs. Energy and latency are derived from the counts and the unit
+// costs the charging macro stamps into the stats, so no total depends on
+// the order in which reads, columns, tiles or batches were summed.
 // The test oracle (tests/reference_macro_engine.hpp) restates both as
 // plain per-call loops over the raw int8 weights.
 
@@ -49,13 +54,24 @@
 
 namespace yoloc {
 
-/// Activity + energy + latency of one or more macro operations.
+/// Activity + energy + latency of one or more macro operations: integer
+/// event counts (see ArrayReadStats), plus the unit time of one ADC slot
+/// that the charging macro stamps in.
 struct MacroRunStats {
   ArrayReadStats array;
   std::uint64_t macro_ops = 0;   // MVM tiles executed
   std::uint64_t macs = 0;        // exact integer MACs represented
-  double latency_ns = 0.0;       // serialized conversion slots
+  std::uint64_t adc_slots = 0;   // serialized conversion slots
+  double slot_ns = 0.0;          // one slot's time; 0 until charged
+  /// adc_slots * slot_ns. Derived: add_slots() and accumulate() assign
+  /// it, nothing adds to it.
+  double latency_ns = 0.0;
+
   [[nodiscard]] double energy_pj() const { return array.total_energy_pj(); }
+  /// Count `slots` more ADC slots of `unit_ns` each (adopted or checked
+  /// like ArrayReadStats::adopt_costs).
+  void add_slots(std::uint64_t slots, double unit_ns);
+  /// Integer addition of every count: associative and order-free.
   void accumulate(const MacroRunStats& other);
   /// Exact field-wise equality (see ArrayReadStats::operator==).
   bool operator==(const MacroRunStats&) const = default;
@@ -80,10 +96,9 @@ class CimMacro {
   /// place at the tile's rows: a conv's view gathers its patches from
   /// the padded input map, so no patch matrix is built), and `y` an
   /// (m x p) row-major accumulator: y[j*p + c] += W[j, tile] * x[tile,
-  /// c]. Every MacroRunStats field ends as p single-column calls would
-  /// leave it: the integer fields advance in closed form, and each
-  /// double field takes one add per column, in column order, with the
-  /// per-column operand. Draws no noise. The MACs and each column's
+  /// c]. The stats advance by p columns' counts, each column read at the
+  /// average activity (a quarter of each row group discharging), so they
+  /// equal p single-column calls' sums. Draws no noise. The MACs and the
   /// wordline pulse count come from one kernel picked per process: an
   /// AVX2 vpmaddwd GEMM that counts the pulses while it gathers and
   /// interleaves the activations, or, on CPUs without AVX2, a dense
@@ -113,11 +128,15 @@ class CimMacro {
   [[nodiscard]] double single_pass_latency_ns() const;
 
  private:
-  /// The per-call costs of mvm_packed: wordline pulses, shift-adds, ADC
-  /// slot latency, ops and MACs. mvm_packed_exact_cost_tile posts the
-  /// same terms per column from a ledger it forms once per tile.
-  void charge_op_costs(int m, int k, std::uint64_t pulses,
-                       MacroRunStats& stats) const;
+  /// Count `columns` columns of an m x k tile: their ADC conversions
+  /// (with `discharge` ledger steps between them), `pulses` wordline
+  /// pulses, one shift-add per conversion, the ADC slots, ops and MACs.
+  void charge_columns(int m, int k, std::uint64_t columns,
+                      std::uint64_t pulses, DischargeSteps discharge,
+                      MacroRunStats& stats) const;
+  /// ADC conversions of one column of an m x k tile: one per (output,
+  /// weight bit, input bit, row group).
+  [[nodiscard]] std::uint64_t conversions_per_column(int m, int k) const;
 
   void check_packed_tile(const PackedRomWeights& packed,
                          int tile_index) const;
@@ -133,9 +152,12 @@ class CimMacro {
   std::array<double, 129> cell_sd_{};
   bool noise_free_ = false;
   // Noise-free transfer tables indexed by exact count (<= 128 rows):
-  // code * counts_per_code and the matching precharge energy.
+  // code * counts_per_code and the read's discharge in ledger steps.
   std::array<double, 129> ideal_estimate_{};
-  std::array<double, 129> ideal_precharge_pj_{};
+  std::array<std::uint64_t, 129> ideal_discharge_{};
+  // The exact-cost path's discharge per conversion: a quarter of the
+  // row group (random-data assumption), in ledger steps.
+  std::uint64_t quarter_group_discharge_ = 0;
 };
 
 }  // namespace yoloc

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "macro/cim_macro.hpp"
 

@@ -83,9 +83,7 @@ YOLOC_ALWAYS_INLINE void noise_free_rows_body(const PackedCountArgs& a,
                                               NoiseFreeRows& nf) {
   const FaultModel* faults = a.faults;
   const bool transients = faults != nullptr && faults->has_transients();
-  std::uint64_t conversions = nf.conversions;
-  double adc_energy = nf.adc_energy;
-  double precharge_energy = nf.precharge_energy;
+  std::uint64_t discharge = 0;
   for (int j = 0; j < nf.m; ++j) {
     const RowMask* wrow =
         a.wbits + static_cast<std::size_t>(j) * a.weight_bits;
@@ -113,17 +111,13 @@ YOLOC_ALWAYS_INLINE void noise_free_rows_body(const PackedCountArgs& a,
             est = est * drift.gain + drift.offset_counts;
           }
           acc += est * cycle_weight;
-          ++conversions;
-          adc_energy += nf.adc_energy_pj;
-          precharge_energy += nf.ideal_precharge_pj[exact];
+          discharge += nf.ideal_discharge[exact];
         }
       }
     }
     nf.y[j] = static_cast<std::int32_t>(std::llround(acc));
   }
-  nf.conversions = conversions;
-  nf.adc_energy = adc_energy;
-  nf.precharge_energy = precharge_energy;
+  nf.discharge = discharge;
 }
 
 void noisy_rows_plain(const PackedCountArgs& a, NoisyRows& nr) {

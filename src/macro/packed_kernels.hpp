@@ -55,20 +55,15 @@ struct PackedCountArgs {
   const FaultModel* faults = nullptr;    // nullptr when fault-off
 };
 
-/// The noise-free row loop's tables, output and energy accumulators.
-/// The accumulators are in/out: they continue from the caller's running
-/// stats, so the add sequence (and its rounding) matches per-read
-/// updates (the test oracle makes those).
+/// The noise-free row loop's tables and outputs.
 struct NoiseFreeRows {
   int m = 0;
-  const double* bit_cycle_weight = nullptr;    // [b * input_bits + t]
-  const double* ideal_estimate = nullptr;      // count -> estimate
-  const double* ideal_precharge_pj = nullptr;  // count -> precharge pJ
-  double adc_energy_pj = 0.0;                  // per conversion
-  std::int32_t* y = nullptr;                   // m outputs
-  std::uint64_t conversions = 0;
-  double adc_energy = 0.0;
-  double precharge_energy = 0.0;
+  const double* bit_cycle_weight = nullptr;        // [b * input_bits + t]
+  const double* ideal_estimate = nullptr;          // count -> estimate
+  const std::uint64_t* ideal_discharge = nullptr;  // count -> ledger steps
+  std::int32_t* y = nullptr;                       // m outputs
+  /// Out: the discharge ledger steps of every read, summed.
+  std::uint64_t discharge = 0;
 };
 
 /// The noisy read chain of one mvm_packed call: every read (j, b, t, grp)
@@ -100,7 +95,7 @@ std::int32_t finish_noisy_row(const std::int64_t* sums,
 
 struct PackedKernels {
   /// The noise-free path over all m rows: table-lookup ADC estimates,
-  /// shift-add into y, energy accumulation.
+  /// shift-add into y, discharge ledger.
   void (*noise_free_rows)(const PackedCountArgs& args, NoiseFreeRows& rows);
   /// The noisy path over all m rows (NoisyRows).
   void (*noisy_rows)(const PackedCountArgs& args, NoisyRows& rows);

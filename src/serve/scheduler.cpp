@@ -560,7 +560,6 @@ void Scheduler::worker_loop(int worker_index) {
     std::shared_ptr<InFlightBatch> ifb;
     if (track_inflight) {
       ifb = std::make_shared<InFlightBatch>();
-      ifb->batch_id = batch_id;
       ifb->worker = worker_index;
       ifb->start = ServeClock::now();
       ifb->requests = &batch;
@@ -712,11 +711,9 @@ void Scheduler::worker_loop(int worker_index) {
       if (ifb != nullptr && inflight_batches_[widx] == ifb) {
         inflight_batches_[widx].reset();
       }
-      // A failed batch merges zeros: its partial activity produced no
+      // A failed batch adds nothing: its partial activity produced no
       // output.
-      finish_batch_locked(batch_id, batch.size(),
-                          failed ? BatchStats{}
-                                : BatchStats{ctx.rom_stats(), ctx.sram_stats()});
+      finish_batch_locked(batch.size(), failed ? nullptr : &ctx);
     }
   }
 }
@@ -795,25 +792,18 @@ void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
   metrics_.record_batch(ifb->worker, obs);
   {
     std::lock_guard lock(mutex_);
-    // The hung batch merges zeros, exactly like an execution failure.
-    finish_batch_locked(ifb->batch_id, n, BatchStats{});
+    // The hung batch adds nothing, exactly like an execution failure.
+    finish_batch_locked(n, nullptr);
   }
 }
 
-void Scheduler::finish_batch_locked(std::uint64_t batch_id,
-                                    std::size_t requests, BatchStats stats) {
-  // Merge per-batch stats in batch-formation order: given the same batch
-  // compositions (always true at max_microbatch = 1 with uniform-class
-  // traffic) the aggregate double sums are reproducible run to run. Every
-  // formed batch parks exactly once — failed and hung ones too — or every
-  // later batch would wait on a merge id that never arrives.
-  pending_stats_[batch_id] = stats;
-  for (auto it = pending_stats_.find(next_merge_id_);
-       it != pending_stats_.end(); it = pending_stats_.find(next_merge_id_)) {
-    rom_total_.accumulate(it->second.rom);
-    sram_total_.accumulate(it->second.sram);
-    pending_stats_.erase(it);
-    ++next_merge_id_;
+void Scheduler::finish_batch_locked(std::size_t requests,
+                                    const ExecutionContext* served) {
+  // The stats are integer counts, so the totals do not depend on the
+  // order in which batches finish.
+  if (served != nullptr) {
+    rom_total_.accumulate(served->rom_stats());
+    sram_total_.accumulate(served->sram_stats());
   }
   in_flight_ -= static_cast<int>(requests);
   if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();

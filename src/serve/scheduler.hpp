@@ -27,14 +27,16 @@
 //
 // Determinism contract: each batch executes on a context reseeded with
 // noise_seed + id of its FIRST request (ids are admission-ordered), and
-// per-batch stats merge in batch-formation order. With max_microbatch=1
-// and a single priority class, formation order equals admission order,
-// so request i is bit-identical — outputs AND merged stat sums — to a
+// each served batch adds its stats to the totals when it finishes. The
+// stats are integer event counts (macro/cim_macro.hpp), so the totals
+// do not depend on the order in which batches finish. With
+// max_microbatch=1 and a single priority class, batch i is request i
+// alone, so request i is bit-identical — outputs AND stat totals — to a
 // serial ExecutionContext run seeded noise_seed + i, independent of
 // worker count. With mixed classes or max_microbatch > 1, batch
-// COMPOSITION (and with it the noise-stream alignment and double
-// summation order) depends on scheduling; exact-cost outputs stay
-// bit-exact per request regardless.
+// COMPOSITION depends on scheduling, and with it the analog noise-stream
+// alignment, so analog outputs and bitline discharge can move;
+// exact-cost outputs and stat totals stay bit-exact regardless.
 //
 // Telemetry: every worker records into its own MetricsRegistry slot —
 // queue-wait and end-to-end latency histograms (p50/p95/p99), per-class
@@ -47,7 +49,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -219,11 +220,6 @@ class Scheduler {
   void trip_breaker(int w);
 
  private:
-  struct BatchStats {
-    MacroRunStats rom;
-    MacroRunStats sram;
-  };
-
   /// One batch (or canary probe) in flight on one worker. The settle
   /// protocol: exactly ONE of {the worker, the watchdog, shutdown}
   /// settles the batch's requests — whoever flips `settled` under `m`
@@ -235,7 +231,6 @@ class Scheduler {
   struct InFlightBatch {
     std::mutex m;
     bool settled = false;
-    std::uint64_t batch_id = 0;
     int worker = -1;
     ServeClock::time_point start{};
     std::vector<ServeRequest>* requests = nullptr;
@@ -267,13 +262,12 @@ class Scheduler {
   /// Fail `expired` fast (DeadlineExpiredError) and settle accounting.
   /// Caller must have added them to in_flight_ under the queue lock.
   void cancel_expired(std::vector<ServeRequest> expired);
-  /// Completion accounting for batch `batch_id` of `requests` requests,
-  /// under mutex_: park its stats (zeros for a failed or hung batch, which
-  /// still holds its slot), merge every parked batch that is next in
-  /// formation order, and wake wait_idle() once nothing is queued or in
-  /// flight.
-  void finish_batch_locked(std::uint64_t batch_id, std::size_t requests,
-                           BatchStats stats);
+  /// Completion accounting for a batch of `requests` requests, under
+  /// mutex_: add `served`'s stats to the totals (null for a failed or
+  /// hung batch, which adds nothing), and wake wait_idle() once nothing
+  /// is queued or in flight.
+  void finish_batch_locked(std::size_t requests,
+                           const ExecutionContext* served);
 
   /// Effective per-lane micro-batch caps for one scheduling decision:
   /// the SLO-aware auto-batch rule described at SchedulerOptions::
@@ -316,9 +310,7 @@ class Scheduler {
   std::vector<std::shared_ptr<WorkerAbandon>> abandon_;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t next_batch_id_ = 0;
-  std::uint64_t next_merge_id_ = 0;
   int in_flight_ = 0;
-  std::map<std::uint64_t, BatchStats> pending_stats_;
   MacroRunStats rom_total_;
   MacroRunStats sram_total_;
 

@@ -7,13 +7,15 @@
 // each time instead of reading a deploy-time packing:
 //   * analog: every read (j, b, t, grp) takes read_normals(key, j, r) and
 //     CimArrayModel::read(); codes are summed per (row, weight bit) and
-//     the discharge ledger is charged once per call. A noise-free config
-//     reads the ADC transfer directly and chains its energy read by read,
-//     as the engine's table path does.
-//   * exact-cost: the integer MAC, paying the modeled cost at the
-//     average activity level.
-// MacroMvmEngine must match it bit for bit: outputs, every MacroRunStats
-// field and the session's noise call count. Used by the packed-weights,
+//     discharges in ledger steps. A noise-free config reads the ADC
+//     transfer directly and takes each read's discharge from
+//     read(count, 0, 0).
+//   * exact-cost: the integer MAC, counting the modeled events at the
+//     average activity level (a quarter of each row group discharging).
+// Every call charges its integer event counts (macro/cim_macro.hpp), so
+// the stats sums do not depend on call order. MacroMvmEngine must match
+// the oracle bit for bit: outputs, every MacroRunStats field and the
+// session's noise call count. Used by the packed-weights,
 // runtime and fault suites and as the `legacy` baseline of
 // bench_macro_mvm.
 //
@@ -168,11 +170,7 @@ class ReferenceMacroEngine final : public MvmEngine {
                 est = est * drift.gain + drift.offset_counts;
               }
               acc += est * bit_weight * static_cast<double>(1 << t);
-              stats.array.adc_conversions += 1;
-              stats.array.adc_energy_pj +=
-                  array.read_chain_consts().adc_energy_pj;
-              stats.array.precharge_energy_pj +=
-                  array.bitline().precharge_energy_pj(exact);
+              discharge += array.read(exact, 0.0, 0.0).discharge;
             } else {
               const NormalPair z =
                   read_normals(key, static_cast<std::uint32_t>(j), r);
@@ -210,16 +208,11 @@ class ReferenceMacroEngine final : public MvmEngine {
         y[j] = static_cast<std::int32_t>(std::llround(total));
       }
     }
-    if (!noise_free) {
-      array.charge_reads(static_cast<std::uint64_t>(m) * g.weight_bits *
-                             g.input_bits * groups,
-                         discharge, stats.array);
-    }
-    charge_op_costs(m, k, x, stats);
+    charge_op_costs(m, k, x, discharge, stats);
   }
 
-  /// One exact-cost call: the integer MAC, with the analog read energy
-  /// paid at the average activity level.
+  /// One exact-cost call: the integer MAC, with the analog reads
+  /// counted at the average activity level.
   void exact_cost_mvm(const std::int8_t* w, int m, int k,
                       const std::uint8_t* x, std::int32_t* y,
                       MacroRunStats& stats) const {
@@ -234,25 +227,27 @@ class ReferenceMacroEngine final : public MvmEngine {
       }
       y[j] = static_cast<std::int32_t>(acc);
     }
-    const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-    const std::uint64_t conversions =
-        static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-    stats.array.adc_conversions += conversions;
-    stats.array.adc_energy_pj += static_cast<double>(conversions) *
-                                 macro_->config().adc.energy_pj;
-    // Average discharge ~ quarter of the group (random data assumption).
-    stats.array.precharge_energy_pj +=
-        static_cast<double>(conversions) *
-        macro_->array_model().bitline().precharge_energy_pj(
-            0.25 * g.rows_per_activation);
-    charge_op_costs(m, k, x, stats);
+    charge_op_costs(m, k, x,
+                    conversions(m, k) *
+                        macro_->array_model().discharge_steps(
+                            0.25 * g.rows_per_activation),
+                    stats);
   }
 
-  /// The per-call costs: wordline pulses (one per active row per input
-  /// cycle with its bit set, shared by every column), shift-adds, ADC
-  /// slot latency, ops and MACs.
+  /// One per (output, weight bit, input bit, row group).
+  std::uint64_t conversions(int m, int k) const {
+    const MacroGeometry& g = macro_->config().geometry;
+    const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
+    return static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits *
+           groups;
+  }
+
+  /// The per-call counts: ADC conversions and their `discharge` ledger
+  /// steps, wordline pulses (one per active row per input cycle with its
+  /// bit set, shared by every column), shift-adds, ADC slots, ops and
+  /// MACs.
   void charge_op_costs(int m, int k, const std::uint8_t* x,
-                       MacroRunStats& stats) const {
+                       std::uint64_t discharge, MacroRunStats& stats) const {
     const MacroGeometry& g = macro_->config().geometry;
     const CimArrayModel& array = macro_->array_model();
     std::uint64_t pulses = 0;
@@ -261,14 +256,12 @@ class ReferenceMacroEngine final : public MvmEngine {
         if ((x[i] >> t) & 1u) ++pulses;
       }
     }
-    const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
+    const std::uint64_t reads = conversions(m, k);
+    array.charge_reads(reads, discharge, stats.array);
     array.charge_wl_pulses(pulses, stats.array);
-    const std::uint64_t conversions =
-        static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-    array.charge_shift_adds(conversions, stats.array);
-    const double slots =
-        std::ceil(static_cast<double>(conversions) / g.adc_per_subarray);
-    stats.latency_ns += slots * macro_->config().adc.t_conv_ns;
+    array.charge_shift_adds(reads, stats.array);
+    const auto adc = static_cast<std::uint64_t>(g.adc_per_subarray);
+    stats.add_slots((reads + adc - 1) / adc, macro_->config().adc.t_conv_ns);
     stats.macro_ops += 1;
     stats.macs += static_cast<std::uint64_t>(m) * k;
   }

@@ -8,6 +8,7 @@
 #include "circuit/adc.hpp"
 #include "circuit/bitline.hpp"
 #include "circuit/cim_array.hpp"
+#include "common/rng.hpp"
 
 namespace yoloc {
 namespace {
@@ -101,15 +102,40 @@ TEST(Adc, LevelCount) {
   EXPECT_NEAR(adc.lsb_voltage(), 0.9 / 31.0, 1e-12);
 }
 
-CimArrayModel make_array(int group, double sigma = 0.0) {
+CimArrayModel make_array(int group, double sigma = 0.0,
+                         double adc_pj = 0.07) {
   BitlineParams bl = rom_bitline();
   bl.sigma_cell = sigma;
   AdcParams adc;
   adc.bits = 5;
   adc.noise_sigma_v = 0.0;
-  adc.energy_pj = 0.07;
+  adc.energy_pj = adc_pj;
   ArrayEnergyParams energy;
   return CimArrayModel(bl, adc, energy, group);
+}
+
+// One column read of `exact_count` ON cells through CimArrayModel::read(),
+// its normals drawn from `rng` (cell mismatch only when sigma_cell > 0
+// and the count is non-zero), charged as one conversion. Returns the
+// count estimate code * counts_per_code.
+double read_count(const CimArrayModel& arr, int exact_count, Rng& rng,
+                  ArrayReadStats& stats) {
+  const double z_cell =
+      arr.read_chain_consts().sigma_cell > 0.0 && exact_count > 0
+          ? rng.normal()
+          : 0.0;
+  const CimArrayModel::ReadOutcome r =
+      arr.read(exact_count, z_cell, rng.normal());
+  arr.charge_reads(1, r.discharge, stats);
+  return r.code * arr.counts_per_code();
+}
+
+// The noise-free (but still ADC-quantized) read: both normals zero.
+double read_count_ideal(const CimArrayModel& arr, int exact_count,
+                        ArrayReadStats& stats) {
+  const CimArrayModel::ReadOutcome r = arr.read(exact_count, 0.0, 0.0);
+  arr.charge_reads(1, r.discharge, stats);
+  return r.code * arr.counts_per_code();
 }
 
 TEST(CimArray, ExactReadWhenGroupMatchesAdcRange) {
@@ -118,7 +144,7 @@ TEST(CimArray, ExactReadWhenGroupMatchesAdcRange) {
   Rng rng(1);
   ArrayReadStats stats;
   for (int count = 0; count <= 31; ++count) {
-    const double est = arr.read_count(count, 31, rng, stats);
+    const double est = read_count(arr, count, rng, stats);
     EXPECT_NEAR(est, count, 0.51) << "count " << count;
   }
   EXPECT_EQ(stats.adc_conversions, 32u);
@@ -132,8 +158,8 @@ TEST(CimArray, QuantizationErrorGrowsWithGroupSize) {
   double err_small = 0.0;
   double err_large = 0.0;
   for (int count = 0; count <= 30; ++count) {
-    err_small += std::fabs(small.read_count(count, 32, rng, stats) - count);
-    err_large += std::fabs(large.read_count(count, 124, rng, stats) - count);
+    err_small += std::fabs(read_count(small, count, rng, stats) - count);
+    err_large += std::fabs(read_count(large, count, rng, stats) - count);
   }
   EXPECT_LT(err_small, err_large);
 }
@@ -145,41 +171,54 @@ TEST(CimArray, NoiseBroadensEstimates) {
   double var = 0.0;
   const int trials = 200;
   for (int i = 0; i < trials; ++i) {
-    const double est = noisy.read_count(16, 32, rng, stats);
+    const double est = read_count(noisy, 16, rng, stats);
     var += (est - 16.0) * (est - 16.0);
   }
   // With 30% cell mismatch over 16 cells some spread must appear.
   EXPECT_GT(var / trials, 0.05);
 }
 
-TEST(CimArray, RejectsCountAboveActiveRows) {
-  const CimArrayModel arr = make_array(32);
-  Rng rng(4);
-  ArrayReadStats stats;
-  EXPECT_THROW((void)arr.read_count(33, 32, rng, stats), std::runtime_error);
-}
-
 TEST(CimArray, EnergyAccounting) {
   const CimArrayModel arr = make_array(32);
   Rng rng(5);
   ArrayReadStats stats;
-  (void)arr.read_count(8, 32, rng, stats);
+  (void)read_count(arr, 8, rng, stats);
   EXPECT_EQ(stats.adc_conversions, 1u);
-  EXPECT_NEAR(stats.adc_energy_pj, 0.07, 1e-12);
-  EXPECT_GT(stats.precharge_energy_pj, 0.0);
+  // One 0.07 pJ conversion, and eight cells discharging 56 mV: C_bl *
+  // V_pre * dV = 100 fF * 0.9 V * 0.056 V = 5.04 fJ, up to the ledger's
+  // 2^-32 V step.
+  const double read_pj = 0.07 + 100.0 * 0.9 * 0.056 * 1e-3;
+  EXPECT_NEAR(stats.total_energy_pj(), read_pj, 100.0 * 0.9 * 1e-3 * 0x1p-32);
 
   arr.charge_wl_pulses(10, stats);
   EXPECT_EQ(stats.wl_pulses, 10u);
-  EXPECT_GT(stats.wl_energy_pj, 0.0);
   arr.charge_shift_adds(5, stats);
   EXPECT_EQ(stats.shift_adds, 5u);
+  const double charged_pj = read_pj + 10 * (0.0006 + 0.001) + 5 * 0.012;
+  EXPECT_NEAR(stats.total_energy_pj(), charged_pj, 1e-9);
 
+  // Uncharged stats carry counts only; merging adopts the charged costs.
   ArrayReadStats other;
   other.adc_conversions = 3;
-  other.adc_energy_pj = 1.0;
   stats.accumulate(other);
   EXPECT_EQ(stats.adc_conversions, 4u);
-  EXPECT_GT(stats.total_energy_pj(), 1.0);
+  EXPECT_NEAR(stats.total_energy_pj(), charged_pj + 3 * 0.07, 1e-9);
+  ArrayReadStats fresh;
+  fresh.accumulate(stats);
+  EXPECT_EQ(fresh, stats);
+
+  // A served run's discharge passes 2^64 steps; the ledger must not wrap.
+  ArrayReadStats big;
+  arr.charge_reads(0, std::uint64_t{1} << 63, big);
+  ArrayReadStats bigger = big;
+  bigger.accumulate(big);
+  bigger.accumulate(big);
+  EXPECT_DOUBLE_EQ(bigger.total_energy_pj(), 3.0 * big.total_energy_pj());
+
+  // Stats charged at other unit costs refuse to merge.
+  ArrayReadStats foreign;
+  make_array(32, /*sigma=*/0.0, /*adc_pj=*/0.09).charge_reads(1, 0, foreign);
+  EXPECT_THROW(stats.accumulate(foreign), std::runtime_error);
 }
 
 TEST(CimArray, GroupMustFitBitlineRange) {
@@ -207,7 +246,7 @@ TEST_P(AdcBitsProperty, ReadErrorBoundedByHalfStepPlusSaturation) {
   EXPECT_DOUBLE_EQ(step, std::ceil(32.0 / levels));
   const double range = (levels - 1) * step;
   for (int count = 0; count <= 32; ++count) {
-    const double est = arr.read_count_ideal(count, stats);
+    const double est = read_count_ideal(arr, count, stats);
     const double allowed =
         step / 2 + std::max(0.0, count - range) + 1e-9;
     EXPECT_LE(std::fabs(est - count), allowed)

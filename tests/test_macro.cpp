@@ -266,6 +266,15 @@ TEST(MacroSpec, TableIValues) {
   EXPECT_LT(s.mac_eff_tops_per_w, 16.0);
   EXPECT_GT(s.area_eff_gops_per_mm2, 80.0);
   EXPECT_LT(s.area_eff_gops_per_mm2, 160.0);
+  // Pinned: a change to the cost ledger that moves a paper figure must
+  // fail here, not only shift a printed table.
+  EXPECT_NEAR(s.mac_eff_tops_per_w, 11.478409430746272,
+              1e-9 * 11.478409430746272);
+  const CimMacro sram(default_sram_macro());
+  Rng sram_rng(7);
+  const MacroSpecSummary ss = summarize_macro(sram, sram_rng, 16);
+  EXPECT_NEAR(ss.mac_eff_tops_per_w, 10.292365020953403,
+              1e-9 * 10.292365020953403);
 }
 
 TEST(MacroSpec, TablePrintsAllRows) {

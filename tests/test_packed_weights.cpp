@@ -468,10 +468,9 @@ TEST(PackedMvm, ExactCostPulseWindowNarrowerThanActivations) {
 TEST(PackedMvm, ExactCostResDecompShapeMatchesPerCallSums) {
   // The shape of a served ReBranch resdecomp 1x1 conv (m = 8, k = 2, one
   // 8-image 32x32 request plus a 3-column tail block): 8195 columns
-  // whose ledger the tile posts in closed form (integer fields) and one
-  // add per column (double fields). Every field must equal the oracle's
-  // per-call sums, after a first call and after a second that starts
-  // from non-zero stats.
+  // whose event counts the tile posts at once. Every field must equal
+  // the oracle's per-call sums, after a first call and after a second
+  // that starts from non-zero stats.
   const int m = 8;
   const int k = 2;
   const int p = 8195;
@@ -498,17 +497,106 @@ TEST(PackedMvm, ExactCostResDecompShapeMatchesPerCallSums) {
       EXPECT_EQ(y_oracle, y_packed);
       EXPECT_EQ(so.macro_ops, sp.macro_ops);
       EXPECT_EQ(so.macs, sp.macs);
+      EXPECT_EQ(so.adc_slots, sp.adc_slots);
       EXPECT_EQ(so.latency_ns, sp.latency_ns);
       EXPECT_EQ(so.array.adc_conversions, sp.array.adc_conversions);
       EXPECT_EQ(so.array.wl_pulses, sp.array.wl_pulses);
       EXPECT_EQ(so.array.shift_adds, sp.array.shift_adds);
-      EXPECT_EQ(so.array.adc_energy_pj, sp.array.adc_energy_pj);
-      EXPECT_EQ(so.array.precharge_energy_pj, sp.array.precharge_energy_pj);
-      EXPECT_EQ(so.array.wl_energy_pj, sp.array.wl_energy_pj);
-      EXPECT_EQ(so.array.shift_add_energy_pj, sp.array.shift_add_energy_pj);
+      EXPECT_TRUE(so.array.discharge == sp.array.discharge);
+      EXPECT_EQ(so.array.total_energy_pj(), sp.array.total_energy_pj());
       EXPECT_EQ(so, sp);  // and any field added later
     }
     EXPECT_EQ(sp.macro_ops, 2u * p);
+  }
+}
+
+TEST(MacroRunStats, LedgerIsOrderFree) {
+  // Every MacroRunStats event is an integer count, so no total depends
+  // on the order of its additions. One exact-cost tile is charged three
+  // ways that must agree field for field: one p-column call, p
+  // single-column oracle calls, and its two halves charged apart and
+  // merged in reverse order.
+  const int m = 7;
+  const int k = 100;  // one tile
+  const int p = 777;
+  const int h = 300;
+  for (const MacroConfig& cfg : {default_rom_macro(), default_sram_macro()}) {
+    SCOPED_TRACE(static_cast<int>(cfg.kind));
+    const CimMacro macro(cfg);
+    MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kExactCost);
+    const auto w = random_weights(m, k, 170);
+    const PackedRomWeights& packed = engine.pack(w.data(), m, k);
+    const auto x = random_acts(k, p, 171);
+    const DenseActView dense(x.data(), k, p);
+    const ActView view = dense;
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
+
+    MacroRunStats whole;
+    macro.mvm_packed_exact_cost_tile(packed, 0, w.data(), view, p, y.data(),
+                                     whole);
+
+    MacroRunStats per_column;
+    MvmScratch scratch;
+    MvmSession session{nullptr, &per_column, &scratch};
+    ReferenceMacroEngine(macro, MacroMvmEngine::Mode::kExactCost)
+        .mvm_batch(w.data(), m, k, view, p, y.data(), session);
+
+    MacroRunStats low, high;
+    macro.mvm_packed_exact_cost_tile(packed, 0, w.data(), view, h, y.data(),
+                                     low);
+    macro.mvm_packed_exact_cost_tile(packed, 0, w.data(), view.from(0, h),
+                                     p - h, y.data(), high);
+    high.accumulate(low);
+
+    EXPECT_EQ(whole.macro_ops, static_cast<std::uint64_t>(p));
+    EXPECT_EQ(whole, per_column);
+    EXPECT_EQ(whole, high);
+  }
+
+  // Random per-batch stats of noisy and noise-free analog calls, merged
+  // in call order and in a shuffled order, give identical totals.
+  for (const MacroConfig& cfg : {default_rom_macro(), noise_free_rom()}) {
+    const CimMacro macro(cfg);
+    SCOPED_TRACE(macro.noise_free() ? "noise-free" : "noisy");
+    MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog);
+    const int km = 2 * cfg.geometry.rows;  // two tiles
+    const auto w = random_weights(m, km, 172);
+    const PackedRomWeights& packed = engine.pack(w.data(), m, km);
+    const auto x = random_acts(km, 1, 173);
+    Rng rng(174);
+    std::vector<MacroRunStats> batches(24);
+    std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+    std::uint64_t call = 0;
+    for (MacroRunStats& batch : batches) {
+      for (int calls = rng.uniform_int(1, 4); calls > 0; --calls, ++call) {
+        for (int tile = 0; tile < packed.tile_count(); ++tile) {
+          const ReadNoiseKey key{.seed = 9,
+                                 .call = call,
+                                 .tile = static_cast<std::uint32_t>(tile),
+                                 .column = 0};
+          macro.mvm_packed(packed, tile,
+                           x.data() + packed.tile(tile).k0, y.data(), key,
+                           batch);
+        }
+      }
+    }
+    MacroRunStats in_order;
+    for (const MacroRunStats& batch : batches) in_order.accumulate(batch);
+    for (int shuffle = 0; shuffle < 4; ++shuffle) {
+      std::vector<MacroRunStats> shuffled = batches;
+      for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+        std::swap(shuffled[i],
+                  shuffled[static_cast<std::size_t>(
+                      rng.uniform_int(0, static_cast<int>(i)))]);
+      }
+      MacroRunStats total;
+      for (const MacroRunStats& batch : shuffled) total.accumulate(batch);
+      EXPECT_EQ(in_order, total);
+    }
+    EXPECT_GT(in_order.energy_pj(), 0.0);
+    EXPECT_EQ(in_order.latency_ns,
+              static_cast<double>(in_order.adc_slots) *
+                  cfg.adc.t_conv_ns);
   }
 }
 
@@ -586,7 +674,7 @@ RowMask random_mask(Rng& rng, int bits) {
 
 // The noise-free read loop for output row j as a per-call macro runs it:
 // range-clamped counts with the fault overlays applied, then the table
-// lookup, shift-add and energy chain (continued in `nf`'s accumulators).
+// lookups, shift-add and discharge ledger (added to nf.discharge).
 // Every kernel variant must reproduce it exactly.
 std::int32_t reference_noise_free_row(const detail::PackedCountArgs& a, int j,
                                       int k, int rows_per_activation,
@@ -614,9 +702,7 @@ std::int32_t reference_noise_free_row(const detail::PackedCountArgs& a, int j,
         double est = nf.ideal_estimate[exact];
         if (faults != nullptr) est = est * drift.gain + drift.offset_counts;
         acc += est * nf.bit_cycle_weight[b * a.input_bits + t];
-        ++nf.conversions;
-        nf.adc_energy += nf.adc_energy_pj;
-        nf.precharge_energy += nf.ideal_precharge_pj[exact];
+        nf.discharge += nf.ideal_discharge[exact];
       }
     }
   }
@@ -698,18 +784,13 @@ TEST(PackedKernels, VariantsMatchLegacyNoiseFreeRows) {
       std::vector<double> bcw(64);
       for (auto& v : bcw) v = rng.uniform(-128.0, 128.0);
       std::vector<double> estimate(129);
-      std::vector<double> precharge(129);
+      std::vector<std::uint64_t> discharge(129);
       for (auto& v : estimate) v = rng.uniform(0.0, 40.0);
-      for (auto& v : precharge) v = rng.uniform(0.0, 0.1);
+      for (auto& v : discharge) v = rng() >> 24;
       const detail::NoiseFreeRows tables{.m = m,
                                          .bit_cycle_weight = bcw.data(),
                                          .ideal_estimate = estimate.data(),
-                                         .ideal_precharge_pj =
-                                             precharge.data(),
-                                         .adc_energy_pj = 0.3,
-                                         .conversions = 7,
-                                         .adc_energy = 0.5,
-                                         .precharge_energy = 0.25};
+                                         .ideal_discharge = discharge.data()};
 
       detail::NoiseFreeRows expected = tables;
       std::vector<std::int32_t> y_ref(static_cast<std::size_t>(m));
@@ -724,9 +805,7 @@ TEST(PackedKernels, VariantsMatchLegacyNoiseFreeRows) {
         rows.y = y.data();
         v->noise_free_rows(c.args, rows);
         EXPECT_EQ(y, y_ref);
-        EXPECT_EQ(rows.conversions, expected.conversions);
-        EXPECT_EQ(rows.adc_energy, expected.adc_energy);
-        EXPECT_EQ(rows.precharge_energy, expected.precharge_energy);
+        EXPECT_EQ(rows.discharge, expected.discharge);
       }
     }
   }

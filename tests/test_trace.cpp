@@ -175,7 +175,7 @@ TEST(Tracing, SamplingDoesNotPerturbOutputsOrStatSums) {
   for (std::size_t i = 0; i < untraced.size(); ++i) {
     EXPECT_TRUE(bit_identical(untraced[i], traced[i])) << "request " << i;
   }
-  // Stat sums too: tracing must not touch noise streams or merge order.
+  // Stat totals too: tracing must not touch the noise streams.
   EXPECT_EQ(rom_off.macs, rom_on.macs);
   EXPECT_EQ(sram_off.macs, sram_on.macs);
   EXPECT_EQ(rom_off.macro_ops, rom_on.macro_ops);

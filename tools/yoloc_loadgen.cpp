@@ -6,10 +6,9 @@
 //   build/yoloc_loadgen --port-file /tmp/port --mode closed --concurrency 4
 //   build/yoloc_loadgen --port 8080 --mode open --rate 200 --duration-s 10
 //
-// Emits one JSON summary line on stdout (grep '^{'), the shape
-// refresh_bench.sh snapshots into bench/BENCH_fault_resilience.json:
-// requests / ok / err_429 / err_503 / err_other / error_rate /
-// images_per_s / p50_ms / p99_ms.
+// Emits one JSON summary line on stdout (grep '^{'): requests / ok /
+// err_429 / err_503 / err_other / error_rate / images_per_s / p50_ms /
+// p99_ms.
 
 #include <algorithm>
 #include <atomic>
