@@ -107,14 +107,13 @@ YOLOC_AVX2 inline __m128i store_pair(__m128i a, __m128i b, __m128i window,
 
 /// Gathers the k rows of one strip of n <= 16 columns (column offsets
 /// `off`) from the view into int16 k-pairs at xs ([i/2][16][2], columns
-/// past n and the odd-k tail row zero) and writes each column's window
+/// past n and the odd-k tail row zero) and returns the strip's window
 /// popcount sum. The per-column sums are kept in 16-bit lanes (k * 8 <=
 /// 65535).
 template <int kRun>
-YOLOC_AVX2 void interleave_strip(const ActView& x, int k,
+YOLOC_AVX2 std::uint64_t interleave_strip(const ActView& x, int k,
                                  const std::size_t* off, int n,
-                                 __m128i window, std::int16_t* xs,
-                                 std::uint32_t* pulses) {
+                                 __m128i window, std::int16_t* xs) {
   __m256i counts = _mm256_setzero_si256();
   int i = 0;
   for (; i + 2 <= k; i += 2, xs += 2 * kStrip) {
@@ -131,16 +130,19 @@ YOLOC_AVX2 void interleave_strip(const ActView& x, int k,
   }
   alignas(32) std::uint16_t sums[kStrip];
   _mm256_store_si256(reinterpret_cast<__m256i*>(sums), counts);
-  for (int c = 0; c < n; ++c) pulses[c] = sums[c];
+  std::uint64_t pulses = 0;
+  for (int c = 0; c < n; ++c) pulses += sums[c];
+  return pulses;
 }
 
 /// Interleaves columns [0, cols <= kBlock) of the view, one contiguous
-/// [i/2][16][2] run per 16-column strip (see interleave_strip).
-YOLOC_AVX2 void interleave_block(const ActView& x, int k, int cols,
-                                 __m128i window, std::int16_t* xp,
-                                 std::uint32_t* pulses) {
+/// [i/2][16][2] run per 16-column strip (see interleave_strip), and
+/// returns their window popcount sum.
+YOLOC_AVX2 std::uint64_t interleave_block(const ActView& x, int k, int cols,
+                                          __m128i window, std::int16_t* xp) {
   const std::size_t strip_len =
       static_cast<std::size_t>((k + 1) / 2) * 2 * kStrip;
+  std::uint64_t pulses = 0;
   for (int s = 0; s * kStrip < cols; ++s) {
     const int c = s * kStrip;
     const int n = std::min(kStrip, cols - c);
@@ -148,22 +150,23 @@ YOLOC_AVX2 void interleave_block(const ActView& x, int k, int cols,
     std::int16_t* xs = xp + static_cast<std::size_t>(s) * strip_len;
     switch (strip_run(off, n)) {
       case 16:
-        interleave_strip<16>(x, k, off, n, window, xs, pulses + c);
+        pulses += interleave_strip<16>(x, k, off, n, window, xs);
         break;
       case 8:
-        interleave_strip<8>(x, k, off, n, window, xs, pulses + c);
+        pulses += interleave_strip<8>(x, k, off, n, window, xs);
         break;
       case 4:
-        interleave_strip<4>(x, k, off, n, window, xs, pulses + c);
+        pulses += interleave_strip<4>(x, k, off, n, window, xs);
         break;
       case 1:
-        interleave_strip<1>(x, k, off, n, window, xs, pulses + c);
+        pulses += interleave_strip<1>(x, k, off, n, window, xs);
         break;
       default:
-        interleave_strip<0>(x, k, off, n, window, xs, pulses + c);
+        pulses += interleave_strip<0>(x, k, off, n, window, xs);
         break;
     }
   }
+  return pulses;
 }
 
 /// y[r*ldy + c] += the R x 16 tile of (weight pairs) x (one strip's
@@ -208,13 +211,10 @@ YOLOC_AVX2 inline void strip_rows(const std::int32_t* wp, int pairs,
 
 }  // namespace
 
-YOLOC_AVX2 void gemm_s8u8_accumulate_avx2(const std::int8_t* w,
-                                          std::size_t ldw, int m, int k,
-                                          const ActView& x, int p,
-                                          std::int32_t* y, std::size_t ldy,
-                                          std::uint8_t window,
-                                          std::uint32_t* pulses) {
-  if (m <= 0 || k <= 0 || p <= 0) return;
+YOLOC_AVX2 std::uint64_t gemm_s8u8_accumulate_avx2(
+    const std::int8_t* w, std::size_t ldw, int m, int k, const ActView& x,
+    int p, std::int32_t* y, std::size_t ldy, std::uint8_t window) {
+  if (m <= 0 || k <= 0 || p <= 0) return 0;
   const int pairs = (k + 1) / 2;
   const std::size_t strip_len = static_cast<std::size_t>(pairs) * 2 * kStrip;
   thread_local PairScratch scratch;
@@ -238,9 +238,10 @@ YOLOC_AVX2 void gemm_s8u8_accumulate_avx2(const std::int8_t* w,
   }
 
   const __m128i win = _mm_set1_epi8(static_cast<char>(window));
+  std::uint64_t pulses = 0;
   for (int c0 = 0; c0 < p; c0 += kBlock) {
     const int cols = std::min(kBlock, p - c0);
-    interleave_block(x.from(0, c0), k, cols, win, xp, pulses + c0);
+    pulses += interleave_block(x.from(0, c0), k, cols, win, xp);
     for (int s = 0; s * kStrip < cols; ++s) {
       const int c = c0 + s * kStrip;
       const int n = std::min(kStrip, p - c);
@@ -261,6 +262,7 @@ YOLOC_AVX2 void gemm_s8u8_accumulate_avx2(const std::int8_t* w,
       }
     }
   }
+  return pulses;
 }
 
 }  // namespace yoloc

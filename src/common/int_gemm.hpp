@@ -79,9 +79,9 @@ inline void gemm_s8u8_accumulate(const std::int8_t* w, std::size_t ldw, int m,
 #if YOLOC_GEMM_AVX2
 /// The AVX2 body: y[j*ldy + c] += sum over i < k of w[j*ldw + i] *
 /// x.at(i, c), the same update as gemm_s8u8_accumulate over the dense
-/// form of `x`, bit for bit, plus pulses[c] = sum over i < k of
-/// popcount(x.at(i, c) & window) for c < p (k <= 8191). Call it only on
-/// a CPU with AVX2.
+/// form of `x`, bit for bit. Returns the wordline pulses, the sum over
+/// i < k and c < p of popcount(x.at(i, c) & window) (k <= 8191). Call it
+/// only on a CPU with AVX2.
 ///
 /// For each 64 columns one pass gathers the k rows of every 16-column
 /// strip from the view and widens them into int16 k-pairs, laid out
@@ -94,10 +94,9 @@ inline void gemm_s8u8_accumulate(const std::int8_t* w, std::size_t ldw, int m,
 /// multiplies each strip with broadcast (w[j][i], w[j][i+1]) int32 pairs
 /// in a 4 x 16 register tile and adds into y once. The strip buffers and
 /// the weight pairs live in per-thread scratch that grows on first use.
-[[gnu::target("avx2")]] void gemm_s8u8_accumulate_avx2(
+[[gnu::target("avx2")]] std::uint64_t gemm_s8u8_accumulate_avx2(
     const std::int8_t* w, std::size_t ldw, int m, int k, const ActView& x,
-    int p, std::int32_t* y, std::size_t ldy, std::uint8_t window,
-    std::uint32_t* pulses);
+    int p, std::int32_t* y, std::size_t ldy, std::uint8_t window);
 #endif
 
 }  // namespace yoloc

@@ -1,6 +1,5 @@
 #include "macro/cim_macro.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -192,14 +191,6 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   charge_columns(m, k, 1, pulses, discharge, stats);
 }
 
-namespace {
-
-/// Columns per call of the exact-cost tile kernel: their pulse counts
-/// sit on the stack until they are summed.
-constexpr int kExactColBlock = 256;
-
-}  // namespace
-
 void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
                                           int tile_index,
                                           const std::int8_t* w,
@@ -221,22 +212,12 @@ void CimMacro::mvm_packed_exact_cost_tile(const PackedRomWeights& packed,
   args.ldw = static_cast<std::size_t>(packed.k());
   args.m = m;
   args.k = k;
+  args.x = x.from(tile.k0, 0);
+  args.p = p;
+  args.y = y;
   args.ldy = static_cast<std::size_t>(p);
   args.window = static_cast<std::uint8_t>((1u << g.input_bits) - 1u);
-
-  std::uint64_t wl_pulses = 0;
-  std::array<std::uint32_t, kExactColBlock> pulses;
-  for (int c0 = 0; c0 < p; c0 += kExactColBlock) {
-    const int cols = std::min(kExactColBlock, p - c0);
-    args.x = x.from(tile.k0, c0);
-    args.p = cols;
-    args.y = y + c0;
-    args.pulses = pulses.data();
-    kernels.gemm_pulses(args);
-    for (int c = 0; c < cols; ++c) {
-      wl_pulses += pulses[static_cast<std::size_t>(c)];
-    }
-  }
+  const std::uint64_t wl_pulses = kernels.gemm_pulses(args);
   const auto columns = static_cast<std::uint64_t>(p);
   charge_columns(m, k, columns, wl_pulses,
                  DischargeSteps{columns * conversions_per_column(m, k)} *

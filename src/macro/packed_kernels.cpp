@@ -145,14 +145,13 @@ void noise_free_rows_plain(const PackedCountArgs& a, NoiseFreeRows& nf) {
 /// walks every output row over them.
 constexpr int kExactColBlock = 256;
 
-/// pulses[c] = sum over the k rows of popcount(x[i*ldx + c] & window),
-/// for c < cols <= kExactColBlock, where `window` is the input_bits mask
+/// The sum over the k rows and cols <= kExactColBlock columns of
+/// popcount(x[i*ldx + c] & window), where `window` is the input_bits mask
 /// replicated into every byte. Eight columns share one 64-bit SWAR byte
 /// popcount; the per-byte counts (<= 8 per row) are summed in 16-bit
 /// lanes, even and odd bytes apart, which holds k up to 8191 rows.
-void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
-                         int cols, std::uint64_t window,
-                         std::uint32_t* pulses) {
+std::uint64_t count_window_pulses(const std::uint8_t* x, std::size_t ldx,
+                                  int k, int cols, std::uint64_t window) {
   constexpr std::uint64_t kOnes = 0x5555555555555555ull;
   constexpr std::uint64_t kPairs = 0x3333333333333333ull;
   constexpr std::uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
@@ -177,31 +176,30 @@ void count_window_pulses(const std::uint8_t* x, std::size_t ldx, int k,
       odd[static_cast<std::size_t>(wd)] += (v >> 8) & kLowBytes;
     }
   }
+  std::uint64_t total = 0;
   for (int wd = 0; wd < words; ++wd) {
     for (int lane = 0; lane < 4; ++lane) {
-      pulses[8 * wd + 2 * lane] = static_cast<std::uint32_t>(
-          (even[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
-      pulses[8 * wd + 2 * lane + 1] = static_cast<std::uint32_t>(
-          (odd[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu);
+      total += (even[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu;
+      total += (odd[static_cast<std::size_t>(wd)] >> (16 * lane)) & 0xFFFFu;
     }
   }
   const unsigned byte_window = static_cast<unsigned>(window & 0xFFu);
   for (int c = 8 * words; c < cols; ++c) {
-    std::uint32_t sum = 0;
     for (int i = 0; i < k; ++i) {
-      sum += static_cast<std::uint32_t>(std::popcount(
+      total += static_cast<std::uint64_t>(std::popcount(
           static_cast<unsigned>(x[static_cast<std::size_t>(i) * ldx + c]) &
           byte_window));
     }
-    pulses[c] = sum;
   }
+  return total;
 }
 
-void exact_tile_plain(const ExactTileArgs& a) {
+std::uint64_t exact_tile_plain(const ExactTileArgs& a) {
   const std::uint64_t window = a.window * 0x0101010101010101ull;
   // The block's activations, gathered dense: k x cols, row stride cols.
   thread_local std::vector<std::uint8_t> block;
   block.resize(static_cast<std::size_t>(a.k) * kExactColBlock);
+  std::uint64_t pulses = 0;
   for (int c0 = 0; c0 < a.p; c0 += kExactColBlock) {
     const int cols = std::min(kExactColBlock, a.p - c0);
     const ActView xv = a.x.from(0, c0);
@@ -211,16 +209,17 @@ void exact_tile_plain(const ExactTileArgs& a) {
       std::uint8_t* dst = block.data() + static_cast<std::size_t>(i) * ld;
       for (int c = 0; c < cols; ++c) dst[c] = src[xv.col_off[c]];
     }
-    count_window_pulses(block.data(), ld, a.k, cols, window, a.pulses + c0);
+    pulses += count_window_pulses(block.data(), ld, a.k, cols, window);
     gemm_s8u8_accumulate(a.w, a.ldw, a.m, a.k, block.data(), ld, cols,
                          a.y + c0, a.ldy);
   }
+  return pulses;
 }
 
 #if YOLOC_GEMM_AVX2
-void exact_tile_avx2(const ExactTileArgs& a) {
-  gemm_s8u8_accumulate_avx2(a.w, a.ldw, a.m, a.k, a.x, a.p, a.y, a.ldy,
-                            a.window, a.pulses);
+std::uint64_t exact_tile_avx2(const ExactTileArgs& a) {
+  return gemm_s8u8_accumulate_avx2(a.w, a.ldw, a.m, a.k, a.x, a.p, a.y,
+                                   a.ldy, a.window);
 }
 #endif
 

@@ -129,13 +129,14 @@ const PackedKernels& packed_kernels();
 // body, which gathers 256-column blocks of the view into a dense
 // per-thread buffer and runs a SWAR pulse scan and the plain
 // gemm_s8u8_accumulate over it. Both give the same y and the same pulse
-// counts. Unlike the popcount pair, the AVX2 body is built on every
+// total. Unlike the popcount pair, the AVX2 body is built on every
 // x86-64 GCC/Clang build, -march=native included, so both always exist
 // there.
 
 /// The operands of one exact-cost tile call: y[j*ldy + c] += sum over
-/// i < k of w[j*ldw + i] * x.at(i, c) for j < m, c < p, and pulses[c] =
-/// sum over i < k of popcount(x.at(i, c) & window) for c < p.
+/// i < k of w[j*ldw + i] * x.at(i, c) for j < m, c < p. The call returns
+/// the tile's wordline pulses, the sum over i < k and c < p of
+/// popcount(x.at(i, c) & window).
 struct ExactTileArgs {
   const std::int8_t* w = nullptr;
   std::size_t ldw = 0;
@@ -146,11 +147,10 @@ struct ExactTileArgs {
   std::int32_t* y = nullptr;
   std::size_t ldy = 0;
   std::uint8_t window = 0;  // the input_bits mask
-  std::uint32_t* pulses = nullptr;
 };
 
 struct ExactTileKernels {
-  void (*gemm_pulses)(const ExactTileArgs& args);
+  std::uint64_t (*gemm_pulses)(const ExactTileArgs& args);
   /// "avx2" for the vpmaddwd body, "portable" for the plain one.
   const char* gemm;
 };

@@ -1085,9 +1085,10 @@ void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
   // ---- decode the tensor + scheduling hints
   std::vector<int> shape;
   std::vector<std::uint8_t> payload;
-  std::string priority_name_text;
-  double deadline_ms = 0.0;
-  bool have_deadline = false;
+  SubmitOptions submit;
+  const std::string bad_priority =
+      "priority must be interactive | batch | best_effort";
+  double deadline_ms = 0.0;  // absent = 0 = no deadline of its own
 
   const auto ct = req.headers.find("content-type");
   const std::string content_type =
@@ -1102,15 +1103,18 @@ void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
     }
     payload.assign(req.body.begin(), req.body.end());
     const auto prio_it = query.find("priority");
-    if (prio_it != query.end()) priority_name_text = prio_it->second;
+    if (prio_it != query.end() &&
+        !parse_priority(prio_it->second, submit.priority)) {
+      return bad_request(bad_priority);
+    }
     const auto dl_it = query.find("deadline_ms");
     if (dl_it != query.end()) {
+      const char* text = dl_it->second.c_str();
       char* end = nullptr;
-      deadline_ms = std::strtod(dl_it->second.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
+      deadline_ms = std::strtod(text, &end);
+      if (end == text || *end != '\0') {
         return bad_request("malformed deadline_ms");
       }
-      have_deadline = true;
     }
   } else {
     JsonValue root;
@@ -1141,7 +1145,9 @@ void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
       if (prio_v->kind != JsonValue::Kind::kString) {
         return bad_request("priority must be a string");
       }
-      priority_name_text = prio_v->string;
+      if (!parse_priority(prio_v->string, submit.priority)) {
+        return bad_request(bad_priority);
+      }
     }
     const JsonValue* dl_v = root.find("deadline_ms");
     if (dl_v != nullptr) {
@@ -1149,7 +1155,6 @@ void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
         return bad_request("deadline_ms must be a number");
       }
       deadline_ms = dl_v->number;
-      have_deadline = true;
     }
   }
 
@@ -1179,26 +1184,21 @@ void HttpServer::run_infer(Connection& c, const ParsedRequest& req) {
                        std::to_string(elements * sizeof(float)));
   }
 
-  SubmitOptions submit;
-  if (!priority_name_text.empty() &&
-      !parse_priority(priority_name_text, submit.priority)) {
-    return bad_request("priority must be interactive | batch | best_effort");
+  // The double->int64 cast below is UB for non-finite or out-of-range
+  // values (query-string strtod can yield inf on overflow). 9e12 ms is
+  // ~285 years, and 9e12 * 1e6 stays inside int64.
+  if (!std::isfinite(deadline_ms) || std::fabs(deadline_ms) > 9e12) {
+    return bad_request("deadline_ms out of range");
   }
-  if (have_deadline) {
-    // The double->int64 cast below is UB for non-finite or out-of-range
-    // values (query-string strtod can yield inf on overflow). 9e12 ms is
-    // ~285 years, and 9e12 * 1e6 stays inside int64.
-    if (!std::isfinite(deadline_ms) || std::fabs(deadline_ms) > 9e12) {
-      return bad_request("deadline_ms out of range");
-    }
-    // deadline_ms <= 0 submits an already-dead deadline: the scheduler
-    // refuses it, which maps to 503 — the documented contract for
-    // "cannot be served in time".
-    submit.deadline = std::chrono::nanoseconds(
-        static_cast<std::int64_t>(deadline_ms * 1e6));
-    if (submit.deadline.count() == 0 && deadline_ms != 0.0) {
-      submit.deadline = std::chrono::nanoseconds(deadline_ms > 0 ? 1 : -1);
-    }
+  // An explicit 0 means "no deadline" (the server's default applies),
+  // as for yoloc_loadgen. A negative deadline_ms is already dead: the
+  // scheduler refuses it, which maps to 503 — the documented contract
+  // for "cannot be served in time". Any other value that truncates to
+  // 0 ns keeps its sign as +-1 ns rather than turning into "none".
+  submit.deadline = std::chrono::nanoseconds(
+      static_cast<std::int64_t>(deadline_ms * 1e6));
+  if (submit.deadline.count() == 0 && deadline_ms != 0.0) {
+    submit.deadline = std::chrono::nanoseconds(deadline_ms > 0 ? 1 : -1);
   }
 
   Tensor input(shape);

@@ -480,84 +480,71 @@ std::string MetricsSnapshot::to_json() const {
 
 // ---------------------------------------------------- MetricsRegistry
 
-MetricsRegistry::MetricsRegistry(int workers) : start_ns_(trace_now_ns()) {
-  YOLOC_CHECK(workers >= 1, "metrics registry: at least one worker slot");
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<WorkerSlot>());
-  }
+MetricsRegistry::MetricsRegistry(int workers)
+    : workers_(workers), start_ns_(trace_now_ns()) {
+  YOLOC_CHECK(workers >= 1, "metrics registry: at least one worker");
 }
 
-void MetricsRegistry::record_batch(int worker, const BatchObservation& obs) {
-  YOLOC_CHECK(worker >= 0 && worker < worker_slots(),
-              "metrics registry: bad worker index");
-  WorkerSlot& slot = *workers_[static_cast<std::size_t>(worker)];
-  const auto cls = static_cast<std::size_t>(obs.priority);
-  {
-    std::lock_guard lock(slot.mutex);
-    ClassCounters& c = slot.classes[cls];
-    if (obs.failed) {
-      c.failed_requests += static_cast<std::uint64_t>(obs.requests);
-    } else {
-      c.served_requests += static_cast<std::uint64_t>(obs.requests);
-      c.served_images += static_cast<std::uint64_t>(obs.images);
-      for (const std::uint64_t ns : obs.queue_wait_ns) c.queue_wait.record(ns);
-      for (const std::uint64_t ns : obs.e2e_ns) c.e2e.record(ns);
-      slot.batches += 1;
-      slot.batched_requests += static_cast<std::uint64_t>(obs.requests);
-      slot.max_batch_occupancy =
-          std::max(slot.max_batch_occupancy, obs.requests);
-    }
+void MetricsRegistry::record_served(Priority p, std::uint64_t queue_wait_ns,
+                                    std::uint64_t e2e_ns) {
+  ClassSnapshot& c = classes_[static_cast<std::size_t>(p)];
+  c.served_requests += 1;
+  c.queue_wait.record(queue_wait_ns);
+  c.e2e.record(e2e_ns);
+}
+
+void MetricsRegistry::record_batch(Priority p, int requests, int images) {
+  classes_[static_cast<std::size_t>(p)].served_images +=
+      static_cast<std::uint64_t>(images);
+  batches_ += 1;
+  batched_requests_ += static_cast<std::uint64_t>(requests);
+  max_batch_occupancy_ = std::max(max_batch_occupancy_, requests);
+  if (images <= 0) return;
+  const std::int64_t second = static_cast<std::int64_t>(
+      (trace_now_ns() - start_ns_) / kNsPerSecondU64);
+  auto& s =
+      rate_.slots[static_cast<std::size_t>(second) % RollingRate::kSlots];
+  if (s.second != second) {
+    s.second = second;
+    s.images = 0;
   }
-  if (!obs.failed && obs.images > 0) {
-    const std::int64_t second = static_cast<std::int64_t>(
-        (trace_now_ns() - start_ns_) / kNsPerSecondU64);
-    std::lock_guard lock(rate_mutex_);
-    auto& s = rate_.slots[static_cast<std::size_t>(second) %
-                          RollingRate::kSlots];
-    if (s.second != second) {
-      s.second = second;
-      s.images = 0;
-    }
-    s.images += static_cast<std::uint64_t>(obs.images);
-  }
+  s.images += static_cast<std::uint64_t>(images);
+}
+
+void MetricsRegistry::record_failed(Priority p, std::size_t requests) {
+  classes_[static_cast<std::size_t>(p)].failed_requests += requests;
 }
 
 void MetricsRegistry::record_submitted(Priority p) {
-  std::lock_guard lock(ingress_.mutex);
-  ingress_.submitted[static_cast<std::size_t>(p)] += 1;
+  classes_[static_cast<std::size_t>(p)].submitted += 1;
 }
 
 void MetricsRegistry::record_rejected(Priority p) {
-  std::lock_guard lock(ingress_.mutex);
-  ingress_.rejected[static_cast<std::size_t>(p)] += 1;
+  classes_[static_cast<std::size_t>(p)].rejected_requests += 1;
 }
 
 void MetricsRegistry::record_expired(Priority p, std::uint64_t waited_ns) {
-  std::lock_guard lock(ingress_.mutex);
-  ingress_.expired[static_cast<std::size_t>(p)] += 1;
-  ingress_.expired_wait[static_cast<std::size_t>(p)].record(waited_ns);
+  ClassSnapshot& c = classes_[static_cast<std::size_t>(p)];
+  c.expired_requests += 1;
+  c.expired_wait.record(waited_ns);
 }
 
 void MetricsRegistry::reset() {
-  for (auto& worker : workers_) {
-    std::lock_guard lock(worker->mutex);
-    worker->classes = {};
-    worker->batches = 0;
-    worker->batched_requests = 0;
-    worker->max_batch_occupancy = 0;
+  // Requests still queued or in flight stay submitted, so the ledger
+  // keeps settled + queued <= submitted across a reset under traffic.
+  // After wait_idle() nothing is outstanding and every counter reads 0.
+  for (ClassSnapshot& c : classes_) {
+    const std::uint64_t settled = c.served_requests + c.failed_requests +
+                                  c.expired_requests + c.rejected_requests;
+    const std::uint64_t outstanding =
+        c.submitted > settled ? c.submitted - settled : 0;
+    c = ClassSnapshot{};
+    c.submitted = outstanding;
   }
-  {
-    std::lock_guard lock(ingress_.mutex);
-    ingress_.submitted = {};
-    ingress_.rejected = {};
-    ingress_.expired = {};
-    ingress_.expired_wait = {};
-  }
-  {
-    std::lock_guard lock(rate_mutex_);
-    rate_.slots = {};
-  }
+  batches_ = 0;
+  batched_requests_ = 0;
+  max_batch_occupancy_ = 0;
+  rate_.slots = {};
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(
@@ -567,35 +554,10 @@ MetricsSnapshot MetricsRegistry::snapshot(
   const std::uint64_t now_ns = trace_now_ns();
   const std::uint64_t uptime_ns = now_ns - start_ns_;
   snap.uptime_s = static_cast<double>(uptime_ns) / 1e9;
-  snap.workers = worker_slots();
-
-  std::uint64_t batched_requests = 0;
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->mutex);
-    for (int c = 0; c < kPriorityClassCount; ++c) {
-      const ClassCounters& src = worker->classes[static_cast<std::size_t>(c)];
-      ClassSnapshot& dst = snap.classes[static_cast<std::size_t>(c)];
-      dst.served_requests += src.served_requests;
-      dst.served_images += src.served_images;
-      dst.failed_requests += src.failed_requests;
-      dst.queue_wait.merge(src.queue_wait);
-      dst.e2e.merge(src.e2e);
-    }
-    snap.batches += worker->batches;
-    batched_requests += worker->batched_requests;
-    snap.max_batch_occupancy =
-        std::max(snap.max_batch_occupancy, worker->max_batch_occupancy);
-  }
-  {
-    std::lock_guard lock(ingress_.mutex);
-    for (int c = 0; c < kPriorityClassCount; ++c) {
-      ClassSnapshot& dst = snap.classes[static_cast<std::size_t>(c)];
-      dst.submitted = ingress_.submitted[static_cast<std::size_t>(c)];
-      dst.rejected_requests = ingress_.rejected[static_cast<std::size_t>(c)];
-      dst.expired_requests = ingress_.expired[static_cast<std::size_t>(c)];
-      dst.expired_wait = ingress_.expired_wait[static_cast<std::size_t>(c)];
-    }
-  }
+  snap.workers = workers_;
+  snap.batches = batches_;
+  snap.max_batch_occupancy = max_batch_occupancy_;
+  snap.classes = classes_;
   for (int c = 0; c < kPriorityClassCount; ++c) {
     ClassSnapshot& dst = snap.classes[static_cast<std::size_t>(c)];
     dst.queue_depth = queue_depths[static_cast<std::size_t>(c)];
@@ -604,7 +566,7 @@ MetricsSnapshot MetricsRegistry::snapshot(
   }
   snap.avg_batch_occupancy =
       snap.batches == 0 ? 0.0
-                        : static_cast<double>(batched_requests) /
+                        : static_cast<double>(batched_requests_) /
                               static_cast<double>(snap.batches);
 
   // Trailing-window throughput: sum the ring slots still inside the
@@ -617,7 +579,6 @@ MetricsSnapshot MetricsRegistry::snapshot(
     const std::int64_t now_second =
         static_cast<std::int64_t>(uptime_ns / kNsPerSecondU64);
     std::uint64_t images = 0;
-    std::lock_guard lock(rate_mutex_);
     for (const auto& s : rate_.slots) {
       if (s.second >= 0 && now_second - s.second < RollingRate::kWindowSeconds) {
         images += s.images;

@@ -1,13 +1,14 @@
 #pragma once
-// Serving telemetry: lock-cheap per-worker counters merged on read.
+// Serving telemetry: one plain ledger that its owner synchronises.
 //
-// Every scheduler worker owns one WorkerSlot guarded by its own mutex —
-// uncontended in steady state, so the per-batch recording cost is a
-// handful of uncontended lock/unlock pairs and array increments, never a
-// global lock on the hot path. Submit-side events (admission rejections,
-// enqueue counts) land in a separate ingress slot. snapshot() takes each
-// slot's lock in turn and merges everything into one immutable
-// MetricsSnapshot, exportable as a JSON object.
+// MetricsRegistry holds the per-lane request counters, latency
+// histograms, batch occupancy and a rolling-throughput ring. It has no
+// lock of its own: the Scheduler records into it and reads it only
+// inside critical sections of its own mutex that it enters anyway (batch
+// pop and finish, submit, expiry, shutdown), so one snapshot() is one
+// instant — a request can never show up both as queued and as served.
+// snapshot() returns an immutable MetricsSnapshot, exportable as a JSON
+// object or as Prometheus text.
 //
 // Latencies are recorded into log2-bucketed histograms (bucket b holds
 // [2^(b-1), 2^b) nanoseconds): constant memory, O(1) record, and
@@ -17,11 +18,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "serve/request.hpp"
 #include "serve/resilience.hpp"
@@ -84,14 +82,14 @@ struct ClassSnapshot {
   std::uint64_t expired_requests = 0;  // deadline passed while queued
   std::uint64_t rejected_requests = 0; // refused at admission
   std::uint64_t queue_depth = 0;       // gauge at snapshot time
-  // Merged latency histograms: to_json() digests each into count, p50,
+  // Latency histograms: to_json() digests each into count, p50,
   // p95, p99, mean and max in ms; to_prometheus() emits its buckets.
   LatencyHistogram queue_wait;    // submit -> batch pickup (served only)
   LatencyHistogram e2e;           // submit -> callback ran (served only)
   LatencyHistogram expired_wait;  // submit -> cancellation (expired only)
 };
 
-/// Immutable merged view of the registry at one instant.
+/// Immutable view of the registry at one instant.
 struct MetricsSnapshot {
   double uptime_s = 0.0;
   int workers = 0;
@@ -118,27 +116,23 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_prometheus() const;
 };
 
-/// What one worker observed executing one batch. All requests in a batch
-/// share a priority class by construction.
-struct BatchObservation {
-  Priority priority = Priority::kBatch;
-  int requests = 0;
-  int images = 0;
-  bool failed = false;  // execution threw: requests count as failed
-  std::vector<std::uint64_t> queue_wait_ns;  // per served request
-  std::vector<std::uint64_t> e2e_ns;         // per served request
-};
-
+/// The serving ledger. Not thread-safe: every call must be serialised by
+/// the caller (the Scheduler holds its mutex around each one).
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(int workers);
 
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
   // ------------------------------------------------ worker-side events
-  /// Record one executed batch into worker `worker`'s slot.
-  void record_batch(int worker, const BatchObservation& obs);
+  /// One served request of lane `p`: submit -> batch pickup and submit ->
+  /// callback ran.
+  void record_served(Priority p, std::uint64_t queue_wait_ns,
+                     std::uint64_t e2e_ns);
+  /// One served batch of `requests` requests (each also recorded through
+  /// record_served) and `images` images: occupancy and throughput.
+  void record_batch(Priority p, int requests, int images);
+  /// `requests` requests of a batch that raised or hung: they count as
+  /// failed and nothing else (no batch, no latency, no throughput).
+  void record_failed(Priority p, std::size_t requests);
 
   // ------------------------------------------------ submit-side events
   void record_submitted(Priority p);
@@ -146,45 +140,21 @@ class MetricsRegistry {
   /// `waited_ns`: how long the request sat queued before expiring.
   void record_expired(Priority p, std::uint64_t waited_ns);
 
-  /// Merge every slot under its own lock. `queue_depths` are the live
-  /// per-class queue gauges (the registry does not own the queue).
+  /// The ledger plus its derived gauges at this instant. `queue_depths`
+  /// are the live per-class queue gauges (the registry does not own the
+  /// queue).
   [[nodiscard]] MetricsSnapshot snapshot(
       const std::array<std::uint64_t, kPriorityClassCount>& queue_depths)
       const;
 
-  /// Zero every counter, histogram and throughput slot (each under its
-  /// own lock; safe concurrently with recording, though a snapshot
-  /// racing a reset may see partially cleared state). The registry
-  /// epoch (uptime_s) is NOT reset. Benches use this to scope a
-  /// snapshot to a measurement phase, excluding warmup.
+  /// Zero every counter, histogram and throughput slot, except that a
+  /// lane's requests not yet settled (submitted minus served, failed,
+  /// expired and rejected) stay submitted. The registry epoch (uptime_s)
+  /// is NOT reset. Benches use this to scope a snapshot to a measurement
+  /// phase, excluding warmup.
   void reset();
 
-  [[nodiscard]] int worker_slots() const {
-    return static_cast<int>(workers_.size());
-  }
-
  private:
-  struct ClassCounters {
-    std::uint64_t served_requests = 0;
-    std::uint64_t served_images = 0;
-    std::uint64_t failed_requests = 0;
-    LatencyHistogram queue_wait;
-    LatencyHistogram e2e;
-  };
-  struct WorkerSlot {
-    mutable std::mutex mutex;
-    std::array<ClassCounters, kPriorityClassCount> classes{};
-    std::uint64_t batches = 0;
-    std::uint64_t batched_requests = 0;
-    int max_batch_occupancy = 0;
-  };
-  struct IngressSlot {
-    mutable std::mutex mutex;
-    std::array<std::uint64_t, kPriorityClassCount> submitted{};
-    std::array<std::uint64_t, kPriorityClassCount> rejected{};
-    std::array<std::uint64_t, kPriorityClassCount> expired{};
-    std::array<LatencyHistogram, kPriorityClassCount> expired_wait{};
-  };
   /// Trailing-window throughput: a ring of one-second buckets.
   struct RollingRate {
     static constexpr int kSlots = 16;
@@ -196,10 +166,13 @@ class MetricsRegistry {
     std::array<Slot, kSlots> slots{};
   };
 
-  std::vector<std::unique_ptr<WorkerSlot>> workers_;
-  IngressSlot ingress_;
-  mutable std::mutex rate_mutex_;
+  /// Per-lane counters and histograms; queue_depth is filled by snapshot().
+  std::array<ClassSnapshot, kPriorityClassCount> classes_{};
+  std::uint64_t batches_ = 0;
+  std::uint64_t batched_requests_ = 0;
+  int max_batch_occupancy_ = 0;
   RollingRate rate_;
+  int workers_;
   /// Registry creation time as ns since trace_epoch() — the SAME base
   /// trace spans are stamped on, so uptime, rolling-rate seconds and
   /// trace timestamps can be compared directly.

@@ -23,22 +23,22 @@ Tensor stack_inputs(const std::vector<ServeRequest>& batch) {
   return concat_rows(inputs);
 }
 
+/// `options` with `workers` = 0 resolved to parallel_workers().
+SchedulerOptions with_resolved_workers(SchedulerOptions options) {
+  if (options.workers <= 0) {
+    options.workers = static_cast<int>(parallel_workers());
+  }
+  return options;
+}
+
 }  // namespace
 
 Scheduler::Scheduler(const DeploymentPlan& plan, SchedulerOptions options)
     : plan_(&plan),
-      options_(options),
-      metrics_(options.workers > 0 ? options.workers
-                                   : static_cast<int>(parallel_workers())),
-      trace_(options.workers > 0 ? options.workers
-                                 : static_cast<int>(parallel_workers()),
-             options.trace_sampling),
-      resilience_(options.workers > 0 ? options.workers
-                                      : static_cast<int>(parallel_workers()),
-                  options.resilience) {
-  if (options_.workers <= 0) {
-    options_.workers = static_cast<int>(parallel_workers());
-  }
+      options_(with_resolved_workers(std::move(options))),
+      metrics_(options_.workers),
+      trace_(options_.workers, options_.trace_sampling),
+      resilience_(options_.workers, options_.resilience) {
   YOLOC_CHECK(options_.max_microbatch >= 1, "scheduler: max_microbatch >= 1");
   int reserved = 0;
   for (int c = 0; c < kPriorityClassCount; ++c) {
@@ -158,19 +158,18 @@ void Scheduler::shutdown() {
     // In flight until settled, so wait_idle() cannot return first.
     in_flight_ += static_cast<int>(residual.size());
   }
-  if (!residual.empty()) {
-    for (ServeRequest& r : residual) {
-      metrics_.record_rejected(r.priority);
-      // Its own statement, for the reason given in cancel_expired().
-      std::exception_ptr error = std::make_exception_ptr(WorkerHungError(
-          "request " + std::to_string(r.id) +
-          " unserved at shutdown (no healthy worker drained it)"));
-      r.fail(std::move(error));
-    }
-    std::lock_guard lock(mutex_);
-    in_flight_ -= static_cast<int>(residual.size());
-    if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+  if (residual.empty()) return;
+  for (ServeRequest& r : residual) {
+    // Its own statement, for the reason given in cancel_expired().
+    std::exception_ptr error = std::make_exception_ptr(WorkerHungError(
+        "request " + std::to_string(r.id) +
+        " unserved at shutdown (no healthy worker drained it)"));
+    r.fail(std::move(error));
   }
+  std::lock_guard lock(mutex_);
+  for (const ServeRequest& r : residual) metrics_.record_rejected(r.priority);
+  in_flight_ -= static_cast<int>(residual.size());
+  if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
 }
 
 bool Scheduler::accepting() const {
@@ -294,9 +293,9 @@ void Scheduler::submit(Tensor images, SubmitOptions options,
             "deadline tighter than the estimated service time"));
         break;
     }
+    if (rejection) metrics_.record_rejected(options.priority);
   }
   if (rejection) {
-    metrics_.record_rejected(options.priority);
     req.fail(std::move(rejection));
   } else if (has_reservations_ ||
              resilience_.healthy_workers() < worker_count()) {
@@ -338,25 +337,25 @@ void Scheduler::wait_idle() {
 }
 
 MetricsSnapshot Scheduler::metrics_snapshot() const {
-  std::array<std::uint64_t, kPriorityClassCount> depths{};
-  {
-    std::lock_guard lock(mutex_);
-    depths = queue_.depths();
-  }
-  MetricsSnapshot snap = metrics_.snapshot(depths);
+  std::unique_lock lock(mutex_);
+  MetricsSnapshot snap = metrics_.snapshot(queue_.depths());
+  lock.unlock();
   snap.resilience = resilience_.snapshot();
   return snap;
+}
+
+void Scheduler::reset_metrics() {
+  std::lock_guard lock(mutex_);
+  metrics_.reset();
 }
 
 WorkloadTrace Scheduler::recorded_trace() const {
   WorkloadTrace trace;
   trace.workers = worker_count();
   trace.max_microbatch = options_.max_microbatch;
-  {
-    std::lock_guard lock(mutex_);
-    trace.records = records_;
-  }
-  const MetricsSnapshot snap = metrics_snapshot();
+  std::lock_guard lock(mutex_);
+  trace.records = records_;
+  const MetricsSnapshot snap = metrics_.snapshot(queue_.depths());
   for (int c = 0; c < kPriorityClassCount; ++c) {
     const auto i = static_cast<std::size_t>(c);
     trace.submitted[i] = snap.classes[i].submitted;
@@ -391,7 +390,6 @@ void Scheduler::reset_stats() {
 void Scheduler::cancel_expired(std::vector<ServeRequest> expired) {
   const auto now = ServeClock::now();
   for (ServeRequest& r : expired) {
-    metrics_.record_expired(r.priority, ns_between(r.submit_time, now));
     // Built in its own statement so the error temporary is destroyed
     // before fail() runs the callback: libstdc++'s copy in the
     // exception_ptr shares the temporary's message buffer through a count
@@ -403,6 +401,9 @@ void Scheduler::cancel_expired(std::vector<ServeRequest> expired) {
     r.fail(std::move(error));
   }
   std::lock_guard lock(mutex_);
+  for (const ServeRequest& r : expired) {
+    metrics_.record_expired(r.priority, ns_between(r.submit_time, now));
+  }
   in_flight_ -= static_cast<int>(expired.size());
   if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
 }
@@ -417,9 +418,6 @@ void Scheduler::worker_loop(int worker_index) {
   // Local copies survive Scheduler destruction — all a detached
   // (abandoned) worker may touch on its way out.
   const std::shared_ptr<WorkerAbandon> ab = abandon_[widx];
-  const bool track_inflight =
-      options_.resilience.watchdog_timeout.count() > 0 ||
-      options_.worker_fault_hook != nullptr;
 
   bool last_was_probe = false;
   for (;;) {
@@ -428,6 +426,9 @@ void Scheduler::worker_loop(int worker_index) {
     const CanaryProbe* probe = nullptr;
     std::uint64_t batch_id = 0;
     ServeClock::time_point pickup{};
+    auto ifb = std::make_shared<InFlightBatch>();
+    ifb->worker = worker_index;
+    ifb->requests = &batch;
     {
       std::unique_lock lock(mutex_);
       for (;;) {
@@ -466,6 +467,10 @@ void Scheduler::worker_loop(int worker_index) {
           batch_id = next_batch_id_++;
           in_flight_ += static_cast<int>(batch.size());
           pickup = now;
+          // Published before the fault hook and the forward pass, so
+          // the watchdog sees a hang anywhere inside.
+          ifb->start = now;
+          inflight_batches_[widx] = ifb;
           break;
         }
         if (stop_) return;
@@ -555,17 +560,6 @@ void Scheduler::worker_loop(int worker_index) {
       ctx.set_layer_trace(&layer_sink);
     }
 
-    // Watchdog registration: publish this batch as in flight BEFORE the
-    // fault hook / forward pass, so a hang anywhere inside is visible.
-    std::shared_ptr<InFlightBatch> ifb;
-    if (track_inflight) {
-      ifb = std::make_shared<InFlightBatch>();
-      ifb->worker = worker_index;
-      ifb->start = ServeClock::now();
-      ifb->requests = &batch;
-      std::lock_guard lock(mutex_);
-      inflight_batches_[widx] = ifb;
-    }
     if (options_.worker_fault_hook) {
       bool run_hook = false;
       {
@@ -643,30 +637,23 @@ void Scheduler::worker_loop(int worker_index) {
       }
     };
     bool already_settled = false;
-    if (ifb != nullptr) {
+    {
       std::lock_guard g(ifb->m);
-      if (ifb->settled) {
-        already_settled = true;
-      } else {
+      already_settled = ifb->settled;
+      if (!already_settled) {
         fulfill();
         ifb->settled = true;
       }
-    } else {
-      fulfill();
     }
     if (already_settled) {
-      // The watchdog declared us hung and already failed the batch's
-      // requests and ran its accounting. We were merely slow, not dead —
-      // coming back IS the respawn: clear the quarantine and rejoin.
-      {
-        std::lock_guard lock(mutex_);
-        if (inflight_batches_[widx] == ifb) inflight_batches_[widx].reset();
-      }
+      // The watchdog declared us hung: it took the batch off
+      // inflight_batches_, failed its requests and ran its accounting.
+      // We were merely slow, not dead — coming back IS the respawn:
+      // clear the quarantine and rejoin.
       resilience_.clear_quarantine(worker_index);
       continue;
     }
 
-    // Telemetry: one observation per batch into this worker's slot.
     const auto done = ServeClock::now();
     if (batch_traced) {
       // Epilogue: scatter/settle work between the forward pass ending
@@ -680,41 +667,30 @@ void Scheduler::worker_loop(int worker_index) {
                   trace_ns_since_epoch(done), 0, 0);
       }
     }
-    BatchObservation obs;
-    obs.priority = batch.front().priority;
-    obs.requests = static_cast<int>(batch.size());
-    obs.images = std::max(total_images, 0);
-    obs.failed = failed;
-    if (!failed) {
-      obs.queue_wait_ns.reserve(batch.size());
-      obs.e2e_ns.reserve(batch.size());
-      for (const ServeRequest& r : batch) {
-        obs.queue_wait_ns.push_back(ns_between(r.submit_time, pickup));
-        obs.e2e_ns.push_back(ns_between(r.submit_time, done));
-      }
-      if (total_images > 0) {
-        // Racy blend across workers is fine: the estimate only steers
-        // admission feasibility and the batching window.
-        const std::uint64_t sample =
-            ns_between(exec_start, exec_end) /
-            static_cast<std::uint64_t>(total_images);
-        const std::uint64_t old =
-            ewma_image_ns_.load(std::memory_order_relaxed);
-        ewma_image_ns_.store(old == 0 ? sample : (3 * old + sample) / 4,
-                             std::memory_order_relaxed);
-      }
+    if (!failed && total_images > 0) {
+      // Racy blend across workers is fine: the estimate only steers
+      // admission feasibility and the batching window.
+      const std::uint64_t sample = ns_between(exec_start, exec_end) /
+                                   static_cast<std::uint64_t>(total_images);
+      const std::uint64_t old = ewma_image_ns_.load(std::memory_order_relaxed);
+      ewma_image_ns_.store(old == 0 ? sample : (3 * old + sample) / 4,
+                           std::memory_order_relaxed);
     }
-    metrics_.record_batch(worker_index, obs);
 
-    {
-      std::lock_guard lock(mutex_);
-      if (ifb != nullptr && inflight_batches_[widx] == ifb) {
-        inflight_batches_[widx].reset();
+    std::lock_guard lock(mutex_);
+    inflight_batches_[widx].reset();
+    const Priority lane = batch.front().priority;
+    if (!failed) {
+      for (const ServeRequest& r : batch) {
+        metrics_.record_served(lane, ns_between(r.submit_time, pickup),
+                               ns_between(r.submit_time, done));
       }
-      // A failed batch adds nothing: its partial activity produced no
-      // output.
-      finish_batch_locked(batch.size(), failed ? nullptr : &ctx);
+      metrics_.record_batch(lane, static_cast<int>(batch.size()),
+                            std::max(total_images, 0));
     }
+    // A failed batch adds nothing: its partial activity produced no
+    // output.
+    finish_batch_locked(lane, batch.size(), failed ? nullptr : &ctx);
   }
 }
 
@@ -766,16 +742,14 @@ void Scheduler::watchdog_loop() {
 void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
                                 bool quarantine) {
   std::size_t n = 0;
-  int images = 0;
-  Priority priority = Priority::kBatch;
+  Priority lane = Priority::kBatch;
   {
     std::lock_guard g(ifb->m);
     if (ifb->settled) return;
     ifb->settled = true;
     n = ifb->requests->size();
-    priority = ifb->requests->front().priority;
+    lane = ifb->requests->front().priority;
     for (ServeRequest& r : *ifb->requests) {
-      images += r.input.shape()[0];
       // Its own statement, for the reason given in cancel_expired().
       std::exception_ptr error = std::make_exception_ptr(WorkerHungError(
           "request " + std::to_string(r.id) + " abandoned on worker " +
@@ -784,26 +758,20 @@ void Scheduler::fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
     }
   }
   if (quarantine) resilience_.record_watchdog_fire(ifb->worker);
-  BatchObservation obs;
-  obs.priority = priority;
-  obs.requests = static_cast<int>(n);
-  obs.images = images;
-  obs.failed = true;
-  metrics_.record_batch(ifb->worker, obs);
-  {
-    std::lock_guard lock(mutex_);
-    // The hung batch adds nothing, exactly like an execution failure.
-    finish_batch_locked(n, nullptr);
-  }
+  std::lock_guard lock(mutex_);
+  // The hung batch adds nothing, exactly like an execution failure.
+  finish_batch_locked(lane, n, nullptr);
 }
 
-void Scheduler::finish_batch_locked(std::size_t requests,
+void Scheduler::finish_batch_locked(Priority lane, std::size_t requests,
                                     const ExecutionContext* served) {
   // The stats are integer counts, so the totals do not depend on the
   // order in which batches finish.
   if (served != nullptr) {
     rom_total_.accumulate(served->rom_stats());
     sram_total_.accumulate(served->sram_stats());
+  } else {
+    metrics_.record_failed(lane, requests);
   }
   in_flight_ -= static_cast<int>(requests);
   if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();

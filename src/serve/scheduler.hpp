@@ -38,10 +38,14 @@
 // alignment, so analog outputs and bitline discharge can move;
 // exact-cost outputs and stat totals stay bit-exact regardless.
 //
-// Telemetry: every worker records into its own MetricsRegistry slot —
-// queue-wait and end-to-end latency histograms (p50/p95/p99), per-class
-// served/failed/expired/rejected counters, batch occupancy and rolling
-// throughput — merged on read into a JSON-exportable MetricsSnapshot.
+// Telemetry: one MetricsRegistry ledger — queue-wait and end-to-end
+// latency histograms (p50/p95/p99), per-class served/failed/expired/
+// rejected counters, batch occupancy and rolling throughput — recorded
+// only inside critical sections of the scheduler's mutex that a batch,
+// a submission or an expiry enters anyway. A served batch records
+// everything in its finish section, next to its macro stats; a snapshot
+// reads the ledger and the queue depths under the same lock, so it is
+// one instant.
 
 #include <atomic>
 #include <condition_variable>
@@ -164,7 +168,8 @@ class Scheduler {
   /// work" fact (GET /healthz reads it; submit() refuses once false).
   [[nodiscard]] bool accepting() const;
 
-  /// Merged telemetry; see MetricsSnapshot::to_json() for the schema.
+  /// Telemetry at one instant; see MetricsSnapshot::to_json() for the
+  /// schema.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
   /// Prometheus text exposition (version 0.0.4) of the same snapshot;
   /// every metric name is documented in docs/serving.md (enforced by
@@ -173,12 +178,13 @@ class Scheduler {
     return metrics_snapshot().to_prometheus();
   }
   /// Zero the telemetry counters/histograms (macro stats are separate —
-  /// see reset_stats()). Call after wait_idle() to scope a later
-  /// snapshot to a measurement phase, excluding warmup traffic.
-  void reset_metrics() { metrics_.reset(); }
+  /// see reset_stats()); uptime keeps its epoch. Call after wait_idle()
+  /// to scope a later snapshot to a measurement phase, excluding warmup
+  /// traffic.
+  void reset_metrics();
 
-  /// Merged macro activity across completed batches (deterministic
-  /// batch-formation-order merge).
+  /// Macro activity summed over served batches: integer event counts,
+  /// so the totals do not depend on the order batches finish in.
   [[nodiscard]] MacroRunStats rom_stats() const;
   [[nodiscard]] MacroRunStats sram_stats() const;
   [[nodiscard]] double total_energy_pj() const;
@@ -220,7 +226,7 @@ class Scheduler {
   void trip_breaker(int w);
 
  private:
-  /// One batch (or canary probe) in flight on one worker. The settle
+  /// One batch in flight on one worker. The settle
   /// protocol: exactly ONE of {the worker, the watchdog, shutdown}
   /// settles the batch's requests — whoever flips `settled` under `m`
   /// wins; the others skip fulfillment AND its accounting. The requests
@@ -259,14 +265,16 @@ class Scheduler {
   /// settled. `quarantine` marks the worker unhealthy afterwards.
   void fail_hung_batch(const std::shared_ptr<InFlightBatch>& ifb,
                        bool quarantine);
-  /// Fail `expired` fast (DeadlineExpiredError) and settle accounting.
-  /// Caller must have added them to in_flight_ under the queue lock.
+  /// Fail `expired` fast (DeadlineExpiredError), then record them as
+  /// expired and take them out of in_flight_ in one section. Caller must
+  /// have added them to in_flight_ under the queue lock.
   void cancel_expired(std::vector<ServeRequest> expired);
-  /// Completion accounting for a batch of `requests` requests, under
-  /// mutex_: add `served`'s stats to the totals (null for a failed or
-  /// hung batch, which adds nothing), and wake wait_idle() once nothing
-  /// is queued or in flight.
-  void finish_batch_locked(std::size_t requests,
+  /// Completion accounting for a batch of `requests` requests of `lane`,
+  /// under mutex_: add `served`'s stats to the totals, or, when `served`
+  /// is null (a failed or hung batch), count the requests as failed and
+  /// add nothing; then wake wait_idle() once nothing is queued or in
+  /// flight.
+  void finish_batch_locked(Priority lane, std::size_t requests,
                            const ExecutionContext* served);
 
   /// Effective per-lane micro-batch caps for one scheduling decision:
@@ -277,6 +285,7 @@ class Scheduler {
 
   const DeploymentPlan* plan_;
   SchedulerOptions options_;
+  /// Guarded by mutex_.
   MetricsRegistry metrics_;
   TraceCollector trace_;
   ResilienceManager resilience_;
@@ -303,8 +312,9 @@ class Scheduler {
   /// checked FIRST in the worker wait loop — even a breaker-open worker
   /// runs them (half-open probing is what closes the breaker again).
   std::vector<std::deque<const CanaryProbe*>> probe_slots_;
-  /// Per-worker in-flight batch (guarded by mutex_; null when idle).
-  /// Maintained only when the watchdog or the fault hook is active.
+  /// Per-worker in-flight batch (guarded by mutex_; null when idle), set
+  /// in the section that pops the batch and cleared in the one that
+  /// finishes it, or by whoever settles it as hung.
   std::vector<std::shared_ptr<InFlightBatch>> inflight_batches_;
   /// Per-worker shutdown handshake blocks (see WorkerAbandon).
   std::vector<std::shared_ptr<WorkerAbandon>> abandon_;

@@ -9,8 +9,7 @@
 // buffer it alone writes (single-writer, no CAS loop); publication is a
 // release store of the element count, and drains read the published
 // prefix with an acquire load — lock-free on the record path and
-// TSAN-clean, the same slot-per-worker shape as the metrics registry
-// but without even the uncontended mutex. A full buffer drops further
+// TSAN-clean. A full buffer drops further
 // events (counted, surfaced in the JSON) rather than stalling a worker.
 //
 // Sampling: `SchedulerOptions::trace_sampling` in [0, 1]. The decision

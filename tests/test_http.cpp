@@ -597,6 +597,10 @@ TEST(HttpHygiene, MalformedRequestsAreRejectedWithoutCrashing) {
       {"unknown priority",
        R"({"shape":[1,1,1,1],"data_b64":"AAAAAA==","priority":"vip"})", 400,
        bad_priority},
+      // An empty priority is refused, not read as the default lane.
+      {"empty priority",
+       R"({"shape":[1,1,1,1],"data_b64":"AAAAAA==","priority":""})", 400,
+       bad_priority},
       // A shape whose element product wraps a 64-bit size_t back to 0
       // (the extents pass the per-extent cap; 3 * 2^64 ≡ 0) paired with
       // an empty payload: rejected, not allocated tiny and indexed huge.
@@ -650,11 +654,26 @@ TEST(HttpHygiene, MalformedRequestsAreRejectedWithoutCrashing) {
     EXPECT_NE(resp.body.find(c.says), std::string::npos)
         << c.what << ": " << resp.body;
   }
-  // Same overflow via the octet-stream query string.
-  HttpResponse inf_q = client.request(
-      "POST", "/infer?shape=1,1,1,1&deadline_ms=1e999", std::string(4, '\0'),
-      {{"Content-Type", "application/octet-stream"}});
-  EXPECT_EQ(inf_q.status, 400) << inf_q.body;
+  // The octet-stream query string: the same overflow, and empty or bare
+  // values, which are refused rather than read as "absent".
+  const struct {
+    const char* query;
+    const char* says;
+  } query_cases[] = {
+      {"&deadline_ms=1e999", "out of range"},
+      {"&deadline_ms=", "malformed deadline_ms"},
+      {"&deadline_ms", "malformed deadline_ms"},
+      {"&priority=", "priority must be"},
+      {"&priority", "priority must be"},
+  };
+  for (const auto& q : query_cases) {
+    const HttpResponse resp = client.request(
+        "POST", std::string("/infer?shape=1,1,1,1") + q.query,
+        std::string(4, '\0'), {{"Content-Type", "application/octet-stream"}});
+    EXPECT_EQ(resp.status, 400) << q.query << ": " << resp.body;
+    EXPECT_NE(resp.body.find(q.says), std::string::npos)
+        << q.query << ": " << resp.body;
+  }
 
   // After all that abuse the server still serves real traffic, and the
   // only 5xx it ever sent was the deliberate 501 above — nothing

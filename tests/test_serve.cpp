@@ -1118,9 +1118,13 @@ TEST(Scheduler, SnapshotJsonCarriesTheDocumentedSchema) {
             std::count(json.begin(), json.end(), '}'));
 
   // reset_metrics() zeroes the telemetry so a later snapshot covers
-  // only post-reset traffic (benches scope out warmup this way).
+  // only post-reset traffic (benches scope out warmup this way), and
+  // keeps the uptime epoch.
+  std::this_thread::sleep_for(milliseconds(20));
+  const double uptime_before_reset = scheduler.metrics_snapshot().uptime_s;
   scheduler.reset_metrics();
   const MetricsSnapshot cleared = scheduler.metrics_snapshot();
+  EXPECT_GE(cleared.uptime_s, uptime_before_reset);
   EXPECT_EQ(cleared.served_requests, 0u);
   EXPECT_EQ(cleared.batches, 0u);
   EXPECT_EQ(cleared.classes[1].submitted, 0u);
@@ -1131,30 +1135,61 @@ TEST(Scheduler, SnapshotJsonCarriesTheDocumentedSchema) {
   EXPECT_EQ(scheduler.metrics_snapshot().served_requests, 1u);
 }
 
+TEST(Scheduler, FailedAndHungBatchesCountOnlyAsFailed) {
+  auto plan = make_plan(MacroMvmEngine::Mode::kExactCost);
+  HangOnce gate(/*start_armed=*/false);
+  SchedulerOptions options;
+  options.workers = 1;
+  options.max_microbatch = 1;
+  options.resilience.watchdog_timeout = milliseconds(30);
+  options.worker_fault_hook = gate.hook();
+  Scheduler scheduler(*plan, options);
+
+  // A batch whose execution raises: 5 channels into a 3-channel model.
+  EXPECT_ANY_THROW((void)scheduler.submit(make_input(1, {2, 5, 8, 8})).get());
+  // A batch the watchdog fails while it hangs in the fault hook.
+  gate.arm();
+  auto hung = scheduler.submit(make_input(2, {3, 3, 8, 8}),
+                               {Priority::kInteractive, milliseconds(0)});
+  EXPECT_THROW((void)hung.get(), WorkerHungError);
+  gate.release_and_wait_exit();
+  scheduler.wait_idle();
+
+  // Each counts its request as failed and nothing else: no batch, no
+  // latency sample, no images in the rolling rate, no macro activity.
+  const MetricsSnapshot snap = scheduler.metrics_snapshot();
+  EXPECT_EQ(snap.classes[static_cast<int>(Priority::kBatch)].failed_requests,
+            1u);
+  EXPECT_EQ(
+      snap.classes[static_cast<int>(Priority::kInteractive)].failed_requests,
+      1u);
+  EXPECT_EQ(snap.batches, 0u);
+  EXPECT_EQ(snap.served_requests, 0u);
+  EXPECT_EQ(snap.served_images, 0u);
+  EXPECT_EQ(snap.max_batch_occupancy, 0);
+  EXPECT_EQ(snap.rolling_images_per_s, 0.0);
+  for (const ClassSnapshot& c : snap.classes) {
+    EXPECT_EQ(c.queue_wait.count(), 0u);
+    EXPECT_EQ(c.e2e.count(), 0u);
+  }
+  EXPECT_EQ(scheduler.rom_stats().macro_ops, 0u);
+  EXPECT_EQ(scheduler.sram_stats().macro_ops, 0u);
+}
+
 /// A snapshot built from fixed recordings: both serializers must render
 /// it byte for byte as the files under tests/golden/ record.
 MetricsSnapshot pinned_snapshot() {
   MetricsRegistry registry(2);
-  BatchObservation interactive;
-  interactive.priority = Priority::kInteractive;
-  interactive.requests = 3;
-  interactive.images = 5;
-  interactive.queue_wait_ns = {1500, 250000, 4000000};
-  interactive.e2e_ns = {900000, 2500000, 12000000};
-  registry.record_batch(0, interactive);
-  BatchObservation batch;
-  batch.priority = Priority::kBatch;
-  batch.requests = 2;
-  batch.images = 16;
-  batch.queue_wait_ns = {0, 70000000};
-  batch.e2e_ns = {30000000, 95000000};
-  registry.record_batch(1, batch);
-  BatchObservation failed;
-  failed.priority = Priority::kBatch;
-  failed.requests = 1;
-  failed.images = 8;
-  failed.failed = true;
-  registry.record_batch(0, failed);
+  const std::uint64_t interactive_waits[][2] = {
+      {1500, 900000}, {250000, 2500000}, {4000000, 12000000}};
+  for (const auto& [queue_wait, e2e] : interactive_waits) {
+    registry.record_served(Priority::kInteractive, queue_wait, e2e);
+  }
+  registry.record_batch(Priority::kInteractive, 3, 5);
+  registry.record_served(Priority::kBatch, 0, 30000000);
+  registry.record_served(Priority::kBatch, 70000000, 95000000);
+  registry.record_batch(Priority::kBatch, 2, 16);
+  registry.record_failed(Priority::kBatch, 1);
   for (int i = 0; i < 3; ++i) registry.record_submitted(Priority::kInteractive);
   for (int i = 0; i < 4; ++i) registry.record_submitted(Priority::kBatch);
   registry.record_submitted(Priority::kBestEffort);
@@ -1405,6 +1440,100 @@ TEST(Prometheus, ConcurrentScrapesUnderTrafficStayWellFormed) {
   EXPECT_EQ(failures.load(), 0);
   // The run did both things at once: traffic flowed AND scrapes read it.
   EXPECT_GT(scheduler.metrics_snapshot().served_requests, 0u);
+}
+
+TEST(Prometheus, EverySnapshotIsOneInstantUnderChurnAndResets) {
+  // A snapshot reads the ledger and the queue depths at one instant, so
+  // no request counts as both queued and settled, and every served
+  // request carries its latency samples. The traffic is served, refused
+  // at the lane depth cap and expired in queue at once, while another
+  // thread resets the metrics.
+  auto plan = make_plan(MacroMvmEngine::Mode::kExactCost);
+  SchedulerOptions options;
+  options.workers = 2;
+  options.max_microbatch = 2;
+  options.max_queue_depth = 3;
+  // Every batch holds its worker 2 ms before it executes, so the lanes
+  // fill up. The hook's time is not part of the service estimate, so
+  // the deadlines below still pass admission; best-effort (an idle-tier
+  // lane under strict priority) then starves until they die in queue.
+  options.worker_fault_hook = [](int) {
+    std::this_thread::sleep_for(milliseconds(2));
+  };
+  Scheduler scheduler(*plan, options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> rejected{0};
+  std::atomic<int> expired{0};
+  const auto on_done = [&](Tensor, std::exception_ptr error) {
+    if (!error) {
+      served.fetch_add(1);
+      return;
+    }
+    try {
+      std::rethrow_exception(error);
+    } catch (const QueueDepthError&) {
+      rejected.fetch_add(1);
+    } catch (const DeadlineExpiredError&) {
+      expired.fetch_add(1);
+    } catch (...) {
+    }
+  };
+  std::vector<std::thread> submitters;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::uint64_t seed = t; !stop.load(std::memory_order_acquire);
+           seed += 2) {
+        SubmitOptions so;
+        so.priority = static_cast<Priority>(seed % kPriorityClassCount);
+        if (seed % 2 == 0) so.deadline = milliseconds(5);
+        scheduler.submit(make_input(seed, {1, 3, 8, 8}), so, on_done);
+        std::this_thread::sleep_for(microseconds(200));
+      }
+    });
+  }
+  std::thread resetter([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(milliseconds(7));
+      scheduler.reset_metrics();
+    }
+  });
+
+  std::atomic<int> snapshots{0};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> scrapers;
+  for (int s = 0; s < 2; ++s) {
+    scrapers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const MetricsSnapshot snap = scheduler.metrics_snapshot();
+        snapshots.fetch_add(1);
+        for (const ClassSnapshot& c : snap.classes) {
+          const std::uint64_t accounted =
+              c.served_requests + c.failed_requests + c.expired_requests +
+              c.rejected_requests + c.queue_depth;
+          if (accounted > c.submitted ||
+              c.e2e.count() != c.served_requests ||
+              c.queue_wait.count() != c.served_requests) {
+            violations.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(milliseconds(400));
+  stop.store(true, std::memory_order_release);
+  for (auto& t : submitters) t.join();
+  resetter.join();
+  for (auto& t : scrapers) t.join();
+  scheduler.wait_idle();
+
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(snapshots.load(), 0);
+  // The traffic took all three outcomes.
+  EXPECT_GT(served.load(), 0);
+  EXPECT_GT(rejected.load(), 0);
+  EXPECT_GT(expired.load(), 0);
 }
 
 }  // namespace
